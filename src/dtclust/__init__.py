@@ -20,7 +20,6 @@ from .extract import (
     extract_iterative,
     fbeta_score,
     linearize_rule,
-    node_fbeta,
     rank_nodes,
     select_from_single_tree,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "load_features_csv", "profile",
     "ConfigError", "DataError", "DtclustError",
     "ClusterCandidate", "extract_iterative", "fbeta_score", "linearize_rule",
-    "node_fbeta", "rank_nodes", "select_from_single_tree",
+    "rank_nodes", "select_from_single_tree",
     "PipelineConfig", "cluster_record", "run_extraction",
     "BinningSpec", "ContingencyTable", "OrdinalEncoding", "PreprocessPlan",
     "TransformLog", "apply_plan", "bin_datetime", "bin_numeric", "bin_symbolic",

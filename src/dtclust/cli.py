@@ -26,7 +26,6 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .pipeline import ExtractionResult, PipelineConfig, cluster_record, run_extraction
 from .preprocess import PreprocessPlan
-from .rules import render_rule_text
 from .stability import StabilityReport, stability_report
 from .synth import (
     HiddenGroupSpec,
@@ -40,7 +39,7 @@ from .tree import TrainParams, to_dot
 
 log = logging.getLogger(__name__)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 PROFILE_CATEGORY_CAP = 30
 
 
@@ -64,7 +63,6 @@ class RunConfig:
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     stability: StabilityParams | None = None
     out: str | None = None
-    seed: int = 0
 
     def to_dict(self) -> dict:
         cfg = {
@@ -75,7 +73,6 @@ class RunConfig:
             "delimiter": self.delimiter,
             "kind_hints": dict(self.kind_hints),
             "datetime_patterns": list(self.datetime_patterns),
-            "seed": self.seed,
             **self.pipeline.to_dict(),
         }
         if self.stability is not None:
@@ -133,22 +130,17 @@ class RunReport:
             header = (f"{'#':>2} {'tree':>4} {'node':>4} {'size':>7} {'gini':>7} "
                       f"{'prec':>7} {'recall':>7} {'F1':>7} {'F-0.5':>7} {'F-beta':>7}")
             lines.append(header)
-            for i, cand in enumerate(self.result.clusters):
-                rec = cluster_record(cand, self.result)
+            records = [cluster_record(c, self.result) for c in self.result.clusters]
+            for i, rec in enumerate(records):
                 lines.append(
                     f"{i + 1:>2} {rec['tree_index']:>4} {rec['node_id']:>4} {rec['size']:>7} "
                     f"{rec['gini_impurity']:>7.4f} {rec['precision']:>7.4f} {rec['recall']:>7.4f} "
                     f"{rec['f1']:>7.4f} {rec['f05']:>7.4f} {rec['f_beta']:>7.4f}"
                 )
             lines.append("")
-            for i, cand in enumerate(self.result.clusters):
-                if cand.rule is not None:
-                    sentence = render_rule_text(
-                        cand.rule, ds.class_names,
-                        precision=cand.precision, size=cand.size,
-                        share=cand.size / ds.row_count,
-                    )
-                    lines.append(f"cluster {i + 1}: {sentence}")
+            for i, rec in enumerate(records):
+                if rec["sentence"] is not None:
+                    lines.append(f"cluster {i + 1}: {rec['sentence']}")
             if not self.result.clusters:
                 lines.append("no clusters extracted")
         if self.stability is not None:
@@ -189,9 +181,7 @@ def run(config: RunConfig) -> RunReport:
     timings: dict[str, float] = {}
 
     t = time.perf_counter()
-    ds = load_csv(config.input, label=config.label, kind_hints=config.kind_hints or None,
-                  missing_tokens=config.missing_tokens,
-                  datetime_patterns=config.datetime_patterns, delimiter=config.delimiter)
+    ds = _load(config)
     pipeline = replace(config.pipeline, target_class=_resolve_class(ds, config.pipeline.target_class))
     timings["load"] = time.perf_counter() - t
 
@@ -222,16 +212,27 @@ def run(config: RunConfig) -> RunReport:
     return report
 
 
+def _load(config: RunConfig) -> Dataset:
+    """The one place the CLI reads its input table, with the config's loader hints."""
+    return load_csv(config.input, label=config.label, kind_hints=config.kind_hints or None,
+                    missing_tokens=config.missing_tokens,
+                    datetime_patterns=config.datetime_patterns, delimiter=config.delimiter)
+
+
+def _tree_dot(result: ExtractionResult, k: int) -> str:
+    """DOT graph of tree k with the clusters taken from it highlighted."""
+    chosen = {c.node_id for c in result.clusters if c.tree_index == k}
+    return to_dot(result.trees[k], result.prepared, highlight=chosen)
+
+
 def _write_artifacts(report: RunReport, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if report.result is None:
         return
-    for k, tree in enumerate(report.result.trees):
-        chosen = {c.node_id for c in report.result.clusters if c.tree_index == k}
-        dot = to_dot(tree, report.result.prepared, highlight=chosen)
-        (out / f"tree_{k + 1:02d}.dot").write_text(dot, encoding="utf-8")
+    for k in range(len(report.result.trees)):
+        (out / f"tree_{k + 1:02d}.dot").write_text(_tree_dot(report.result, k), encoding="utf-8")
     for i, cand in enumerate(report.result.clusters):
         rec = cluster_record(cand, report.result)
         body = [rec["sentence"] or "(rule unavailable)"]
@@ -254,6 +255,8 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--missing-token", action="append", default=None,
                    help="missing-value token (repeatable; default: '', '?', 'NA')")
     p.add_argument("--delimiter", default=",")
+    p.add_argument("--config", default=None,
+                   help="JSON config file: preprocessing plan and loader hints")
     p.add_argument("--out", default=None, help="output directory for artifacts")
 
 
@@ -270,8 +273,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=("gini", "entropy"), default="gini")
     p.add_argument("--min-gain", type=float, default=0.0)
     p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--config", default=None, help="JSON preprocessing plan file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,6 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--samples", type=int, default=20, help="number of bagged samples (default 20)")
     p.add_argument("--fraction", type=float, default=0.8, help="sample fraction (default 0.8)")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
 
     p = sub.add_parser("synth", help="generate a labelled dataset with planted groups")
     p.add_argument("--generate", choices=("census", "liner"), default=None,
@@ -325,7 +327,7 @@ def _read_config_file(args) -> dict:
     symbolic-ordinal), missing_tokens, datetime_patterns (extra strptime
     patterns tried after the built-in ones).
     """
-    if not getattr(args, "config", None):
+    if not args.config:
         return {}
     try:
         with open(args.config, encoding="utf-8") as fh:
@@ -381,9 +383,7 @@ def _missing_tokens(args) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(args) -> int:
-    ds = load_csv(args.input, label=args.label, missing_tokens=_missing_tokens(args),
-                  delimiter=args.delimiter)
-    summary = _profile_summary(ds)
+    summary = _profile_summary(_load(_run_config_from_args(args)))
     print(f"rows: {summary['row_count']}   classes: {', '.join(summary['class_names'])}")
     print("prevalence: " + ", ".join(
         f"{n}={p:.3f}" for n, p in zip(summary["class_names"], summary["class_prevalence"])))
@@ -413,10 +413,9 @@ def _run_config_from_args(args, stability: StabilityParams | None = None) -> Run
         delimiter=args.delimiter,
         kind_hints=hints,
         datetime_patterns=patterns,
-        pipeline=_pipeline_from_args(args, raw),
+        pipeline=_pipeline_from_args(args, raw) if args.command != "profile" else PipelineConfig(),
         stability=stability,
         out=args.out,
-        seed=args.seed,
     )
 
 
@@ -483,15 +482,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    ds = load_csv(args.input, label=args.label, missing_tokens=_missing_tokens(args),
-                  delimiter=args.delimiter)
-    config = _pipeline_from_args(args, _read_config_file(args))
-    config = replace(config, target_class=_resolve_class(ds, config.target_class))
-    result = run_extraction(ds, config, n_clusters=1)
+    config = _run_config_from_args(args)
+    ds = _load(config)
+    pipeline = replace(config.pipeline, n_clusters=1,
+                       target_class=_resolve_class(ds, config.pipeline.target_class))
+    result = run_extraction(ds, pipeline)
     if not result.trees:
         raise DataError("no tree was trained (no target-class rows?)")
-    chosen = {c.node_id for c in result.clusters if c.tree_index == 0}
-    dot = to_dot(result.trees[0], result.prepared, highlight=chosen)
+    dot = _tree_dot(result, 0)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

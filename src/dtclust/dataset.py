@@ -80,9 +80,6 @@ class Column:
             return MISSING_DISPLAY
         return self.dictionary[code - 1]
 
-    def present_codes(self) -> np.ndarray:
-        return np.unique(self.codes)
-
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
@@ -426,7 +423,7 @@ def profile(ds: Dataset) -> ProfileReport:
             minlength=(col.n_values + 1) * n_classes,
         ).reshape(col.n_values + 1, n_classes)
         cats = []
-        for code in col.present_codes():
+        for code in np.flatnonzero(joint.any(axis=1)):
             dist = joint[code]
             count = int(dist.sum())
             cats.append(CategoryProfile(col.decode(int(code)), count, tuple(float(v) for v in dist / count)))

@@ -31,22 +31,6 @@ def fbeta_score(precision: float, recall: float, beta: float) -> float:
     return (1 + beta * beta) * precision * recall / denom
 
 
-def node_fbeta(node: TreeNode, target_class: int, beta: float, total_in_class: int) -> float:
-    """F-beta of a tree node against the target class.
-
-    total_in_class is the number of target-class rows in the tree's training
-    data; rows of that class outside the node count as false negatives.
-    """
-    if total_in_class <= 0:
-        raise DataError("total_in_class must be positive")
-    tp = int(node.class_counts[target_class])
-    if tp > total_in_class:
-        raise DataError("node holds more target rows than the dataset total")
-    precision = tp / node.samples
-    recall = tp / total_in_class
-    return fbeta_score(precision, recall, beta)
-
-
 @dataclass(eq=False)
 class ClusterCandidate:
     """A tree node scored as a cluster of the target class."""
@@ -62,7 +46,6 @@ class ClusterCandidate:
     size: int
     row_ids: np.ndarray
     rule: Rule | None = None
-    impurity: float = 0.0
     recall_overall: float | None = None  # recall against the full dataset in iterative mode
 
 
@@ -84,7 +67,6 @@ def _candidate(node: TreeNode, tree_index: int, target_class: int, beta: float,
         f_beta=fbeta_score(precision, recall, beta),
         size=node.samples,
         row_ids=node.rows,
-        impurity=node.impurity,
     )
 
 
@@ -167,20 +149,14 @@ def extract_iterative(
         tree = train(ds, params, rows=remaining)
         trees.append(tree)
 
-        best_node, best_f = None, 0.0
-        for node in tree.nodes:
-            f = node_fbeta(node, target_class, beta, total)
-            if f > best_f:
-                best_node, best_f = node, f
-        if best_node is None:
+        cand = rank_nodes(tree, target_class, beta, tree_index)[0]
+        if cand.f_beta <= 0:
             break
-
-        cand = _candidate(best_node, tree_index, target_class, beta, total)
         cand.recall_overall = cand.tp / total_overall if total_overall else 0.0
         if transform_log is not None:
-            cand.rule = linearize_rule(tree, best_node.id, transform_log, target_class)
+            cand.rule = linearize_rule(tree, cand.node_id, transform_log, target_class)
         clusters.append(cand)
-        remaining = np.setdiff1d(remaining, best_node.rows, assume_unique=True)
+        remaining = np.setdiff1d(remaining, cand.row_ids, assume_unique=True)
     return ExtractionOutcome(clusters, trees)
 
 

@@ -47,7 +47,7 @@ class ExtractionResult:
     trees: list[DecisionTree]
 
 
-def run_extraction(ds: Dataset, config: PipelineConfig, n_clusters: int | None = None) -> ExtractionResult:
+def run_extraction(ds: Dataset, config: PipelineConfig) -> ExtractionResult:
     """Apply the preprocessing plan, then extract clusters by node removal."""
     target = ds.class_code(config.target_class)
     prepared, log = apply_plan(ds, config.plan, target)
@@ -56,7 +56,7 @@ def run_extraction(ds: Dataset, config: PipelineConfig, n_clusters: int | None =
         config.params,
         target,
         beta=config.beta,
-        n_clusters=n_clusters if n_clusters is not None else config.n_clusters,
+        n_clusters=config.n_clusters,
         transform_log=log,
     )
     return ExtractionResult(ds, prepared, log, target, config.beta, outcome.clusters, outcome.trees)

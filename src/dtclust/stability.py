@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -122,10 +122,11 @@ def stability_report(
     if not clusters:
         raise ConfigError("stability_report needs at least one extracted cluster")
 
+    sample_config = replace(config, n_clusters=len(clusters))
     scores = np.zeros((len(clusters), n_samples))
     for k in range(n_samples):
         view, ids = draw_sample(ds, fraction, seed, k)
-        result = run_extraction(view, config, n_clusters=len(clusters))
+        result = run_extraction(view, sample_config)
         sample_clusters = [ids[c.row_ids] for c in result.clusters]
         if not sample_clusters:
             log.warning("sample %d produced no clusters; scores set to 0", k)

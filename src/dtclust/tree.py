@@ -178,7 +178,7 @@ def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.
         p = counts / totals[:, None]
     if metric == "gini":
         return 1.0 - (p ** 2).sum(axis=1)
-    logs = np.where(p > 0, np.log2(p, where=p > 0), 0.0)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
     return -(p * logs).sum(axis=1)
 
 

@@ -18,6 +18,17 @@ def liner_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def grades_csv(tmp_path):
+    """A small table whose "NA" is data once the config overrides the missing tokens."""
+    csv_path = tmp_path / "grades.csv"
+    csv_path.write_text(
+        "grade,score,y\nlow,1,0\nNA,2,0\nhigh,3,1\nmid,4,1\nlow,5,0\nhigh,6,1\n")
+    cfg_path = tmp_path / "hints.json"
+    cfg_path.write_text(json.dumps({"ordinal_hints": ["grade"], "missing_tokens": [""]}))
+    return str(csv_path), str(cfg_path)
+
+
 class TestRenderRuleText:
     def test_empty_rule(self):
         text = render_rule_text(Rule((), 1), ("died", "survived"))
@@ -57,6 +68,17 @@ class TestProfileCommand:
         assert doc["row_count"] == 400
         assert set(doc["columns"]) >= {"passenger-class", "sex"}
 
+    def test_config_matches_extract_profile(self, grades_csv, tmp_path):
+        csv_path, cfg_path = grades_csv
+        flags = ["--input", csv_path, "--label", "y", "--config", cfg_path]
+        assert main(["profile", *flags, "--out", str(tmp_path / "prof")]) == 0
+        assert main(["extract", *flags, "--clusters", "1", "--out", str(tmp_path / "run")]) == 0
+        profile_doc = json.loads((tmp_path / "prof" / "profile.json").read_text())
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert profile_doc == report["profile"]
+        grade_values = {c["value"] for c in profile_doc["columns"]["grade"]["categories"]}
+        assert "NA" in grade_values
+
 
 class TestExtractCommand:
     def test_full_run_artifacts(self, liner_csv, tmp_path, capsys):
@@ -69,7 +91,8 @@ class TestExtractCommand:
         assert code == 0
         assert (out / "report.txt").exists()
         report = json.loads((out / "report.json").read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
+        assert "seed" not in report["config"]
         assert 1 <= len(report["clusters"]) <= 2
         for i, cluster in enumerate(report["clusters"], start=1):
             assert (out / f"tree_{i:02d}.dot").exists()
@@ -81,7 +104,7 @@ class TestExtractCommand:
     def test_reports_byte_identical(self, liner_csv, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         args = ["extract", "--input", liner_csv, "--label", "survived",
-                "--clusters", "2", "--depth", "3", "--seed", "11"]
+                "--clusters", "2", "--depth", "3"]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
@@ -240,6 +263,14 @@ class TestExportDot:
         dot = (out / "tree.dot").read_text()
         assert dot.startswith("digraph")
         assert "->" in dot
+
+    def test_config_matches_extract_tree(self, grades_csv, tmp_path):
+        csv_path, cfg_path = grades_csv
+        flags = ["--input", csv_path, "--label", "y", "--config", cfg_path]
+        assert main(["export-dot", *flags, "--out", str(tmp_path / "dot")]) == 0
+        assert main(["extract", *flags, "--clusters", "1", "--out", str(tmp_path / "run")]) == 0
+        dot = (tmp_path / "dot" / "tree.dot").read_bytes()
+        assert dot == (tmp_path / "run" / "tree_01.dot").read_bytes()
 
     def test_stdout_when_no_out(self, liner_csv, capsys):
         assert main(["export-dot", "--input", liner_csv, "--label", "survived",

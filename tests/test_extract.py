@@ -9,7 +9,6 @@ from dtclust.extract import (
     extract_iterative,
     fbeta_score,
     linearize_rule,
-    node_fbeta,
     rank_nodes,
     select_from_single_tree,
 )
@@ -81,29 +80,18 @@ class TestFbetaScore:
 
 class TestNodeFbeta:
     def test_reference_nodes(self):
+        # the reference tree's root holds all 342 target rows
         tree, ids = reference_metric_tree()
-        for name, (p, r, f1, f05) in REFERENCE_METRICS.items():
-            node = tree.node(ids[name])
-            assert node_fbeta(node, 1, 1.0, 342) == pytest.approx(f1, abs=1e-3)
-            assert node_fbeta(node, 1, 0.5, 342) == pytest.approx(f05, abs=1e-3)
+        assert tree.root.class_counts[1] == 342
+        for beta, column in ((1.0, 2), (0.5, 3)):
+            scores = {c.node_id: c.f_beta for c in rank_nodes(tree, 1, beta)}
+            for name, metrics in REFERENCE_METRICS.items():
+                assert scores[ids[name]] == pytest.approx(metrics[column], abs=1e-3)
 
     def test_increasing_in_tp(self):
-        tree, ids = reference_metric_tree()
-        scores = []
-        for tp in range(0, 101, 10):
-            node = tree.node(ids["c1"])
-            node = type(node)(0, 0, np.arange(100), np.array([100 - tp, tp]),
-                              0.0, 1, None)
-            scores.append(node_fbeta(node, 1, 1.0, 342))
+        # a 100-row node against 342 target rows: F1 grows with every true positive
+        scores = [fbeta_score(tp / 100, tp / 342, 1.0) for tp in range(0, 101, 10)]
         assert all(a < b for a, b in zip(scores, scores[1:]))
-
-    def test_errors(self):
-        tree, ids = reference_metric_tree()
-        node = tree.node(ids["c1"])
-        with pytest.raises(DataError):
-            node_fbeta(node, 1, 1.0, 0)
-        with pytest.raises(DataError):
-            node_fbeta(node, 1, 1.0, 100)  # fewer than the node's 233
 
 
 class TestRankNodes:

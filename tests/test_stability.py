@@ -1,5 +1,7 @@
 """Bagged sampling and cluster stability scoring."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,7 +115,7 @@ class TestStabilityReport:
             assert cluster.min <= cluster.mean <= cluster.max
         # max property: recompute one sample by hand and compare
         view, ids = draw_sample(liner, 0.7, seed=1, k=0)
-        sample_result = run_extraction(view, config, n_clusters=len(result.clusters))
+        sample_result = run_extraction(view, replace(config, n_clusters=len(result.clusters)))
         sample_clusters = [ids[c.row_ids] for c in sample_result.clusters]
         for i, original in enumerate(result.clusters):
             scores = [pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters]
