@@ -14,7 +14,7 @@ from .dataset import (
     load_features_csv,
     profile,
 )
-from .errors import ConfigError, DataError, DtclustError
+from .errors import ConfigError, DataError, DtclustError, InternalError
 from .extract import (
     ClusterCandidate,
     extract_iterative,
@@ -58,7 +58,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Column", "ColumnKind", "Dataset", "ProfileReport", "infer_kinds", "load_csv",
     "load_features_csv", "profile",
-    "ConfigError", "DataError", "DtclustError",
+    "ConfigError", "DataError", "DtclustError", "InternalError",
     "ClusterCandidate", "extract_iterative", "fbeta_score", "linearize_rule",
     "rank_nodes", "select_from_single_tree",
     "PipelineConfig", "cluster_record", "run_extraction",

@@ -265,7 +265,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
                    help="target class name or code (default: code 1 of a binary label)")
     p.add_argument("--beta", type=float, default=0.33, help="F-measure beta (default 0.33)")
     p.add_argument("--depth", type=int, default=5, help="max tree depth (default 5)")
-    p.add_argument("--clusters", type=int, default=3, help="clusters to extract (default 3)")
     p.add_argument("--bins", type=int, default=None,
                    help="percentile-bin all numeric columns into this many bins")
     p.add_argument("--reorder-symbolic", choices=("on", "off"), default="on",
@@ -273,6 +272,10 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--metric", choices=("gini", "entropy"), default="gini")
     p.add_argument("--min-gain", type=float, default=0.0)
     p.add_argument("--min-samples-leaf", type=int, default=1)
+
+
+def _add_clusters_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--clusters", type=int, default=3, help="clusters to extract (default 3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,10 +292,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="run the full extraction pipeline")
     _add_io_args(p)
     _add_model_args(p)
+    _add_clusters_arg(p)
 
     p = sub.add_parser("stability", help="extraction plus bagged stability scores")
     _add_io_args(p)
     _add_model_args(p)
+    _add_clusters_arg(p)
     p.add_argument("--samples", type=int, default=20, help="number of bagged samples (default 20)")
     p.add_argument("--fraction", type=float, default=0.8, help="sample fraction (default 0.8)")
     p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
@@ -316,6 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="train one tree and write its DOT graph")
     _add_io_args(p)
     _add_model_args(p)
+    p.set_defaults(clusters=1)
     return parser
 
 
@@ -484,7 +490,7 @@ def cmd_synth(args) -> int:
 def cmd_export_dot(args) -> int:
     config = _run_config_from_args(args)
     ds = _load(config)
-    pipeline = replace(config.pipeline, n_clusters=1,
+    pipeline = replace(config.pipeline,
                        target_class=_resolve_class(ds, config.pipeline.target_class))
     result = run_extraction(ds, pipeline)
     if not result.trees:

@@ -66,6 +66,14 @@ class Column:
     values: np.ndarray | None = None
     pattern: str | None = None
 
+    def __post_init__(self) -> None:
+        codes = self.codes
+        if codes.size and (codes.min() < MISSING_CODE or codes.max() > len(self.dictionary)):
+            raise DataError(
+                f"column {self.name!r} has codes in {codes.min()}..{codes.max()}, "
+                f"outside 0..{len(self.dictionary)}"
+            )
+
     @property
     def n_values(self) -> int:
         return len(self.dictionary)

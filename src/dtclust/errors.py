@@ -11,3 +11,7 @@ class ConfigError(DtclustError):
 
 class DataError(DtclustError):
     """Problems with the input data itself: unreadable files, arity mismatches, empty tables."""
+
+
+class InternalError(DtclustError):
+    """A broken invariant of the program itself, never a fault of the input."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ColumnKind, Dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, InternalError
 from .preprocess import BinningSpec, OrdinalEncoding, TransformLog, ColumnLog
 from .rules import MISSING, Bound, Interval, Predicate, Rule
 from .tree import DecisionTree, TrainParams, TreeNode, train
@@ -266,7 +266,10 @@ def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
     # rows, so the interval hull absorbs them; reachable gaps would be a bug
     gaps = set(range(codes[0], codes[-1] + 1)) - allowed
     if gaps & reachable:
-        raise AssertionError(f"non-contiguous code range for ordered column {attr!r}")
+        raise InternalError(
+            f"non-contiguous code range for ordered column {attr!r}: "
+            f"reachable gap codes {sorted(gaps & reachable)}"
+        )
     lo_code, hi_code = codes[0], codes[-1]
 
     def bound(code: int) -> Bound:

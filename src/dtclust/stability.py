@@ -42,17 +42,24 @@ def pairwise_score(c_rows: np.ndarray, c_prime_rows: np.ndarray, sample_rows: np
     """Jaccard agreement of an original cluster and a sample cluster on the sample rows.
 
     Both clusters are restricted to the sample; two empty restrictions count as
-    perfect agreement.
+    perfect agreement. Row sets are boolean masks over 0..max row id.
     """
-    c_prime = np.asarray(c_prime_rows)
-    if np.setdiff1d(c_prime, sample_rows).size:
+    ids = [np.asarray(r, dtype=np.intp) for r in (c_rows, c_prime_rows, sample_rows)]
+    size = max((int(r.max()) + 1 for r in ids if r.size), default=0)
+
+    def mask(r: np.ndarray) -> np.ndarray:
+        out = np.zeros(size, dtype=bool)
+        out[r] = True
+        return out
+
+    c, c_prime, sample = (mask(r) for r in ids)
+    if (c_prime & ~sample).any():
         raise DataError("sample cluster contains rows outside the sample")
-    restricted = np.intersect1d(np.asarray(c_rows), sample_rows)
-    union = np.union1d(restricted, c_prime)
-    if union.size == 0:
+    c &= sample
+    union = np.count_nonzero(c | c_prime)
+    if union == 0:
         return 1.0
-    inter = np.intersect1d(restricted, c_prime)
-    return inter.size / union.size
+    return np.count_nonzero(c & c_prime) / union
 
 
 @dataclass(frozen=True)

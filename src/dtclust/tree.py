@@ -6,6 +6,12 @@ test x <= pivot vs x > pivot; nominal columns (symbolic-nominal, boolean) test
 x = pivot vs x != pivot. The missing sentinel 0 takes part like any other code:
 it sorts below all values and forms its own category.
 
+Search needs no sort: codes are dense integers 0..n_values, so one bincount
+over per-dataset keys gives a node's class histogram over every column's codes
+at once, and a cumulative sum per column gives the ordered splits' left sides.
+A node costs about rows x columns + codes; columns with more codes than the
+table has rows get their own histogram, which bounds its memory.
+
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
 lowest class code.
@@ -186,30 +192,83 @@ def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.
 # Split search
 # ---------------------------------------------------------------------------
 
-def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams) -> Split | None:
+@dataclass(frozen=True, eq=False)
+class _HistogramGroup:
+    """Consecutive columns whose class histograms come from one bincount.
+
+    The group's bins are its columns' codes laid end to end: code c of member
+    j is bin starts[j] + c. A row's key in a member is its class * n_bins +
+    the bin of its code, so one bincount over a node's keys gives its
+    (classes x bins) histogram.
+
+    keys:    rows x members, the key of each row in each member.
+    columns: dataset column index of each member.
+    starts:  first bin of each member.
+    ordered: whether each member splits with <= (else with =).
+    n_bins:  bins in the group, the sum of its members' code counts.
+    """
+
+    keys: np.ndarray
+    columns: np.ndarray
+    starts: np.ndarray
+    ordered: np.ndarray
+    n_bins: int
+
+
+def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
+    """The per-dataset key layout that best_split counts classes with.
+
+    Columns are packed in order into groups of at most max(largest column's
+    code count, rows) bins, which bounds one node's histogram by the input's
+    own size whatever the number of columns.
+    """
+    widths = [col.n_values + 1 for col in ds.columns]
+    cap = max(max(widths, default=0), ds.row_count)
+    groups: list[_HistogramGroup] = []
+    members: list[int] = []
+    total = 0
+    for ci, width in enumerate(widths):
+        if members and total + width > cap:
+            groups.append(_histogram_group(ds, members))
+            members, total = [], 0
+        members.append(ci)
+        total += width
+    if members:
+        groups.append(_histogram_group(ds, members))
+    return tuple(groups)
+
+
+def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
+    cols = [ds.columns[ci] for ci in members]
+    widths = np.array([col.n_values + 1 for col in cols])
+    starts = np.cumsum(widths) - widths
+    n_bins = int(widths.sum())
+    class_base = ds.labels.astype(np.intp) * n_bins
+    keys = np.empty((ds.row_count, len(cols)), dtype=np.intp)
+    for j, (col, start) in enumerate(zip(cols, starts)):
+        keys[:, j] = class_base + (col.codes + start)
+    ordered = np.array([col.kind.is_ordered for col in cols])
+    return _HistogramGroup(keys, np.array(members), starts, ordered, n_bins)
+
+
+def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
+               layout: tuple[_HistogramGroup, ...] | None = None) -> Split | None:
     """Exhaustive best split of the given rows, or None when no gain beats min_gain.
 
     Scans every column and every code present in the rows as a pivot; keeps the
     strictly best gain, so equal-gain ties go to the earliest column and the
-    lowest pivot.
+    lowest pivot. layout is histogram_layout(ds), built here when not given.
     """
-    y = ds.labels[rows]
-    n = len(rows)
-    n_classes = ds.n_classes
-    parent_counts = np.bincount(y, minlength=n_classes).astype(np.float64)
+    if layout is None:
+        layout = histogram_layout(ds)
+    parent_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes).astype(np.float64)
     parent_imp = impurity(parent_counts, params.impurity_metric)
 
     best: tuple[float, int, int] | None = None  # gain, column index, pivot
-    for ci, col in enumerate(ds.columns):
-        found = _best_pivot(
-            col.codes[rows], y, n_classes, col.kind.is_ordered,
-            params, parent_imp, parent_counts,
-        )
-        if found is None:
-            continue
-        gain, pivot = found
-        if gain > params.min_gain and (best is None or gain > best[0]):
-            best = (gain, ci, pivot)
+    for group in layout:
+        found = _best_in_group(group, rows, parent_counts, parent_imp, params)
+        if found is not None and found[0] > params.min_gain and (best is None or found[0] > best[0]):
+            best = found
 
     if best is None:
         return None
@@ -222,35 +281,44 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams) -> Split | No
     return Split(gain, pivot, col.name, ci, col.kind.is_ordered, rows[mask], rows[~mask])
 
 
-def _best_pivot(codes, y, n_classes, ordinal, params, parent_imp, parent_counts):
-    uniq, inv = np.unique(codes, return_inverse=True)
-    if uniq.size < 2:
-        return None
-    cnt = np.bincount(inv * n_classes + y, minlength=uniq.size * n_classes)
-    cnt = cnt.reshape(uniq.size, n_classes).astype(np.float64)
+def _best_in_group(group, rows, parent_counts, parent_imp, params):
+    """(gain, column, pivot) of the group's first best valid candidate, or None."""
+    n_classes = len(parent_counts)
+    n = len(rows)
+    keys = np.take(group.keys, rows, axis=0)
+    cnt = np.bincount(keys.ravel(), minlength=n_classes * group.n_bins)
+    cnt = cnt.reshape(n_classes, group.n_bins)
 
-    if ordinal:
-        left = np.cumsum(cnt, axis=0)[:-1]
-        pivots = uniq[:-1]
-    else:
-        left = cnt
-        pivots = uniq
-    right = parent_counts[None, :] - left
-    n_left = left.sum(axis=1)
-    n_right = len(y) - n_left
-
+    # the pivots are the codes present in the node, in (column, code) order;
+    # row n_classes of counts holds each pivot's total
+    per_code = cnt.sum(axis=0)
+    present = np.flatnonzero(per_code)
+    counts = np.vstack((cnt[:, present], per_code[present]))
+    member = np.searchsorted(group.starts, present, side="right") - 1
+    # left of a pivot: its own code (nominal), or every present code of its
+    # column up to it (ordered), a cumulative sum restarted at each column
+    cum = np.zeros((n_classes + 1, len(present) + 1), dtype=counts.dtype)
+    np.cumsum(counts, axis=1, out=cum[:, 1:])
+    first = np.searchsorted(present, group.starts)[member]
+    left = np.where(group.ordered[member], cum[:, 1:] - cum[:, first], counts)
+    n_left = left[n_classes]
     msl = params.min_samples_leaf
-    valid = (n_left >= msl) & (n_right >= msl)
-    if not valid.any():
+    valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
+    if valid.size == 0:
         return None
 
-    imp_left = _impurity_matrix(left, n_left, params.impurity_metric)
-    imp_right = _impurity_matrix(right, n_right, params.impurity_metric)
-    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / len(y)
-    gains[~valid] = -np.inf
+    left_counts = np.ascontiguousarray(left[:n_classes, valid].T, dtype=np.float64)
+    right_counts = parent_counts[None, :] - left_counts
+    n_left = n_left[valid].astype(np.float64)
+    n_right = n - n_left
+    imp_left = _impurity_matrix(left_counts, n_left, params.impurity_metric)
+    imp_right = _impurity_matrix(right_counts, n_right, params.impurity_metric)
+    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
 
-    best = int(np.argmax(gains))  # first maximum -> lowest pivot on ties
-    return float(gains[best]), int(pivots[best])
+    best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
+    i = valid[best]
+    j = member[i]
+    return float(gains[best]), int(group.columns[j]), int(present[i] - group.starts[j])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +356,7 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         nodes.append(node)
         return node
 
+    layout = histogram_layout(ds)
     queue = [make_node(rows, 0, None)]
     while queue:
         node = queue.pop(0)
@@ -295,7 +364,7 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
             continue
         if node.samples < 2 * params.min_samples_leaf or node.impurity == 0.0:
             continue
-        split = best_split(node.rows, ds, params)
+        split = best_split(node.rows, ds, params, layout)
         if split is None:
             continue
         node.split = split

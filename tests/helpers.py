@@ -86,8 +86,13 @@ def assert_tree_matches_oracle(tree, ds, params, tol=1e-12):
 # Random dataset generation
 # ---------------------------------------------------------------------------
 
-def random_dataset(rng, max_rows=200, max_cols=6) -> Dataset:
-    """A small mixed-kind dataset (all five column kinds) with occasional missing codes."""
+def random_dataset(rng, max_rows=200, max_cols=6, wide_column=False) -> Dataset:
+    """A small mixed-kind dataset (all five column kinds) with occasional missing codes.
+
+    wide_column inserts one more column, at a random position, whose
+    dictionary is longer than the table, so most of its codes are absent and
+    split search must pack the columns into several histogram groups.
+    """
     n = int(rng.integers(20, max_rows + 1))
     n_cols = int(rng.integers(2, max_cols + 1))
     n_classes = int(rng.integers(2, 4))
@@ -126,6 +131,15 @@ def random_dataset(rng, max_rows=200, max_cols=6) -> Dataset:
         labels[: n // 2] = 0
         labels[n // 2:] = 1
     names = tuple(f"class{k}" for k in range(int(labels.max()) + 1))
+    if wide_column:
+        u = n + int(rng.integers(1, 2 * n + 1))
+        codes = rng.integers(0, u + 1, size=n).astype(np.int32)
+        dictionary = tuple(f"w{i}" for i in range(u))
+        if rng.random() < 0.5:
+            wide = Column("wide", ColumnKind.NUMERIC, codes, dictionary, values=np.arange(u, dtype=float))
+        else:
+            wide = Column("wide", ColumnKind.SYMBOLIC_NOMINAL, codes, dictionary)
+        columns.insert(int(rng.integers(0, len(columns) + 1)), wide)
     return Dataset(tuple(columns), labels, names)
 
 

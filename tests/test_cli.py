@@ -7,6 +7,7 @@ import pytest
 
 from dtclust.cli import main
 from dtclust.dataset import load_csv
+from dtclust.errors import InternalError
 from dtclust.rules import Bound, Interval, MISSING, Predicate, Rule, render_rule_text, rule_from_dict
 from dtclust.synth import titanic_like, write_csv
 
@@ -194,6 +195,14 @@ class TestExtractCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["extract", "--input", str(tmp_path / "nope.csv")]) == 3
 
+    def test_internal_error_exits_4(self, liner_csv, monkeypatch, capsys):
+        def broken(config):
+            raise InternalError("invariant broken")
+
+        monkeypatch.setattr("dtclust.cli.run", broken)
+        assert main(["extract", "--input", liner_csv, "--label", "survived"]) == 4
+        assert "internal error: invariant broken" in capsys.readouterr().err
+
 
 class TestStabilityCommand:
     def test_stability_section(self, liner_csv, tmp_path, capsys):
@@ -276,3 +285,9 @@ class TestExportDot:
         assert main(["export-dot", "--input", liner_csv, "--label", "survived",
                      "--depth", "1"]) == 0
         assert capsys.readouterr().out.startswith("digraph")
+
+    def test_rejects_clusters_flag(self, liner_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export-dot", "--input", liner_csv, "--label", "survived", "--clusters", "7"])
+        assert exc.value.code == 2
+        assert "--clusters" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dtclust.dataset import (
+    Column,
     ColumnKind,
     Dataset,
     MISSING_CODE,
@@ -185,6 +186,12 @@ class TestDataset:
         ds = load_csv(write(tmp_path, "a,y\n1,0\n"))
         with pytest.raises(ConfigError):
             ds.column("zzz")
+
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_column_rejects_codes_outside_dictionary(self, bad):
+        # two dictionary entries allow codes 0 (missing), 1 and 2 only
+        with pytest.raises(DataError, match="outside 0..2"):
+            Column("c", ColumnKind.SYMBOLIC_NOMINAL, np.array([1, bad, 0], dtype=np.int32), ("a", "b"))
 
 
 class TestProfile:

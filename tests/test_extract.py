@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dtclust.dataset import ColumnKind, Dataset
-from dtclust.errors import ConfigError, DataError
+from dtclust.errors import ConfigError, DataError, InternalError
 from dtclust.extract import (
+    _ordered_predicate,
     extract_iterative,
     fbeta_score,
     linearize_rule,
@@ -310,6 +311,13 @@ class TestLinearize:
         from dtclust.preprocess import TransformLog
         with pytest.raises(ConfigError):
             linearize_rule(tree, 1, TransformLog())
+
+    def test_reachable_gap_is_internal_error(self):
+        # codes {1, 3} with code 2 reachable cannot be one interval
+        ds = ordinal_symbolic_dataset("grade", ("a", "b", "c"))
+        entry = identity_log(ds).entries["grade"]
+        with pytest.raises(InternalError, match=r"'grade'.*\[2\]"):
+            _ordered_predicate("grade", {1, 3}, {1, 2, 3}, entry)
 
 
 class TestApplyRule:

@@ -46,6 +46,17 @@ class TestDrawSample:
         assert list(view.labels) == list(liner.labels[ids])
 
 
+def set_pairwise_score(c_rows, c_prime_rows, sample_rows):
+    """Reference formula: the same score from sorted-set operations."""
+    if np.setdiff1d(c_prime_rows, sample_rows).size:
+        raise DataError("sample cluster contains rows outside the sample")
+    restricted = np.intersect1d(c_rows, sample_rows)
+    union = np.union1d(restricted, c_prime_rows)
+    if union.size == 0:
+        return 1.0
+    return np.intersect1d(restricted, c_prime_rows).size / union.size
+
+
 class TestPairwiseScore:
     def test_identical_restricted_sets(self):
         sample = np.arange(10)
@@ -82,6 +93,16 @@ class TestPairwiseScore:
             b = np.intersect1d(rng.choice(100, size=30), sample)
             assert pairwise_score(a, b, sample) == pytest.approx(
                 pairwise_score(b, a, sample), abs=1e-12)
+
+    def test_equals_set_formula_randomized(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 400))
+            sample = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            # original clusters may reach past the sample and the largest sample id
+            c = rng.choice(n + 50, size=int(rng.integers(0, n + 1)))
+            c_prime = rng.choice(sample, size=int(rng.integers(0, len(sample) + 1)))
+            assert pairwise_score(c, c_prime, sample) == set_pairwise_score(c, c_prime, sample)
 
 
 class TestStabilityReport:

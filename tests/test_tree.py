@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtclust.dataset import Column, ColumnKind, Dataset
 from dtclust.errors import ConfigError, DataError
 from dtclust.preprocess import encode_by_class_frequency
-from dtclust.tree import TrainParams, best_split, impurity, split_gain, to_dot, train
+from dtclust.tree import (
+    TrainParams,
+    best_split,
+    histogram_layout,
+    impurity,
+    split_gain,
+    to_dot,
+    train,
+)
 
 from helpers import (
     assert_tree_matches_oracle,
@@ -74,6 +84,18 @@ def ordinal_dataset(codes, labels, n_classes=2):
     return Dataset((col,), np.asarray(labels, dtype=np.int32), names)
 
 
+def assert_split_matches_oracle(rows, ds, params):
+    got = best_split(rows, ds, params)
+    expected = oracle_best_split(rows, ds, params)
+    if expected is None:
+        assert got is None
+        return
+    gain, ci, pivot = expected
+    assert got is not None, f"oracle split on column {ci} at {pivot} missed"
+    assert (got.column_index, got.pivot) == (ci, pivot)
+    assert abs(got.gain - gain) <= 1e-12
+
+
 class TestBestSplit:
     def test_city_example_pivot(self):
         # after class-frequency encoding the best pivot is the code of Shanghai,
@@ -116,17 +138,34 @@ class TestBestSplit:
     def test_matches_oracle_on_fixed_case(self, metric):
         rng = np.random.default_rng(23)
         ds = random_dataset(rng, max_rows=30, max_cols=4)
-        params = TrainParams(impurity_metric=metric)
+        assert_split_matches_oracle(np.arange(ds.row_count), ds, TrainParams(impurity_metric=metric))
+
+
+class TestBestSplitProperty:
+    """best_split against the brute-force oracle on random nodes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+        subset=st.booleans(),
+        min_samples_leaf=st.sampled_from([1, 3]),
+        metric=st.sampled_from(["gini", "entropy"]),
+    )
+    def test_equals_oracle(self, seed, wide, subset, min_samples_leaf, metric):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, max_rows=120, max_cols=5, wide_column=wide)
         rows = np.arange(ds.row_count)
-        got = best_split(rows, ds, params)
-        expected = oracle_best_split(rows, ds, params)
-        if expected is None:
-            assert got is None
-        else:
-            gain, ci, pivot = expected
-            assert got.column_index == ci
-            assert got.pivot == pivot
-            assert got.gain == pytest.approx(gain, abs=1e-12)
+        if subset:
+            # a node's rows: some codes of each column are absent from it
+            rows = np.sort(rng.choice(rows, size=int(rng.integers(2, len(rows) + 1)), replace=False))
+        assert_split_matches_oracle(rows, ds, TrainParams(metric, min_samples_leaf=min_samples_leaf))
+
+    def test_wide_column_forces_several_groups(self):
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            ds = random_dataset(rng, max_rows=120, max_cols=5, wide_column=True)
+            assert len(histogram_layout(ds)) > 1
 
 
 class TestTrain:
