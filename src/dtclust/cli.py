@@ -18,6 +18,7 @@ from pathlib import Path
 from .dataset import (
     DEFAULT_DATETIME_PATTERNS,
     DEFAULT_MISSING_TOKENS,
+    PROFILE_CATEGORY_CAP,
     Dataset,
     load_csv,
     load_features_csv,
@@ -40,7 +41,6 @@ from .tree import TrainParams, to_dot
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
-PROFILE_CATEGORY_CAP = 30
 
 
 @dataclass(frozen=True)
@@ -159,14 +159,13 @@ def _profile_summary(ds: Dataset) -> dict:
     report = profile(ds)
     columns = {}
     for name, cats in report.columns.items():
-        ordered = sorted(cats, key=lambda c: (-c.count, c.value))
         columns[name] = {
             "categories": [
                 {"value": c.value, "count": c.count, "class_rates": list(c.class_rates)}
-                for c in ordered[:PROFILE_CATEGORY_CAP]
+                for c in cats
             ],
-            "n_categories": len(cats),
-            "truncated": len(cats) > PROFILE_CATEGORY_CAP,
+            "n_categories": report.n_categories[name],
+            "truncated": report.n_categories[name] > PROFILE_CATEGORY_CAP,
         }
     return {
         "row_count": report.row_count,
@@ -337,11 +336,18 @@ def _read_config_file(args) -> dict:
         return {}
     try:
         with open(args.config, encoding="utf-8") as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"malformed config {args.config}: the top level must be a JSON object")
+    for key in ("missing_tokens", "datetime_patterns", "ordinal_hints"):
+        value = raw.get(key, [])
+        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+            raise ConfigError(f"malformed config {args.config}: {key!r} must be a list of strings")
+    return raw
 
 
 def _plan_from_args(args, raw: dict) -> PreprocessPlan:

@@ -5,6 +5,12 @@ distinct original values. Code 0 is reserved for missing cells; real values get
 codes 1..m. For numeric and datetime columns the dictionary is sorted ascending
 by natural value, so code order coincides with value order and the tree can
 compare codes directly.
+
+Loading splits the table into columns once and parses each present cell once:
+kind inference parses a numeric column in one numpy conversion (Python float()
+syntax) and a datetime column with one strptime per cell, and hands the values
+to the encoder. A profile keeps the PROFILE_CATEGORY_CAP most frequent
+categories of each column and counts the rest.
 """
 
 from __future__ import annotations
@@ -24,6 +30,9 @@ log = logging.getLogger(__name__)
 
 MISSING_CODE = 0
 MISSING_DISPLAY = "(missing)"
+
+# categories per column that a profile keeps, the most frequent first
+PROFILE_CATEGORY_CAP = 30
 
 DEFAULT_MISSING_TOKENS = ("", "?", "NA")
 
@@ -211,26 +220,60 @@ def infer_kinds(
     """
     if not raw_table or not raw_table[0]:
         raise DataError("cannot infer kinds of an empty table")
-    n_cols = len(raw_table[0])
     missing = set(missing_tokens)
     out: list[tuple[ColumnKind, str | None]] = []
-    for j in range(n_cols):
-        cells = [row[j] for row in raw_table if row[j] not in missing]
-        out.append(_infer_one(cells, datetime_patterns))
+    for cells in zip(*raw_table):
+        kind, pattern, _ = _infer_one([c for c in cells if c not in missing], datetime_patterns)
+        out.append((kind, pattern))
     return out
 
 
-def _infer_one(cells: list[str], datetime_patterns: Sequence[str]) -> tuple[ColumnKind, str | None]:
-    if not cells:
-        return ColumnKind.SYMBOLIC_NOMINAL, None
-    if all(_parse_number(c) is not None for c in cells):
-        return ColumnKind.NUMERIC, None
-    for pattern in datetime_patterns:
-        if all(_parse_datetime(c, pattern) is not None for c in cells):
-            return ColumnKind.DATETIME, pattern
-    if all(c.lower() in _BOOL_TOKENS for c in cells):
-        return ColumnKind.BOOLEAN, None
-    return ColumnKind.SYMBOLIC_NOMINAL, None
+def _infer_one(
+    present: list[str], datetime_patterns: Sequence[str]
+) -> tuple[ColumnKind, str | None, np.ndarray | None]:
+    """Kind and pattern of a column's present cells, plus their parsed values
+    when the kind is numeric or datetime, so the encoder need not parse again."""
+    if not present:
+        return ColumnKind.SYMBOLIC_NOMINAL, None, None
+    vals = _parse_numbers(present)
+    if vals is not None:
+        return ColumnKind.NUMERIC, None, vals
+    match = _match_datetime(present, datetime_patterns)
+    if match is not None:
+        return ColumnKind.DATETIME, *match
+    if all(c.lower() in _BOOL_TOKENS for c in present):
+        return ColumnKind.BOOLEAN, None, None
+    return ColumnKind.SYMBOLIC_NOMINAL, None, None
+
+
+def _parse_numbers(present: list[str]) -> np.ndarray | None:
+    """All cells parsed at once (numpy follows Python float() syntax); None
+    unless every cell is a finite number."""
+    try:
+        vals = np.array(present, dtype=np.float64)
+    except ValueError:
+        return None
+    return vals if np.isfinite(vals).all() else None
+
+
+def _parse_datetimes(present: list[str], pattern: str) -> np.ndarray | None:
+    """One strptime per cell; None as soon as a cell does not match the pattern."""
+    out = []
+    for c in present:
+        v = _parse_datetime(c, pattern)
+        if v is None:
+            return None
+        out.append(v)
+    return np.array(out, dtype=np.float64)
+
+
+def _match_datetime(present: list[str], patterns: Sequence[str]) -> tuple[str, np.ndarray] | None:
+    """The first pattern that parses every cell, with the parsed values."""
+    for pattern in patterns:
+        vals = _parse_datetimes(present, pattern)
+        if vals is not None:
+            return pattern, vals
+    return None
 
 
 def encode_column(
@@ -248,46 +291,68 @@ def encode_column(
     sorted lexicographically.
     """
     missing = set(missing_tokens)
-    present = [c for c in cells if c not in missing]
+    return _encode(name, cells, [c for c in cells if c not in missing], missing, kind, pattern)
 
-    if kind is ColumnKind.NUMERIC or kind is ColumnKind.DATETIME:
+
+def _encode(
+    name: str,
+    cells: Sequence[str],
+    present: list[str],
+    missing: set[str],
+    kind: ColumnKind,
+    pattern: str | None,
+    vals: np.ndarray | None = None,
+) -> Column:
+    """Encode one column whose present (non-missing) cells are already split out.
+
+    vals, when given, are the parsed values of the present cells of a numeric
+    or datetime column; otherwise they are parsed here, once per cell.
+    """
+    if kind is not ColumnKind.NUMERIC and kind is not ColumnKind.DATETIME:
+        ordered_texts = sorted(set(present))
+        code_of_text = {t: i + 1 for i, t in enumerate(ordered_texts)}
+        codes = np.array([code_of_text.get(c, MISSING_CODE) for c in cells], dtype=np.int32)
+        return Column(name, kind, codes, tuple(ordered_texts))
+
+    if vals is None:
+        vals = _parse_numbers(present) if kind is ColumnKind.NUMERIC else _parse_datetimes(present, pattern)
+    if vals is None:
         parse = _parse_number if kind is ColumnKind.NUMERIC else (lambda t: _parse_datetime(t, pattern))
-        by_value: dict[float, str] = {}
-        for c in present:
-            v = parse(c)
-            if v is None:
-                raise DataError(f"column {name!r}: cell {c!r} does not parse as {kind.value}")
-            by_value.setdefault(v, c)
-        ordered = sorted(by_value)
-        code_of = {v: i + 1 for i, v in enumerate(ordered)}
-        codes = np.array(
-            [MISSING_CODE if c in missing else code_of[parse(c)] for c in cells], dtype=np.int32
-        )
-        return Column(
-            name,
-            kind,
-            codes,
-            tuple(by_value[v] for v in ordered),
-            values=np.array(ordered, dtype=np.float64),
-            pattern=pattern,
-        )
-
-    ordered_texts = sorted(set(present))
-    code_of_text = {t: i + 1 for i, t in enumerate(ordered_texts)}
-    codes = np.array(
-        [MISSING_CODE if c in missing else code_of_text[c] for c in cells], dtype=np.int32
+        bad = next(c for c in present if parse(c) is None)
+        raise DataError(f"column {name!r}: cell {bad!r} does not parse as {kind.value}")
+    # a stable sort: first[i] is where value i is first seen, whose text is its display form
+    _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
+    codes = np.zeros(len(cells), dtype=np.int32)
+    if len(present) == len(cells):
+        codes[:] = inverse + 1
+    else:
+        codes[np.fromiter((c not in missing for c in cells), bool, len(cells))] = inverse + 1
+    return Column(
+        name,
+        kind,
+        codes,
+        tuple(present[i] for i in first.tolist()),
+        values=vals[first],
+        pattern=pattern,
     )
-    return Column(name, kind, codes, tuple(ordered_texts))
 
 
 def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    """Parse a headered CSV into stripped cells, validating shape."""
+    """Parse a headered CSV into stripped cells, validating shape.
+
+    A leading UTF-8 byte-order mark is read as encoding, not as header text.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
-            rows = [[cell.strip() for cell in row] for row in reader if row]
+            try:
+                rows = [[cell.strip() for cell in row] for row in reader if row]
+            except csv.Error as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header, data = rows[0], rows[1:]
@@ -302,26 +367,32 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
     return header, data
 
 
-def _encode_features(names, table, kind_hints, missing_tokens, datetime_patterns) -> list[Column]:
-    """Infer (or take hinted) kinds per column and encode them all."""
+def _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns) -> list[Column]:
+    """Infer (or take hinted) kinds per column and encode them all.
+
+    columns holds each feature's cells, in the order of names. Every present
+    cell of a numeric or datetime column is parsed once, by the kind inference.
+    """
     hints = dict(kind_hints or {})
-    inferred = infer_kinds(table, missing_tokens, datetime_patterns) if names else []
-    columns = []
-    for pos, name in enumerate(names):
-        kind, pattern = inferred[pos]
+    missing = set(missing_tokens)
+    encoded = []
+    for name, cells in zip(names, columns):
+        present = [c for c in cells if c not in missing]
+        kind, pattern, vals = _infer_one(present, datetime_patterns)
         if name in hints:
             hint = hints.pop(name)
-            kind = ColumnKind(hint) if isinstance(hint, str) else hint
-            if kind is not ColumnKind.DATETIME:
-                pattern = None
-            elif pattern is None:
-                pattern = _first_matching_pattern(table, pos, set(missing_tokens),
-                                                  datetime_patterns, name)
-        columns.append(encode_column(name, [row[pos] for row in table], kind,
-                                     missing_tokens, pattern))
+            hinted = ColumnKind(hint) if isinstance(hint, str) else hint
+            if hinted is not kind:
+                kind, pattern, vals = hinted, None, None
+                if kind is ColumnKind.DATETIME:
+                    match = _match_datetime(present, datetime_patterns)
+                    if match is None:
+                        raise DataError(f"column {name!r} hinted datetime but no pattern matches")
+                    pattern, vals = match
+        encoded.append(_encode(name, cells, present, missing, kind, pattern, vals))
     if hints:
         raise ConfigError(f"kind hints for unknown columns: {sorted(hints)}")
-    return columns
+    return encoded
 
 
 def load_csv(
@@ -351,8 +422,9 @@ def load_csv(
             raise ConfigError(f"label column {label!r} not in header {header}")
         label_idx = header.index(label)
 
+    table = list(zip(*data))
     missing = set(missing_tokens)
-    label_cells = [row[label_idx] for row in data]
+    label_cells = table.pop(label_idx)
     present_labels = [c for c in label_cells if c not in missing]
     if not present_labels:
         raise DataError(f"label column {header[label_idx]!r} is entirely missing")
@@ -362,9 +434,7 @@ def load_csv(
     class_code = {name: i for i, name in enumerate(class_names)}
     labels = np.array([class_code[c] for c in label_cells], dtype=np.int32)
 
-    feature_idx = [j for j in range(len(header)) if j != label_idx]
-    table = [[row[j] for j in feature_idx] for row in data]
-    names = [header[j] for j in feature_idx]
+    names = header[:label_idx] + header[label_idx + 1:]
     columns = _encode_features(names, table, kind_hints, missing_tokens, datetime_patterns)
 
     ds = Dataset(tuple(columns), labels, class_names)
@@ -382,16 +452,8 @@ def load_features_csv(
 ) -> Dataset:
     """Load a headered CSV that has no class column (all columns become features)."""
     header, data = _read_table(path, delimiter)
-    columns = _encode_features(header, data, kind_hints, missing_tokens, datetime_patterns)
+    columns = _encode_features(header, zip(*data), kind_hints, missing_tokens, datetime_patterns)
     return Dataset(tuple(columns), None, ())
-
-
-def _first_matching_pattern(table, pos, missing, patterns, name):
-    cells = [row[pos] for row in table if row[pos] not in missing]
-    for pattern in patterns:
-        if all(_parse_datetime(c, pattern) is not None for c in cells):
-            return pattern
-    raise DataError(f"column {name!r} hinted datetime but no pattern matches")
 
 
 @dataclass(frozen=True)
@@ -403,14 +465,21 @@ class CategoryProfile:
 
 @dataclass(frozen=True)
 class ProfileReport:
-    """Per-column category counts and class rates, plus overall class prevalence."""
+    """Per-column category counts and class rates, plus overall class prevalence.
+
+    columns keeps, per column, the PROFILE_CATEGORY_CAP categories with the
+    most rows (ties by display text), in that order; n_categories counts every
+    category present, kept or not.
+    """
 
     row_count: int
     class_names: tuple[str, ...]
     class_prevalence: tuple[float, ...]
     columns: dict[str, tuple[CategoryProfile, ...]]
+    n_categories: dict[str, int]
 
     def rate(self, column: str, value: str, cls: int) -> float:
+        """Class rate of a kept category; a category beyond the cap raises KeyError."""
         for cat in self.columns[column]:
             if cat.value == value:
                 return cat.class_rates[cls]
@@ -418,22 +487,45 @@ class ProfileReport:
 
 
 def profile(ds: Dataset) -> ProfileReport:
-    """Tabulate, per column and category, how rows distribute over the classes."""
+    """Tabulate, per column and category, how rows distribute over the classes.
+
+    Only the PROFILE_CATEGORY_CAP categories with the most rows per column are
+    built, ordered by (-count, display text); the missing marker sorts as text.
+    """
     if ds.labels is None:
         raise DataError("profile requires a labelled dataset")
     n_classes = ds.n_classes
     prevalence = tuple(float(v) for v in np.bincount(ds.labels, minlength=n_classes) / ds.row_count)
 
     per_column: dict[str, tuple[CategoryProfile, ...]] = {}
+    n_categories: dict[str, int] = {}
     for col in ds.columns:
         joint = np.bincount(
             col.codes.astype(np.int64) * n_classes + ds.labels,
             minlength=(col.n_values + 1) * n_classes,
         ).reshape(col.n_values + 1, n_classes)
-        cats = []
-        for code in np.flatnonzero(joint.any(axis=1)):
-            dist = joint[code]
-            count = int(dist.sum())
-            cats.append(CategoryProfile(col.decode(int(code)), count, tuple(float(v) for v in dist / count)))
-        per_column[col.name] = tuple(cats)
-    return ProfileReport(ds.row_count, ds.class_names, prevalence, per_column)
+        counts = joint.sum(axis=1)
+        present = np.flatnonzero(counts)
+        n_categories[col.name] = len(present)
+        kept = _top_categories(col, present, counts)
+        rates = joint[kept] / counts[kept, None]
+        per_column[col.name] = tuple(
+            CategoryProfile(col.decode(code), int(counts[code]), tuple(r))
+            for code, r in zip(kept, rates.tolist())
+        )
+    return ProfileReport(ds.row_count, ds.class_names, prevalence, per_column, n_categories)
+
+
+def _top_categories(col: Column, present: np.ndarray, counts: np.ndarray) -> list[int]:
+    """The first PROFILE_CATEGORY_CAP of the present codes sorted by (-count, text).
+
+    Only codes whose count reaches the cap-th largest count can qualify; the
+    stable sort over them, in code order, keeps the full sort's tie order.
+    """
+    if len(present) > PROFILE_CATEGORY_CAP:
+        present_counts = counts[present]
+        floor = np.partition(present_counts, -PROFILE_CATEGORY_CAP)[-PROFILE_CATEGORY_CAP]
+        present = present[present_counts >= floor]
+    cnt = counts.tolist()
+    ranked = sorted(present.tolist(), key=lambda c: (-cnt[c], col.decode(c)))
+    return ranked[:PROFILE_CATEGORY_CAP]

@@ -2,16 +2,27 @@
 
 The split oracle re-derives the best split by brute force (explicit partition
 per pivot, scalar impurity formulas) so the trainer's vectorized search can be
-checked against an independent computation.
+checked against an independent computation. The reference encoder and the
+reference profile do the same for ingest: one Python float()/strptime call per
+cell per step, and every category of every column.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timezone
 
 import numpy as np
 
-from dtclust.dataset import Column, ColumnKind, Dataset
+from dtclust.dataset import (
+    DEFAULT_DATETIME_PATTERNS,
+    DEFAULT_MISSING_TOKENS,
+    MISSING_CODE,
+    Column,
+    ColumnKind,
+    Dataset,
+)
+from dtclust.errors import DataError
 from dtclust.tree import DecisionTree, TrainParams, TreeNode
 
 
@@ -80,6 +91,112 @@ def assert_tree_matches_oracle(tree, ds, params, tol=1e-12):
             assert oracle_best_split(node.rows, ds, params) is None, (
                 f"leaf {node.id}: oracle found a split the trainer missed"
             )
+
+
+# ---------------------------------------------------------------------------
+# Per-cell reference encoder and uncapped reference profile
+# ---------------------------------------------------------------------------
+
+def _ref_number(text):
+    try:
+        v = float(text)
+    except ValueError:
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _ref_datetime(text, pattern):
+    try:
+        dt = datetime.strptime(text, pattern)
+    except ValueError:
+        return None
+    if dt.year == 1900 and "%Y" not in pattern and "%y" not in pattern:
+        return dt.hour * 3600 + dt.minute * 60 + dt.second + dt.microsecond / 1e6
+    return dt.replace(tzinfo=timezone.utc).timestamp()
+
+
+def _ref_infer(present, datetime_patterns):
+    if not present:
+        return ColumnKind.SYMBOLIC_NOMINAL, None
+    if all(_ref_number(c) is not None for c in present):
+        return ColumnKind.NUMERIC, None
+    for pattern in datetime_patterns:
+        if all(_ref_datetime(c, pattern) is not None for c in present):
+            return ColumnKind.DATETIME, pattern
+    if all(c.lower() in {"true", "false", "0", "1"} for c in present):
+        return ColumnKind.BOOLEAN, None
+    return ColumnKind.SYMBOLIC_NOMINAL, None
+
+
+def reference_encode(name, cells, kind_hint=None, missing_tokens=DEFAULT_MISSING_TOKENS,
+                     datetime_patterns=DEFAULT_DATETIME_PATTERNS) -> Column:
+    """One feature column as the loader encodes it: kind inferred (or hinted),
+    then a dictionary keyed by parsed value (first-seen text) or sorted text.
+
+    Every cell is parsed one at a time, again at each step, with no numpy.
+    """
+    missing = set(missing_tokens)
+    present = [c for c in cells if c not in missing]
+    kind, pattern = _ref_infer(present, datetime_patterns)
+    if kind_hint is not None:
+        kind = ColumnKind(kind_hint)
+        if kind is not ColumnKind.DATETIME:
+            pattern = None
+        elif pattern is None:
+            pattern = next((p for p in datetime_patterns
+                            if all(_ref_datetime(c, p) is not None for c in present)), None)
+            if pattern is None:
+                raise DataError(f"column {name!r} hinted datetime but no pattern matches")
+
+    if kind is ColumnKind.NUMERIC or kind is ColumnKind.DATETIME:
+        parse = _ref_number if kind is ColumnKind.NUMERIC else (lambda t: _ref_datetime(t, pattern))
+        by_value = {}
+        for c in present:
+            v = parse(c)
+            if v is None:
+                raise DataError(f"column {name!r}: cell {c!r} does not parse as {kind.value}")
+            by_value.setdefault(v, c)
+        ordered = sorted(by_value)
+        code_of = {v: i + 1 for i, v in enumerate(ordered)}
+        codes = np.array([MISSING_CODE if c in missing else code_of[parse(c)] for c in cells],
+                         dtype=np.int32)
+        return Column(name, kind, codes, tuple(by_value[v] for v in ordered),
+                      values=np.array(ordered, dtype=np.float64), pattern=pattern)
+
+    ordered_texts = sorted(set(present))
+    code_of_text = {t: i + 1 for i, t in enumerate(ordered_texts)}
+    codes = np.array([MISSING_CODE if c in missing else code_of_text[c] for c in cells],
+                     dtype=np.int32)
+    return Column(name, kind, codes, tuple(ordered_texts))
+
+
+def assert_columns_equal(got: Column, expected: Column) -> None:
+    """Kind, pattern, codes, dictionary and the bits of the natural values all agree."""
+    assert got.name == expected.name
+    assert got.kind is expected.kind, got.name
+    assert got.pattern == expected.pattern, got.name
+    assert got.codes.dtype == expected.codes.dtype
+    assert got.codes.tolist() == expected.codes.tolist(), got.name
+    assert got.dictionary == expected.dictionary, got.name
+    if expected.values is None:
+        assert got.values is None, got.name
+    else:
+        assert got.values.dtype == expected.values.dtype
+        assert got.values.tobytes() == expected.values.tobytes(), got.name
+
+
+def reference_profile(ds: Dataset) -> dict[str, list[tuple[str, int, tuple[float, ...]]]]:
+    """Every present category of every column as (value, count, class_rates), in code order."""
+    out = {}
+    for col in ds.columns:
+        cats = []
+        for code in range(col.n_values + 1):
+            dist = np.bincount(ds.labels[col.codes == code], minlength=ds.n_classes)
+            count = int(dist.sum())
+            if count:
+                cats.append((col.decode(code), count, tuple(float(v) for v in dist / count)))
+        out[col.name] = cats
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -195,6 +195,43 @@ class TestExtractCommand:
     def test_missing_file_is_data_error(self, tmp_path):
         assert main(["extract", "--input", str(tmp_path / "nope.csv")]) == 3
 
+    def test_not_utf8_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,y\n\xe9t\xe9,0\nb,1\n")
+        assert main(["extract", "--input", str(path), "--label", "y"]) == 3
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_oversized_field_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.csv"
+        path.write_text("a,y\nb,0\n" + "x" * 200_000 + ",1\n")
+        assert main(["extract", "--input", str(path), "--label", "y"]) == 3
+        assert f"{path}, line 3: field larger than field limit" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_not_header_text(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("a,b,y\n" + "".join(f"{i % 2},{i},{i % 3}\n" for i in range(12)),
+                        encoding="utf-8-sig")
+        out = tmp_path / "run"
+        assert main(["extract", "--input", str(path), "--label", "a", "--class", "1",
+                     "--clusters", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["label"] == "a"
+        assert set(report["profile"]["columns"]) == {"b", "y"}
+        assert set(report["transform_log"]["columns"]) == {"b", "y"}
+
+    @pytest.mark.parametrize("config, message", [
+        ({"missing_tokens": 5}, "'missing_tokens' must be a list of strings"),
+        ([1, 2], "the top level must be a JSON object"),
+        ({"datetime_patterns": "%Y"}, "'datetime_patterns' must be a list of strings"),
+        ({"ordinal_hints": ["grade", 3]}, "'ordinal_hints' must be a list of strings"),
+    ])
+    def test_malformed_loader_hints(self, liner_csv, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["profile", "--input", liner_csv, "--label", "survived",
+                     "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_internal_error_exits_4(self, liner_csv, monkeypatch, capsys):
         def broken(config):
             raise InternalError("invariant broken")

@@ -1,13 +1,20 @@
 """CSV loading, kind inference, encoding round-trips, and profiling."""
 
+import csv
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dtclust.cli import main
 from dtclust.dataset import (
     Column,
     ColumnKind,
     Dataset,
     MISSING_CODE,
+    PROFILE_CATEGORY_CAP,
     encode_column,
     infer_kinds,
     load_csv,
@@ -17,10 +24,24 @@ from dtclust.dataset import (
 from dtclust.errors import ConfigError, DataError
 from dtclust.synth import titanic_like, write_csv
 
+from helpers import assert_columns_equal, reference_encode, reference_profile
+
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def census_slice(tmp_path_factory):
+    """The first 5,000 rows of the synth census table (generator seed 7), as a CSV path."""
+    root = tmp_path_factory.mktemp("census")
+    assert main(["synth", "--generate", "census", "--seed", "7", "--out", str(root)]) == 0
+    with open(root / "data.csv", encoding="utf-8") as fh:
+        head = [next(fh) for _ in range(5001)]
+    path = root / "slice.csv"
+    path.write_text("".join(head), encoding="utf-8")
     return str(path)
 
 
@@ -162,8 +183,89 @@ class TestEncoding:
         assert present == {1, 2, 3}
 
     def test_unparseable_numeric_errors(self):
-        with pytest.raises(DataError):
-            encode_column("v", ["1", "abc"], ColumnKind.NUMERIC)
+        with pytest.raises(DataError, match="cell 'abc' does not parse as numeric"):
+            encode_column("v", ["1", "abc", "inf"], ColumnKind.NUMERIC)
+
+    def test_non_finite_numeric_errors(self):
+        with pytest.raises(DataError, match="cell '1e400' does not parse as numeric"):
+            encode_column("v", ["1", "1e400", "abc"], ColumnKind.NUMERIC)
+
+    @pytest.mark.parametrize("cells, display, negative", [
+        (["-0", "0", "0.0"], ("-0",), True),
+        (["0.0", "-0", "0"], ("0.0",), False),
+    ])
+    def test_signed_zero_keeps_first_seen(self, cells, display, negative):
+        col = encode_column("v", cells, ColumnKind.NUMERIC)
+        assert col.dictionary == display
+        assert list(col.codes) == [1, 1, 1]
+        assert bool(np.signbit(col.values[0])) is negative
+
+    def test_trailing_nul_is_its_own_symbol(self):
+        col = encode_column("v", ["x\x00", "x", "x\x00"], ColumnKind.SYMBOLIC_NOMINAL)
+        assert col.dictionary == ("x", "x\x00")
+        assert list(col.codes) == [2, 1, 2]
+
+
+# cell families for the encoder property: a column draws from one to three of them
+_CELL_FAMILIES = (
+    ("1", "1.0", "+1", "-0", "0", ".5", "1e5", "1_000", "\u0661\u0662", "-3.25", "0.0"),
+    ("inf", "-inf", "nan", "1e400", "0x10"),
+    ("", "?", "NA"),
+    ("true", "False", "TRUE", "fAlSe", "0", "1"),
+    ("2020-01-02", "2019-12-31", "2020-1-2"),
+    ("2020-01-02T03:04:05", "2021-06-30T23:59:59"),
+    ("2020-01-02 03:04:05", "2021-06-30 23:59:59"),
+    ("12:30:00", "00:00:00", "23:59:59"),
+    ("x", "x\x00", "a", "B", "a b", "(missing)"),
+)
+_KIND_HINTS = (None, "numeric", "datetime", "boolean", "symbolic-nominal", "symbolic-ordinal")
+
+
+@st.composite
+def _column_cells(draw):
+    families = draw(st.lists(st.sampled_from(_CELL_FAMILIES), min_size=1, max_size=3, unique=True))
+    return draw(st.lists(st.sampled_from(sum(families, ())), min_size=1, max_size=40))
+
+
+def _encode_or_error(fn):
+    try:
+        return fn()
+    except DataError as exc:
+        return str(exc)
+
+
+class TestEncoderEquivalence:
+    """The loader agrees with the per-cell reference encoder in tests/helpers.py."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("prop") / "column.csv"
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(cells=_column_cells(), hint=st.sampled_from(_KIND_HINTS))
+    def test_loader_matches_reference(self, csv_path, cells, hint):
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([["c"], *([c] for c in cells)])
+        hints = {"c": hint} if hint else None
+        expected = _encode_or_error(lambda: reference_encode("c", cells, hint))
+        got = _encode_or_error(lambda: load_features_csv(str(csv_path), kind_hints=hints).columns[0])
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        assert_columns_equal(got, expected)
+        assert_columns_equal(encode_column("c", cells, expected.kind, pattern=expected.pattern),
+                             expected)
+        if hint is None:
+            assert infer_kinds([[c] for c in cells]) == [(expected.kind, expected.pattern)]
+
+    def test_census_slice_matches_reference(self, census_slice):
+        ds = load_csv(census_slice, label="label")
+        with open(census_slice, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        features = [j for j, name in enumerate(header) if name != "label"]
+        assert ds.column_names == tuple(header[j] for j in features)
+        for col, j in zip(ds.columns, features):
+            assert_columns_equal(col, reference_encode(header[j], [row[j] for row in rows]))
 
 
 class TestDataset:
@@ -224,6 +326,69 @@ class TestProfile:
         assert abs(report.rate("passenger-class", "3rd", survived) - 0.24) < 0.05
         assert abs(report.rate("sex", "female", survived) - 0.75) < 0.05
         assert abs(report.rate("sex", "male", survived) - 0.20) < 0.05
+
+
+def _profile_rows(report, name):
+    return [(c.value, c.count, c.class_rates) for c in report.columns[name]]
+
+
+def _top_of_full_sort(cats):
+    return sorted(cats, key=lambda c: (-c[1], c[0]))[:PROFILE_CATEGORY_CAP]
+
+
+class TestProfileCap:
+    def test_cap_keeps_first_of_full_sort(self):
+        # 41 categories: missing and a literal "(missing)" tie at the top count,
+        # and the count-2 tier straddles the cutoff at 30
+        counts = [9, 9, 7, 7, 7] + [3] * 20 + [2] * 14 + [1] * 2
+        codes = np.repeat(np.arange(len(counts)), counts).astype(np.int32)
+        dictionary = ("(missing)",) + tuple(f"v{i:02d}" for i in range(len(counts) - 1, 0, -1))
+        labels = (np.arange(len(codes)) % 4 == 0).astype(np.int32)
+        ds = Dataset((Column("c", ColumnKind.SYMBOLIC_NOMINAL, codes, dictionary),), labels, ("n", "y"))
+        report = profile(ds)
+        full = reference_profile(ds)["c"]
+        assert report.n_categories["c"] == len(full) == 41
+        assert _profile_rows(report, "c") == _top_of_full_sort(full)
+        # the two "(missing)" texts tie on (count, value): the missing cells (code 0) come first
+        assert [c.value for c in report.columns["c"][:2]] == ["(missing)", "(missing)"]
+        assert report.columns["c"][0].class_rates == (6 / 9, 3 / 9)
+        assert report.columns["c"][1].class_rates == (7 / 9, 2 / 9)
+
+    def test_cap_matches_reference_randomized(self):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            n_values = int(rng.integers(1, 80))
+            n = int(rng.integers(1, 300))
+            # skewed draws give runs of equal counts around the cutoff
+            codes = np.minimum(rng.geometric(rng.uniform(0.02, 0.5), size=n) - 1, n_values).astype(np.int32)
+            labels = rng.integers(0, 3, size=n).astype(np.int32)
+            dictionary = tuple(str(v) for v in rng.permutation(n_values))
+            ds = Dataset((Column("c", ColumnKind.SYMBOLIC_NOMINAL, codes, dictionary),),
+                         labels, ("a", "b", "c"))
+            report = profile(ds)
+            full = reference_profile(ds)["c"]
+            assert report.n_categories["c"] == len(full)
+            assert _profile_rows(report, "c") == _top_of_full_sort(full)
+
+    def test_profile_json_matches_uncapped_rendering(self, census_slice, tmp_path):
+        assert main(["profile", "--input", census_slice, "--label", "label",
+                     "--out", str(tmp_path)]) == 0
+        ds = load_csv(census_slice, label="label")
+        columns = {
+            name: {
+                "categories": [{"value": v, "count": n, "class_rates": list(r)}
+                               for v, n, r in _top_of_full_sort(cats)],
+                "n_categories": len(cats),
+                "truncated": len(cats) > PROFILE_CATEGORY_CAP,
+            }
+            for name, cats in reference_profile(ds).items()
+        }
+        assert any(info["truncated"] for info in columns.values())
+        prevalence = np.bincount(ds.labels) / ds.row_count
+        expected = {"row_count": ds.row_count, "class_names": list(ds.class_names),
+                    "class_prevalence": [float(p) for p in prevalence], "columns": columns}
+        text = json.dumps(expected, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "profile.json").read_text(encoding="utf-8") == text
 
 
 class TestWriteCsv:
