@@ -38,7 +38,8 @@ ordered_ds = Dataset((ordered,), labels, ("0", "1"))
 split = best_split(np.arange(8), ordered_ds, TrainParams())
 pivot_city = ordered.dictionary[split.pivot - 1]
 print(f"\nbest split: city <= {pivot_city}  (gain {split.gain:.4f})")
-print("left labels: ", sorted(labels[split.left_rows].tolist()))
-print("right labels:", sorted(labels[split.right_rows].tolist()))
+left = split.goes_left(ordered.codes)
+print("left labels: ", sorted(labels[left].tolist()))
+print("right labels:", sorted(labels[~left].tolist()))
 print("\nNo single equality split on the original nominal column reaches this "
       "separation; the reorder made it a one-test rule.")

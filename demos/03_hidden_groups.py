@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from dtclust.extract import select_from_single_tree
+from dtclust.extract import linearize_rule, select_from_single_tree
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import PreprocessPlan
 from dtclust.synth import census_group_specs, census_like_features, evaluate_recovery, plant_groups
@@ -35,7 +35,9 @@ print(f"extraction with reordering: {time.perf_counter() - t0:.2f}s")
 for i, cand in enumerate(result.clusters, start=1):
     print(f"  cluster {i}: size {cand.size:>5}  precision {cand.precision:.3f}  "
           f"F {cand.f_beta:.3f}")
-    print(f"    {cand.rule.text()}")
+    rule = linearize_rule(result.trees[cand.tree_index], cand.node_id, result.log,
+                          result.target_class)
+    print(f"    {rule.text()}")
 
 recovery = evaluate_recovery(result.clusters, truth)
 print("\ncluster vs planted group (Jaccard):")
@@ -53,7 +55,9 @@ on = max(s.recall for s in recovery.scores if s.group_index == 0)
 off = max(s.recall for s in plain_recovery.scores if s.group_index == 0)
 print(f"\ngroup-1 recall with reordering {on:.3f} vs without {off:.3f}")
 print("without reordering the best rule can only pin single countries:")
-print(f"  {plain_result.clusters[0].rule.text()}")
+plain_rule = linearize_rule(plain_result.trees[0], plain_result.clusters[0].node_id,
+                            plain_result.log, plain_result.target_class)
+print(f"  {plain_rule.text()}")
 
 # Node removal vs a single tree: compare the second cluster's target coverage.
 single = select_from_single_tree(result.trees[0], result.target_class, 0.33, k=2)

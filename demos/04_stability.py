@@ -10,6 +10,7 @@ full-data cluster, averaged over samples.
 import numpy as np
 
 from dtclust.dataset import Dataset
+from dtclust.extract import linearize_rule
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.stability import stability_report
 from dtclust.synth import census_group_specs, census_like_features, plant_groups, titanic_like
@@ -17,12 +18,20 @@ from dtclust.tree import TrainParams
 
 params = TrainParams(max_depth=3)
 
+
+def top_rule_text(result) -> str:
+    """The rule of the first extracted cluster, decoded over original values."""
+    top = result.clusters[0]
+    return linearize_rule(result.trees[top.tree_index], top.node_id, result.log,
+                          result.target_class).text()
+
+
 # --- passenger table: strongly structured -----------------------------------
 liner = titanic_like()
 liner_config = PipelineConfig(target_class="survived", beta=0.33, n_clusters=1, params=params)
 liner_result = run_extraction(liner, liner_config)
 print("passenger table, top cluster:")
-print(f"  {liner_result.clusters[0].rule.text()}")
+print(f"  {top_rule_text(liner_result)}")
 
 report = stability_report(liner, liner_result.clusters, liner_config,
                           n_samples=20, fraction=0.8, seed=3)
@@ -40,7 +49,7 @@ income_ds = Dataset(tuple(c for c in labelled.columns if c.name != "income"),
 income_config = PipelineConfig(target_class=">50K", beta=0.33, n_clusters=1, params=params)
 income_result = run_extraction(income_ds, income_config)
 print("census table, top high-income cluster:")
-print(f"  {income_result.clusters[0].rule.text()[:110]} ...")
+print(f"  {top_rule_text(income_result)[:110]} ...")
 
 income_report = stability_report(income_ds, income_result.clusters, income_config,
                                  n_samples=20, fraction=0.8, seed=3)

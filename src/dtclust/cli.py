@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .dataset import (
@@ -76,38 +76,33 @@ class RunConfig:
             **self.pipeline.to_dict(),
         }
         if self.stability is not None:
-            cfg["stability"] = {
-                "n_samples": self.stability.n_samples,
-                "fraction": self.stability.fraction,
-                "seed": self.stability.seed,
-            }
+            cfg["stability"] = asdict(self.stability)
         return cfg
 
 
 @dataclass(eq=False)
 class RunReport:
+    """One run's outcome; clusters holds the cluster_record of each extracted cluster."""
+
     config: RunConfig
     dataset: Dataset
     profile_summary: dict
     result: ExtractionResult | None
+    clusters: list[dict]
     stability: StabilityReport | None
     timings: dict[str, float]
 
     def to_dict(self) -> dict:
         """Machine-readable report; excludes wall-clock timings so bytes are reproducible."""
-        out = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "config": self.config.to_dict(),
             "profile": self.profile_summary,
-            "clusters": [],
-            "trees": [],
+            "clusters": self.clusters,
+            "trees": [t.to_dict() for t in self.result.trees] if self.result else [],
             "stability": self.stability.to_dict() if self.stability else None,
             "transform_log": self.result.log.to_dict() if self.result else None,
         }
-        if self.result is not None:
-            out["clusters"] = [cluster_record(c, self.result) for c in self.result.clusters]
-            out["trees"] = [t.to_dict() for t in self.result.trees]
-        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -130,18 +125,16 @@ class RunReport:
             header = (f"{'#':>2} {'tree':>4} {'node':>4} {'size':>7} {'gini':>7} "
                       f"{'prec':>7} {'recall':>7} {'F1':>7} {'F-0.5':>7} {'F-beta':>7}")
             lines.append(header)
-            records = [cluster_record(c, self.result) for c in self.result.clusters]
-            for i, rec in enumerate(records):
+            for i, rec in enumerate(self.clusters):
                 lines.append(
                     f"{i + 1:>2} {rec['tree_index']:>4} {rec['node_id']:>4} {rec['size']:>7} "
                     f"{rec['gini_impurity']:>7.4f} {rec['precision']:>7.4f} {rec['recall']:>7.4f} "
                     f"{rec['f1']:>7.4f} {rec['f05']:>7.4f} {rec['f_beta']:>7.4f}"
                 )
             lines.append("")
-            for i, rec in enumerate(records):
-                if rec["sentence"] is not None:
-                    lines.append(f"cluster {i + 1}: {rec['sentence']}")
-            if not self.result.clusters:
+            for i, rec in enumerate(self.clusters):
+                lines.append(f"cluster {i + 1}: {rec['sentence']}")
+            if not self.clusters:
                 lines.append("no clusters extracted")
         if self.stability is not None:
             lines.append("")
@@ -189,9 +182,11 @@ def run(config: RunConfig) -> RunReport:
     timings["profile"] = time.perf_counter() - t
 
     result = None
+    records: list[dict] = []
     if pipeline.n_clusters > 0:
         t = time.perf_counter()
         result = run_extraction(ds, pipeline)
+        records = [cluster_record(c, result) for c in result.clusters]
         timings["extract"] = time.perf_counter() - t
 
     stab = None
@@ -205,7 +200,7 @@ def run(config: RunConfig) -> RunReport:
         )
         timings["stability"] = time.perf_counter() - t
 
-    report = RunReport(config, ds, summary, result, stab, timings)
+    report = RunReport(config, ds, summary, result, records, stab, timings)
     if config.out:
         _write_artifacts(report, Path(config.out))
     return report
@@ -232,10 +227,8 @@ def _write_artifacts(report: RunReport, out: Path) -> None:
         return
     for k in range(len(report.result.trees)):
         (out / f"tree_{k + 1:02d}.dot").write_text(_tree_dot(report.result, k), encoding="utf-8")
-    for i, cand in enumerate(report.result.clusters):
-        rec = cluster_record(cand, report.result)
-        body = [rec["sentence"] or "(rule unavailable)"]
-        body.append("")
+    for i, (rec, cand) in enumerate(zip(report.clusters, report.result.clusters)):
+        body = [rec["sentence"], ""]
         for key in ("tree_index", "node_id", "size", "tp", "fp", "fn", "precision",
                     "recall", "f1", "f05", "f_beta", "gini_impurity", "population_share"):
             body.append(f"{key}: {rec[key]}")
@@ -266,8 +259,8 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--depth", type=int, default=5, help="max tree depth (default 5)")
     p.add_argument("--bins", type=int, default=None,
                    help="percentile-bin all numeric columns into this many bins")
-    p.add_argument("--reorder-symbolic", choices=("on", "off"), default="on",
-                   help="class-frequency reordering of symbolic columns (default on)")
+    p.add_argument("--reorder-symbolic", choices=("on", "off"), default=None,
+                   help="class-frequency reordering of symbolic columns (default: config, else on)")
     p.add_argument("--metric", choices=("gini", "entropy"), default="gini")
     p.add_argument("--min-gain", type=float, default=0.0)
     p.add_argument("--min-samples-leaf", type=int, default=1)
@@ -352,12 +345,13 @@ def _read_config_file(args) -> dict:
 
 def _plan_from_args(args, raw: dict) -> PreprocessPlan:
     try:
-        plan = PreprocessPlan.from_dict(raw) if raw else PreprocessPlan()
-    except (KeyError, TypeError, ValueError) as exc:
+        plan = PreprocessPlan.from_dict(raw)
+    except TypeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if args.bins is not None:
         plan.numeric_bins = args.bins
-    plan.reorder_symbolic = args.reorder_symbolic == "on"
+    if args.reorder_symbolic is not None:
+        plan.reorder_symbolic = args.reorder_symbolic == "on"
     return plan
 
 
@@ -386,8 +380,9 @@ def _resolve_class(ds: Dataset, raw: str | int | None) -> int:
         raise ConfigError(f"unknown class {raw!r}; classes: {list(ds.class_names)}") from None
 
 
-def _missing_tokens(args) -> tuple[str, ...]:
-    return tuple(args.missing_token) if args.missing_token else DEFAULT_MISSING_TOKENS
+def _missing_tokens(args, raw: dict) -> tuple[str, ...]:
+    """--missing-token when given, else the config's missing_tokens, else the defaults."""
+    return tuple(args.missing_token or raw.get("missing_tokens", DEFAULT_MISSING_TOKENS))
 
 
 # ---------------------------------------------------------------------------
@@ -413,34 +408,31 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def _run_config_from_args(args, stability: StabilityParams | None = None) -> RunConfig:
+def _run_config_from_args(args) -> RunConfig:
+    if len(args.delimiter) != 1:
+        raise ConfigError(f"--delimiter must be one character, got {args.delimiter!r}")
+    if getattr(args, "clusters", 0) < 0:
+        raise ConfigError(f"--clusters must be >= 0, got {args.clusters}")
     raw = _read_config_file(args)
-    missing = tuple(raw["missing_tokens"]) if "missing_tokens" in raw else _missing_tokens(args)
     hints = {name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())}
     patterns = DEFAULT_DATETIME_PATTERNS + tuple(raw.get("datetime_patterns", ()))
     return RunConfig(
         input=args.input,
         label=args.label,
-        missing_tokens=missing,
+        missing_tokens=_missing_tokens(args, raw),
         delimiter=args.delimiter,
         kind_hints=hints,
         datetime_patterns=patterns,
         pipeline=_pipeline_from_args(args, raw) if args.command != "profile" else PipelineConfig(),
-        stability=stability,
+        stability=(StabilityParams(args.samples, args.fraction, args.seed)
+                   if args.command == "stability" else None),
         out=args.out,
     )
 
 
-def cmd_extract(args) -> int:
-    report = run(_run_config_from_args(args))
-    print(report.to_text(), end="")
-    return 0
-
-
-def cmd_stability(args) -> int:
-    stability = StabilityParams(args.samples, args.fraction, args.seed)
-    report = run(_run_config_from_args(args, stability))
-    print(report.to_text(), end="")
+def cmd_run(args) -> int:
+    """extract and stability: one run, with its text report printed."""
+    print(run(_run_config_from_args(args)).to_text(), end="")
     return 0
 
 
@@ -514,8 +506,8 @@ def cmd_export_dot(args) -> int:
 
 _COMMANDS = {
     "profile": cmd_profile,
-    "extract": cmd_extract,
-    "stability": cmd_stability,
+    "extract": cmd_run,
+    "stability": cmd_run,
     "synth": cmd_synth,
     "export-dot": cmd_export_dot,
 }

@@ -6,6 +6,9 @@ beta < 1 prefers purer groups and beta > 1 prefers larger ones. Two selection
 modes exist: taking several unrelated nodes from a single tree, and the
 stronger iterative mode that removes the best node's rows and retrains so the
 next tree can dedicate its full depth to what remains.
+
+A cluster is a (tree_index, node_id) pair. Its rule is not part of extraction:
+linearize_rule decodes the node's root path when a report needs the rule.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ def fbeta_score(precision: float, recall: float, beta: float) -> float:
 
 @dataclass(eq=False)
 class ClusterCandidate:
-    """A tree node scored as a cluster of the target class."""
+    """A tree node scored as a cluster of the target class; row_ids is the node's own array."""
 
     node_id: int
     tree_index: int
@@ -45,7 +48,6 @@ class ClusterCandidate:
     f_beta: float
     size: int
     row_ids: np.ndarray
-    rule: Rule | None = None
     recall_overall: float | None = None  # recall against the full dataset in iterative mode
 
 
@@ -121,7 +123,6 @@ def extract_iterative(
     target_class: int,
     beta: float = 0.33,
     n_clusters: int = 3,
-    transform_log: TransformLog | None = None,
 ) -> ExtractionOutcome:
     """Extract up to n_clusters clusters by best-node removal and retraining.
 
@@ -153,8 +154,6 @@ def extract_iterative(
         if cand.f_beta <= 0:
             break
         cand.recall_overall = cand.tp / total_overall if total_overall else 0.0
-        if transform_log is not None:
-            cand.rule = linearize_rule(tree, cand.node_id, transform_log, target_class)
         clusters.append(cand)
         remaining = np.setdiff1d(remaining, cand.row_ids, assume_unique=True)
     return ExtractionOutcome(clusters, trees)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from . import extract
 from .dataset import Dataset
 from .extract import ClusterCandidate, extract_iterative, fbeta_score
 from .preprocess import PreprocessPlan, TransformLog, apply_plan
@@ -26,12 +27,7 @@ class PipelineConfig:
             "target_class": self.target_class,
             "beta": self.beta,
             "n_clusters": self.n_clusters,
-            "train_params": {
-                "impurity_metric": self.params.impurity_metric,
-                "max_depth": self.params.max_depth,
-                "min_gain": self.params.min_gain,
-                "min_samples_leaf": self.params.min_samples_leaf,
-            },
+            "train_params": asdict(self.params),
             "plan": self.plan.to_dict(),
         }
 
@@ -57,7 +53,6 @@ def run_extraction(ds: Dataset, config: PipelineConfig) -> ExtractionResult:
         target,
         beta=config.beta,
         n_clusters=config.n_clusters,
-        transform_log=log,
     )
     return ExtractionResult(ds, prepared, log, target, config.beta, outcome.clusters, outcome.trees)
 
@@ -65,7 +60,10 @@ def run_extraction(ds: Dataset, config: PipelineConfig) -> ExtractionResult:
 def cluster_record(cand: ClusterCandidate, result: ExtractionResult) -> dict:
     """One cluster as a flat report row (metric columns plus the decoded rule)."""
     population = result.source.row_count
-    record = {
+    # looked up on the module at call time, so a wrapper installed there sees every rule
+    rule = extract.linearize_rule(result.trees[cand.tree_index], cand.node_id, result.log,
+                                  result.target_class)
+    return {
         "tree_index": cand.tree_index,
         "node_id": cand.node_id,
         "gini_impurity": impurity([cand.fp, cand.tp], "gini") if cand.size else 0.0,
@@ -81,13 +79,12 @@ def cluster_record(cand: ClusterCandidate, result: ExtractionResult) -> dict:
         "beta": result.beta,
         "population_share": cand.size / population,
         "recall_overall": cand.recall_overall,
-        "rule": rule_to_dict(cand.rule) if cand.rule is not None else None,
+        "rule": rule_to_dict(rule),
         "sentence": render_rule_text(
-            cand.rule,
+            rule,
             result.source.class_names,
             precision=cand.precision,
             size=cand.size,
             share=cand.size / population,
-        ) if cand.rule is not None else None,
+        ),
     }
-    return record

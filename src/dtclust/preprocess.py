@@ -9,7 +9,7 @@ in a TransformLog so extracted rules can always be rendered over original values
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -395,23 +395,34 @@ class PreprocessPlan:
     def to_dict(self) -> dict:
         return {
             "numeric_bins": self.numeric_bins,
-            "per_column": {name: {"method": d.method, "k": d.k} for name, d in self.per_column.items()},
+            "per_column": {name: asdict(d) for name, d in self.per_column.items()},
             "reorder_symbolic": self.reorder_symbolic,
             "high_cardinality_threshold": self.high_cardinality_threshold,
         }
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PreprocessPlan":
-        per_column = {
-            name: BinDirective(entry["method"], int(entry["k"]))
-            for name, entry in (raw.get("per_column") or {}).items()
-        }
-        return cls(
-            numeric_bins=raw.get("numeric_bins"),
-            per_column=per_column,
-            reorder_symbolic=bool(raw.get("reorder_symbolic", True)),
-            high_cardinality_threshold=int(raw.get("high_cardinality_threshold", 100)),
-        )
+        """The plan of a JSON object, uncoerced; TypeError names a field of the wrong type.
+
+        A boolean is not an integer here: type(True) is bool, not int.
+        """
+        numeric_bins = raw.get("numeric_bins")
+        per_column = raw.get("per_column", {})
+        reorder_symbolic = raw.get("reorder_symbolic", True)
+        threshold = raw.get("high_cardinality_threshold", 100)
+        if numeric_bins is not None and type(numeric_bins) is not int:
+            raise TypeError("'numeric_bins' must be an integer or null")
+        if not isinstance(per_column, dict) or not all(
+                isinstance(e, dict) and isinstance(e.get("method"), str) and type(e.get("k")) is int
+                for e in per_column.values()):
+            raise TypeError("'per_column' must map column names to "
+                            "{\"method\": string, \"k\": integer} objects")
+        if type(reorder_symbolic) is not bool:
+            raise TypeError("'reorder_symbolic' must be true or false")
+        if type(threshold) is not int:
+            raise TypeError("'high_cardinality_threshold' must be an integer")
+        per_column = {name: BinDirective(e["method"], e["k"]) for name, e in per_column.items()}
+        return cls(numeric_bins, per_column, reorder_symbolic, threshold)
 
 
 @dataclass

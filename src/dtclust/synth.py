@@ -116,12 +116,6 @@ class RecoveryReport:
                 return s
         raise KeyError((cluster_index, group_index))
 
-    def best_match(self, group_index: int) -> MatchScore | None:
-        for ci, gi in self.assignment:
-            if gi == group_index:
-                return self.score(ci, gi)
-        return None
-
 
 def evaluate_recovery(clusters: Sequence, truth: Sequence[np.ndarray]) -> RecoveryReport:
     """Jaccard/precision/recall of every cluster against every planted group.

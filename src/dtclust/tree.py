@@ -51,13 +51,17 @@ class TrainParams:
 
 @dataclass(frozen=True, eq=False)
 class Split:
+    """A node's test; the rows it sends each way are the children's rows."""
+
     gain: float
     pivot: int
     attribute: str
     column_index: int
     ordinal: bool
-    left_rows: np.ndarray
-    right_rows: np.ndarray
+
+    def goes_left(self, codes: np.ndarray) -> np.ndarray:
+        """Mask of the codes that pass the test: x <= pivot, or x = pivot when nominal."""
+        return codes <= self.pivot if self.ordinal else codes == self.pivot
 
     def test_text(self, ds: Dataset) -> str:
         op = "<=" if self.ordinal else "="
@@ -100,25 +104,21 @@ class DecisionTree:
     def leaves(self) -> list[TreeNode]:
         return [n for n in self.nodes if n.is_leaf]
 
+    def _chain(self, node_id: int) -> list[int]:
+        """node_id, its parent, and so on up to the root."""
+        chain = [node_id]
+        while self.nodes[chain[-1]].parent is not None:
+            chain.append(self.nodes[chain[-1]].parent)
+        return chain
+
     def ancestors(self, node_id: int) -> set[int]:
-        out: set[int] = set()
-        parent = self.nodes[node_id].parent
-        while parent is not None:
-            out.add(parent)
-            parent = self.nodes[parent].parent
-        return out
+        return set(self._chain(node_id)[1:])
 
     def path(self, node_id: int) -> list[tuple[Split, bool]]:
         """(split, went_left) pairs from the root down to node_id."""
-        chain: list[int] = [node_id]
-        while self.nodes[chain[-1]].parent is not None:
-            chain.append(self.nodes[chain[-1]].parent)
-        chain.reverse()
-        steps = []
-        for here, there in zip(chain, chain[1:]):
-            node = self.nodes[here]
-            steps.append((node.split, there == node.children[0]))
-        return steps
+        chain = self._chain(node_id)[::-1]
+        return [(self.nodes[here].split, there == self.nodes[here].children[0])
+                for here, there in zip(chain, chain[1:])]
 
     def to_dict(self) -> dict:
         out = []
@@ -258,6 +258,7 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     Scans every column and every code present in the rows as a pivot; keeps the
     strictly best gain, so equal-gain ties go to the earliest column and the
     lowest pivot. layout is histogram_layout(ds), built here when not given.
+    The result is the test alone; Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
@@ -274,11 +275,7 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
         return None
     gain, ci, pivot = best
     col = ds.columns[ci]
-    if col.kind.is_ordered:
-        mask = col.codes[rows] <= pivot
-    else:
-        mask = col.codes[rows] == pivot
-    return Split(gain, pivot, col.name, ci, col.kind.is_ordered, rows[mask], rows[~mask])
+    return Split(gain, pivot, col.name, ci, col.kind.is_ordered)
 
 
 def _best_in_group(group, rows, parent_counts, parent_imp, params):
@@ -368,8 +365,9 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         if split is None:
             continue
         node.split = split
-        left = make_node(split.left_rows, node.depth + 1, node.id)
-        right = make_node(split.right_rows, node.depth + 1, node.id)
+        mask = split.goes_left(ds.columns[split.column_index].codes[node.rows])
+        left = make_node(node.rows[mask], node.depth + 1, node.id)
+        right = make_node(node.rows[~mask], node.depth + 1, node.id)
         node.children = (left.id, right.id)
         queue.extend((left, right))
 

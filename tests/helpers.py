@@ -349,9 +349,8 @@ def single_split_tree(ds: Dataset, column: str, pivot: int) -> DecisionTree:
     from dtclust.tree import Split, impurity
 
     rows = np.arange(ds.row_count)
-    codes = ds.column(column).codes
-    mask = codes <= pivot
-    split = Split(0.1, pivot, column, ds.column_index(column), True, rows[mask], rows[~mask])
+    split = Split(0.1, pivot, column, ds.column_index(column), True)
+    mask = split.goes_left(ds.column(column).codes)
     nodes: list[TreeNode] = []
 
     def node(node_rows, depth, parent):
@@ -362,8 +361,8 @@ def single_split_tree(ds: Dataset, column: str, pivot: int) -> DecisionTree:
 
     root = node(rows, 0, None)
     root.split = split
-    left = node(split.left_rows, 1, 0)
-    right = node(split.right_rows, 1, 0)
+    left = node(rows[mask], 1, 0)
+    right = node(rows[~mask], 1, 0)
     root.children = (left.id, right.id)
     return DecisionTree(nodes, TrainParams())
 

@@ -129,8 +129,9 @@ def test_c4_city_worked_example():
     encoded_ds = Dataset((encoded,), ds.labels, ds.class_names)
     split = best_split(np.arange(8), encoded_ds, TrainParams())
     assert encoded.dictionary[split.pivot - 1] == "Shanghai"
-    assert sorted(ds.labels[split.left_rows].tolist()) == [0, 0, 0, 1]
-    assert sorted(ds.labels[split.right_rows].tolist()) == [1, 1, 1, 1]
+    left = split.goes_left(encoded.codes)
+    assert sorted(ds.labels[left].tolist()) == [0, 0, 0, 1]
+    assert sorted(ds.labels[~left].tolist()) == [1, 1, 1, 1]
     report("ACCEPTANCE 4 PASS: ordinal-encoding worked example: contingency, "
            "encoding order, and the pivot split all match exactly")
 

@@ -232,6 +232,72 @@ class TestExtractCommand:
                      "--config", str(cfg_path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        ({"per_column": [1]}, "'per_column' must map column names"),
+        ({"per_column": {"age": 3}}, "'per_column' must map column names"),
+        ({"per_column": {"age": {"method": "percentile"}}}, "'per_column' must map column names"),
+        ({"per_column": {"age": {"method": "percentile", "k": "3"}}},
+         "'per_column' must map column names"),
+        ({"per_column": {"age": {"method": "percentile", "k": True}}},
+         "'per_column' must map column names"),
+        ({"per_column": {"age": {"method": 5, "k": 3}}}, "'per_column' must map column names"),
+        ({"numeric_bins": "ten"}, "'numeric_bins' must be an integer or null"),
+        ({"numeric_bins": 4.5}, "'numeric_bins' must be an integer or null"),
+        ({"numeric_bins": True}, "'numeric_bins' must be an integer or null"),
+        ({"high_cardinality_threshold": None}, "'high_cardinality_threshold' must be an integer"),
+        ({"high_cardinality_threshold": False}, "'high_cardinality_threshold' must be an integer"),
+        ({"reorder_symbolic": "no"}, "'reorder_symbolic' must be true or false"),
+        ({"reorder_symbolic": 0}, "'reorder_symbolic' must be true or false"),
+    ])
+    def test_malformed_plan_fields(self, liner_csv, tmp_path, capsys, config, message):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["extract", "--input", liner_csv, "--label", "survived",
+                     "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_reorder_symbolic_config_and_flag_precedence(self, liner_csv, tmp_path):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps({"reorder_symbolic": False}))
+
+        def report(name, *flags):
+            out = tmp_path / name
+            assert main(["extract", "--input", liner_csv, "--label", "survived", "--clusters", "2",
+                         "--depth", "3", *flags, "--out", str(out)]) == 0
+            return json.loads((out / "report.json").read_text())
+
+        default = report("default")
+        flag_off = report("flag-off", "--reorder-symbolic", "off")
+        config_off = report("config-off", "--config", str(cfg_path))
+        flag_wins = report("flag-on", "--config", str(cfg_path), "--reorder-symbolic", "on")
+        assert default["config"]["plan"]["reorder_symbolic"] is True
+        assert config_off["config"]["plan"]["reorder_symbolic"] is False
+        assert flag_wins["config"]["plan"]["reorder_symbolic"] is True
+        assert default["clusters"] != flag_off["clusters"]
+        assert config_off["clusters"] == flag_off["clusters"]
+        assert flag_wins["clusters"] == default["clusters"]
+
+    def test_missing_token_flag_overrides_config(self, grades_csv, tmp_path):
+        csv_path, cfg_path = grades_csv
+        out = tmp_path / "run"
+        assert main(["extract", "--input", csv_path, "--label", "y", "--config", cfg_path,
+                     "--missing-token", "NA", "--clusters", "1", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["missing_tokens"] == ["NA"]
+        grade = report["profile"]["columns"]["grade"]["categories"]
+        assert "NA" not in {c["value"] for c in grade}
+
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_not_one_character(self, liner_csv, capsys, delimiter):
+        assert main(["profile", "--input", liner_csv, "--label", "survived",
+                     "--delimiter", delimiter]) == 2
+        assert "--delimiter must be one character" in capsys.readouterr().err
+
+    def test_negative_clusters_is_config_error(self, liner_csv, capsys):
+        assert main(["extract", "--input", liner_csv, "--label", "survived",
+                     "--clusters", "-2"]) == 2
+        assert "--clusters must be >= 0" in capsys.readouterr().err
+
     def test_internal_error_exits_4(self, liner_csv, monkeypatch, capsys):
         def broken(config):
             raise InternalError("invariant broken")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtclust.dataset import ColumnKind, Dataset
 from dtclust.errors import ConfigError, DataError, InternalError
@@ -13,7 +15,8 @@ from dtclust.extract import (
     rank_nodes,
     select_from_single_tree,
 )
-from dtclust.preprocess import PreprocessPlan, apply_plan
+from dtclust.pipeline import PipelineConfig, run_extraction
+from dtclust.preprocess import BinDirective, PreprocessPlan, apply_plan
 from dtclust.rules import MISSING, Interval, apply_rule
 from dtclust.tree import TrainParams, train
 
@@ -372,7 +375,6 @@ class TestRoundTrip:
         # a dictionary value no row carries (as in bagged sample views) can
         # leave an equal-width bin empty; rules must still decode and round-trip
         from dtclust.dataset import Column
-        from dtclust.preprocess import BinDirective
 
         values = np.array([0.0, 4.9, 6.0, 10.0])
         col = Column("x", ColumnKind.NUMERIC, np.array([1, 1, 3, 3, 4, 4], dtype=np.int32),
@@ -394,7 +396,6 @@ class TestRoundTrip:
         # dictionary keeps values the subset never observes
         rng = np.random.default_rng(55)
         from dtclust.dataset import encode_column
-        from dtclust.preprocess import BinDirective
 
         col = encode_column("v", [repr(float(v)) for v in rng.uniform(0, 100, 200)],
                             ColumnKind.NUMERIC)
@@ -416,7 +417,6 @@ class TestRoundTrip:
         # a binned timestamp column must decode to time ranges that reselect
         # exactly the node rows
         from dtclust.dataset import encode_column
-        from dtclust.preprocess import BinDirective
 
         rng = np.random.default_rng(41)
         stamps = [f"2021-06-{int(d):02d}" for d in rng.integers(1, 29, size=120)]
@@ -444,11 +444,56 @@ class TestRoundTrip:
         ds = random_dataset(rng, max_rows=150)
         plan = PreprocessPlan(reorder_symbolic=True)
         prepared, log = apply_plan(ds, plan, target_class=1)
-        out = extract_iterative(prepared, TrainParams(max_depth=3), 1,
-                                beta=0.5, n_clusters=3, transform_log=log)
+        out = extract_iterative(prepared, TrainParams(max_depth=3), 1, beta=0.5, n_clusters=3)
         removed: set[int] = set()
-        for cand, tree in zip(out.clusters, out.trees):
+        for cand in out.clusters:
             snapshot = np.array(sorted(set(range(ds.row_count)) - removed))
-            got = apply_rule(cand.rule, ds, rows=snapshot)
+            rule = linearize_rule(out.trees[cand.tree_index], cand.node_id, log, 1)
+            got = apply_rule(rule, ds, rows=snapshot)
             assert sorted(got.tolist()) == sorted(cand.row_ids.tolist())
             removed |= set(cand.row_ids.tolist())
+
+
+def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
+    """Every node of every tree decodes to a rule that reselects exactly its rows
+    among the rows left at that iteration; the clusters are pairwise disjoint."""
+    config = PipelineConfig(target_class=target_class, beta=beta, n_clusters=3,
+                            params=TrainParams(max_depth=depth), plan=plan)
+    result = run_extraction(ds, config)
+    for tree in result.trees:
+        for node in tree.nodes:
+            rule = linearize_rule(tree, node.id, result.log)
+            got = apply_rule(rule, result.source, rows=tree.root.rows)
+            assert np.array_equal(got, node.rows), (tree.root.rows.size, node.id, rule.text())
+    claimed = np.concatenate([c.row_ids for c in result.clusters] + [np.array([], dtype=int)])
+    assert np.unique(claimed).size == claimed.size
+
+
+class TestRoundTripProperty:
+    """linearize -> apply_rule through real transform logs: binning and reordering."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        numeric=st.sampled_from([None, "percentile", "equal-width"]),
+        symbolic=st.sampled_from([None, "frequency", "equal-width", "similarity"]),
+        k=st.integers(2, 6),
+        reorder=st.booleans(),
+        beta=st.sampled_from([0.33, 1.0, 3.0]),
+        depth=st.integers(1, 4),
+    )
+    def test_every_node_reselects_its_rows(self, seed, numeric, symbolic, k, reorder, beta, depth):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, max_rows=150, max_cols=5)
+        datetime_method = {"percentile": "frequency"}.get(numeric, numeric)
+        per_column = {}
+        for col in ds.columns:
+            if col.kind is ColumnKind.NUMERIC and numeric:
+                per_column[col.name] = BinDirective(numeric, k)
+            elif col.kind is ColumnKind.DATETIME and numeric:
+                per_column[col.name] = BinDirective(datetime_method, k)
+            elif col.kind in (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL) and symbolic:
+                per_column[col.name] = BinDirective(symbolic, k)
+        plan = PreprocessPlan(per_column=per_column, reorder_symbolic=reorder)
+        target = int(rng.integers(0, ds.n_classes))
+        assert_extraction_round_trips(ds, plan, target, beta, depth)

@@ -107,8 +107,9 @@ class TestBestSplit:
         assert split is not None
         assert split.pivot == 2
         assert encoded.dictionary[split.pivot - 1] == "Shanghai"
-        left_labels = sorted(ds.labels[split.left_rows].tolist())
-        right_labels = sorted(ds.labels[split.right_rows].tolist())
+        left = split.goes_left(encoded.codes)
+        left_labels = sorted(ds.labels[left].tolist())
+        right_labels = sorted(ds.labels[~left].tolist())
         assert left_labels == [0, 0, 0, 1]
         assert right_labels == [1, 1, 1, 1]
 
@@ -119,7 +120,9 @@ class TestBestSplit:
     def test_respects_min_samples_leaf(self):
         ds = ordinal_dataset([1, 2, 2, 2], [0, 1, 1, 1])
         split = best_split(np.arange(4), ds, TrainParams(min_samples_leaf=2))
-        assert split is None or min(len(split.left_rows), len(split.right_rows)) >= 2
+        if split is not None:
+            n_left = np.count_nonzero(split.goes_left(ds.columns[0].codes))
+            assert min(n_left, 4 - n_left) >= 2
 
     def test_min_gain_strict(self):
         ds = ordinal_dataset([1, 1, 2, 2], [0, 1, 0, 1])
@@ -132,7 +135,7 @@ class TestBestSplit:
         split = best_split(np.arange(4), ds, TrainParams())
         assert split is not None
         assert split.pivot == 0
-        assert sorted(split.left_rows.tolist()) == [0, 1]
+        assert np.flatnonzero(split.goes_left(codes)).tolist() == [0, 1]
 
     @pytest.mark.parametrize("metric", ["gini", "entropy"])
     def test_matches_oracle_on_fixed_case(self, metric):
