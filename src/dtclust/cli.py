@@ -343,25 +343,26 @@ def _read_config_file(args) -> dict:
     return raw
 
 
-def _plan_from_args(args, raw: dict) -> PreprocessPlan:
+def _plan_from_config(args, raw: dict) -> PreprocessPlan:
+    """The config's plan fields, type-checked for every subcommand."""
     try:
-        plan = PreprocessPlan.from_dict(raw)
+        return PreprocessPlan.from_dict(raw)
     except TypeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
+
+
+def _pipeline_from_args(args, plan: PreprocessPlan) -> PipelineConfig:
+    """The model flags over the config's plan; --bins and --reorder-symbolic apply when given."""
     if args.bins is not None:
         plan.numeric_bins = args.bins
     if args.reorder_symbolic is not None:
         plan.reorder_symbolic = args.reorder_symbolic == "on"
-    return plan
-
-
-def _pipeline_from_args(args, raw: dict) -> PipelineConfig:
     return PipelineConfig(
         target_class=args.target_class,
         beta=args.beta,
         n_clusters=args.clusters,
         params=TrainParams(args.metric, args.depth, args.min_gain, args.min_samples_leaf),
-        plan=_plan_from_args(args, raw),
+        plan=plan,
     )
 
 
@@ -414,6 +415,7 @@ def _run_config_from_args(args) -> RunConfig:
     if getattr(args, "clusters", 0) < 0:
         raise ConfigError(f"--clusters must be >= 0, got {args.clusters}")
     raw = _read_config_file(args)
+    plan = _plan_from_config(args, raw)
     hints = {name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())}
     patterns = DEFAULT_DATETIME_PATTERNS + tuple(raw.get("datetime_patterns", ()))
     return RunConfig(
@@ -423,7 +425,8 @@ def _run_config_from_args(args) -> RunConfig:
         delimiter=args.delimiter,
         kind_hints=hints,
         datetime_patterns=patterns,
-        pipeline=_pipeline_from_args(args, raw) if args.command != "profile" else PipelineConfig(),
+        pipeline=(_pipeline_from_args(args, plan) if args.command != "profile"
+                  else PipelineConfig(plan=plan)),
         stability=(StabilityParams(args.samples, args.fraction, args.seed)
                    if args.command == "stability" else None),
         out=args.out,

@@ -8,7 +8,8 @@ stronger iterative mode that removes the best node's rows and retrains so the
 next tree can dedicate its full depth to what remains.
 
 A cluster is a (tree_index, node_id) pair. Its rule is not part of extraction:
-linearize_rule decodes the node's root path when a report needs the rule.
+linearize_rule decodes the node's root path when a report needs the rule,
+reading original codes off each column's ColumnLog.code_map().
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .dataset import ColumnKind, Dataset
 from .errors import ConfigError, DataError, InternalError
-from .preprocess import BinningSpec, OrdinalEncoding, TransformLog, ColumnLog
+from .preprocess import ColumnLog, TransformLog
 from .rules import MISSING, Bound, Interval, Predicate, Rule
-from .tree import DecisionTree, TrainParams, TreeNode, train
+from .tree import DecisionTree, TrainParams, TreeNode, histogram_layout, train
 
 
 def fbeta_score(precision: float, recall: float, beta: float) -> float:
@@ -138,6 +139,7 @@ def extract_iterative(
     target_class = ds.class_code(target_class)
     total_overall = int((ds.labels == target_class).sum())
 
+    layout = histogram_layout(ds)
     remaining = np.arange(ds.row_count)
     clusters: list[ClusterCandidate] = []
     trees: list[DecisionTree] = []
@@ -147,7 +149,7 @@ def extract_iterative(
         total = int((ds.labels[remaining] == target_class).sum())
         if total == 0:
             break
-        tree = train(ds, params, rows=remaining)
+        tree = train(ds, params, rows=remaining, layout=layout)
         trees.append(tree)
 
         cand = rank_nodes(tree, target_class, beta, tree_index)[0]
@@ -167,79 +169,37 @@ def linearize_rule(tree: DecisionTree, node_id: int, transform_log: TransformLog
                    target_class: int | None = None) -> Rule:
     """Decode the root-to-node path into a conjunction over original values.
 
-    Consecutive ordered conditions on one attribute merge into a single range
-    of codes; code ranges are pushed back through recorded reorderings and
-    binnings to reach original values. Set predicates flip to their complement
+    Each split on the path is tested on the column's code map
+    (ColumnLog.code_map(): original code -> final code), so every attribute
+    gets the set of original codes that pass all of its tests, among the codes
+    its transforms can reach. Consecutive ordered conditions on one attribute
+    thereby merge into a single range; set predicates flip to their complement
     when that reads shorter.
     """
     node = tree.node(node_id)
     if target_class is None:
         target_class = node.decision
 
-    order: list[str] = []
-    ordinal_bounds: dict[str, list[float]] = {}
-    nominal_tests: dict[str, dict] = {}
+    # per attribute, in path order: its log entry, its code map, and the mask of
+    # original codes whose final code passes every test on the path
+    decoded: dict[str, tuple[ColumnLog, np.ndarray, np.ndarray]] = {}
     for split, went_left in tree.path(node_id):
-        attr = split.attribute
-        if attr not in order:
-            order.append(attr)
-        if split.ordinal:
-            lo, hi = ordinal_bounds.get(attr, [-1, np.inf])
-            if went_left:
-                hi = min(hi, split.pivot)
-            else:
-                lo = max(lo, split.pivot)
-            ordinal_bounds[attr] = [lo, hi]
-        else:
-            entry = nominal_tests.setdefault(attr, {"eq": None, "ne": set()})
-            if went_left:
-                entry["eq"] = split.pivot
-            else:
-                entry["ne"].add(split.pivot)
+        if split.attribute not in decoded:
+            entry = transform_log.for_column(split.attribute)
+            final = entry.code_map()
+            decoded[split.attribute] = (entry, final, np.ones(final.size, dtype=bool))
+        _, final, passes = decoded[split.attribute]
+        passes &= split.goes_left(final) == went_left
 
     predicates = []
-    for attr in order:
-        entry = transform_log.for_column(attr)
-        universe = _final_universe(entry)
-        if attr in ordinal_bounds:
-            lo, hi = ordinal_bounds[attr]
-            allowed = {c for c in universe if lo < c <= hi}
-        else:
-            tests = nominal_tests[attr]
-            if tests["eq"] is not None:
-                allowed = {tests["eq"]}
-            else:
-                allowed = universe - tests["ne"]
-        allowed = _invert_transforms(allowed, entry)
-        reachable = _invert_transforms(universe, entry)
-        pred = _predicate_from_codes(attr, allowed, reachable, entry)
+    for attr, (entry, final, passes) in decoded.items():
+        reachable = final >= 0
+        reachable[0] = entry.had_missing
+        pred = _predicate_from_codes(attr, set(np.flatnonzero(passes & reachable).tolist()),
+                                     set(np.flatnonzero(reachable).tolist()), entry)
         if pred is not None:
             predicates.append(pred)
     return Rule(tuple(predicates), target_class)
-
-
-def _final_universe(entry: ColumnLog) -> set[int]:
-    m = len(entry.original_dictionary)
-    for step in entry.steps:
-        if isinstance(step, BinningSpec):
-            m = len(step.bins)
-    codes = set(range(1, m + 1))
-    if entry.had_missing:
-        codes.add(0)
-    return codes
-
-
-def _invert_transforms(allowed: set[int], entry: ColumnLog) -> set[int]:
-    for step in reversed(entry.steps):
-        keep_missing = 0 in allowed
-        if isinstance(step, OrdinalEncoding):
-            allowed = {old for old, new in enumerate(step.permutation) if new in allowed and old != 0}
-        else:
-            members = step.member_map()
-            allowed = {c for b in allowed if b != 0 for c in members.get(b, ())}
-        if keep_missing:
-            allowed.add(0)
-    return allowed
 
 
 def _predicate_from_codes(attr: str, allowed: set[int], reachable: set[int],

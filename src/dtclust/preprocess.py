@@ -2,8 +2,13 @@
 
 Binning cuts the number of distinct codes a column carries; class-frequency
 encoding reorders a symbolic column so that values correlated with the target
-class become separable by a single threshold split. Every transform is recorded
-in a TransformLog so extracted rules can always be rendered over original values.
+class become separable by a single threshold split.
+
+Each step is a code map, one integer array with map[old code] = new code:
+missing (0) maps to 0, and a code that no kept bin holds maps to -1. A step
+rewrites its column with one gather, map[codes]. Every step is recorded in a
+TransformLog, and ColumnLog.code_map() composes a column's steps, so extracted
+rules can always be rendered over original values.
 """
 
 from __future__ import annotations
@@ -20,55 +25,31 @@ log = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
-# Bin containers
+# Transform steps
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntervalBin:
-    """A contiguous run of codes of an ordered column.
+class Bin:
+    """One kept bin, as report.json and display show it.
 
-    code_lo..code_hi (inclusive) index the previous encoding's dictionary;
-    lo/hi are the natural-value bounds used for display.
+    members are the previous step's codes the bin holds: a range for an ordered
+    column, a tuple in group order for a symbolic one.
     """
 
     id: int
-    code_lo: int
-    code_hi: int
-    lo: float
-    hi: float
-    representative: str
-    rep_value: float
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        return tuple(range(self.code_lo, self.code_hi + 1))
-
-
-@dataclass(frozen=True)
-class SetBin:
-    """An arbitrary group of symbolic codes."""
-
-    id: int
-    member_codes: tuple[int, ...]
+    members: range | tuple[int, ...]
     representative: str
 
-    @property
-    def members(self) -> tuple[int, ...]:
-        return self.member_codes
 
-
-Bin = IntervalBin | SetBin
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinningSpec:
+    """A binning step; code_map[old code] = bin id, 0 for missing, -1 outside every kept bin."""
+
     column: str
     method: str
     k: int
     bins: tuple[Bin, ...]
-
-    def member_map(self) -> dict[int, tuple[int, ...]]:
-        return {b.id: b.members for b in self.bins}
+    code_map: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,12 +58,6 @@ class OrdinalEncoding:
 
     column: str
     permutation: tuple[int, ...]
-
-    def inverse(self) -> tuple[int, ...]:
-        inv = [0] * len(self.permutation)
-        for old, new in enumerate(self.permutation):
-            inv[new] = old
-        return tuple(inv)
 
 
 Transform = BinningSpec | OrdinalEncoding
@@ -126,11 +101,9 @@ def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningS
     vmin, vmax = float(row_values.min()), float(row_values.max())
     if method == "equal-width":
         all_edges = np.linspace(vmin, vmax, k + 1)
-        inner = all_edges[1:-1]
         # value v lands in bin j iff edges[j] <= v < edges[j+1]; max joins the last bin
-        dict_bins = np.searchsorted(inner, values, side="right")
-        intervals = [(all_edges[j], all_edges[j + 1]) for j in range(k)]
-        reps = [(a + b) / 2 for a, b in intervals]
+        dict_bins = np.searchsorted(all_edges[1:-1], values, side="right")
+        reps = (all_edges[:-1] + all_edges[1:]) / 2
     elif method == "percentile":
         srt = np.sort(row_values)
         n = srt.size
@@ -138,30 +111,25 @@ def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningS
         edges = sorted({float(srt[r - 1]) for r in ranks if r >= 1} - {vmax})
         # value v lands in bin j iff edges[j-1] < v <= edges[j]
         dict_bins = np.searchsorted(np.array(edges), values, side="left")
-        bounds = [vmin] + edges + [vmax]
-        intervals = [(bounds[j], bounds[j + 1]) for j in range(len(edges) + 1)]
-        reps = [b for _, b in intervals]
+        reps = edges + [vmax]
     else:
         raise ConfigError(f"unknown binning method {method!r}")
 
     # keep only bins with observed values, renumbered 1..m in value order
     observed = np.unique(dict_bins[np.unique(present) - 1])
-    renumber = {int(b): i + 1 for i, b in enumerate(observed)}
-    bins = []
-    for b in observed:
-        in_bin = np.where(dict_bins == b)[0] + 1  # original codes are dictionary index + 1
-        lo, hi = intervals[int(b)]
-        bins.append(IntervalBin(
-            id=renumber[int(b)],
-            code_lo=int(in_bin.min()),
-            code_hi=int(in_bin.max()),
-            lo=lo,
-            hi=hi,
-            representative=format_value(reps[int(b)], col.kind, col.pattern),
-            rep_value=float(reps[int(b)]),
-        ))
-    spec = BinningSpec(col.name, label, k, tuple(bins))
-    return spec, _rewrite(col, spec, kind=col.kind)
+    renumber = np.full(len(reps), -1, dtype=np.int32)
+    renumber[observed] = np.arange(1, observed.size + 1)
+    code_map = np.zeros(col.n_values + 1, dtype=np.int32)
+    code_map[1:] = renumber[dict_bins]
+    # values ascend with the code, so a bin's codes are one run: [start, stop)
+    start = np.searchsorted(dict_bins, observed, side="left") + 1
+    stop = np.searchsorted(dict_bins, observed, side="right") + 1
+    rep_values = np.asarray(reps, dtype=np.float64)[observed]
+    bins = tuple(
+        Bin(i + 1, range(a, b), format_value(v, col.kind, col.pattern))
+        for i, (a, b, v) in enumerate(zip(start.tolist(), stop.tolist(), rep_values.tolist()))
+    )
+    return _binned(col, label, k, bins, code_map, col.kind, rep_values)
 
 
 # ---------------------------------------------------------------------------
@@ -216,35 +184,24 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
     else:
         raise ConfigError(f"unknown symbolic binning method {method!r}")
 
-    bins = tuple(
-        SetBin(
-            id=i + 1,
-            member_codes=tuple(int(c) for c in g),
-            representative=(col.dictionary[g[0] - 1] if len(g) == 1
-                            else "{" + ",".join(col.dictionary[c - 1] for c in g) + "}"),
-        )
-        for i, g in enumerate(groups)
-    )
-    spec = BinningSpec(col.name, f"symbolic-{method}", k, bins)
-    return spec, _rewrite(col, spec, kind=ColumnKind.SYMBOLIC_NOMINAL)
+    code_map = np.full(m + 1, -1, dtype=np.int32)
+    code_map[MISSING_CODE] = MISSING_CODE
+    bins = []
+    for i, g in enumerate(groups):
+        members = tuple(int(c) for c in g)
+        code_map[list(members)] = i + 1
+        names = [col.dictionary[c - 1] for c in members]
+        bins.append(Bin(i + 1, members, names[0] if len(names) == 1 else "{" + ",".join(names) + "}"))
+    return _binned(col, f"symbolic-{method}", k, tuple(bins), code_map,
+                   ColumnKind.SYMBOLIC_NOMINAL, None)
 
 
-def _rewrite(col: Column, spec: BinningSpec, kind: ColumnKind) -> Column:
-    remap = np.zeros(col.n_values + 1, dtype=np.int32)
-    for b in spec.bins:
-        for c in b.members:
-            remap[c] = b.id
-    rep_values = None
-    if kind in (ColumnKind.NUMERIC, ColumnKind.DATETIME):
-        rep_values = np.array([b.rep_value for b in spec.bins], dtype=np.float64)
-    return Column(
-        col.name,
-        kind,
-        remap[col.codes],
-        tuple(b.representative for b in spec.bins),
-        values=rep_values,
-        pattern=col.pattern,
-    )
+def _binned(col: Column, method: str, k: int, bins: tuple[Bin, ...], code_map: np.ndarray,
+            kind: ColumnKind, values: np.ndarray | None) -> tuple[BinningSpec, Column]:
+    """The binning step and the column it rewrites with one gather through its code map."""
+    spec = BinningSpec(col.name, method, k, bins, code_map)
+    return spec, Column(col.name, kind, code_map[col.codes],
+                        tuple(b.representative for b in bins), values=values, pattern=col.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +308,15 @@ def encode_by_class_frequency(
         freqs = np.where(totals[1:] > 0, in_class[1:] / totals[1:], 0.0)
 
     order = np.argsort(-freqs, kind="stable") + 1  # old codes, best class rate first
-    permutation = [0] * (m + 1)
-    for new, old in enumerate(order, start=1):
-        permutation[int(old)] = new
-    enc = OrdinalEncoding(col.name, tuple(permutation))
-
-    perm = np.array(permutation, dtype=np.int32)
+    perm = np.zeros(m + 1, dtype=np.int32)
+    perm[order] = np.arange(1, m + 1)
     new_col = Column(
         col.name,
         ColumnKind.SYMBOLIC_ORDINAL,
         perm[col.codes],
-        tuple(col.dictionary[int(old) - 1] for old in order),
+        tuple(col.dictionary[old - 1] for old in order.tolist()),
     )
-    return enc, new_col
+    return OrdinalEncoding(col.name, tuple(perm.tolist())), new_col
 
 
 # ---------------------------------------------------------------------------
@@ -438,6 +391,17 @@ class ColumnLog:
     steps: list[Transform]
     final_kind: ColumnKind
 
+    def code_map(self) -> np.ndarray:
+        """The steps' code maps composed: map[original code] = final code.
+
+        Missing (0) maps to 0; an original code that no kept bin holds maps to -1.
+        """
+        final = np.arange(len(self.original_dictionary) + 1)
+        for step in self.steps:
+            step_map = step.code_map if isinstance(step, BinningSpec) else np.asarray(step.permutation)
+            final = np.where(final < 0, -1, step_map[final])
+        return final
+
 
 @dataclass
 class TransformLog:
@@ -508,7 +472,7 @@ def apply_plan(
         current = col
 
         directive = plan.per_column.get(col.name)
-        if directive is None and plan.numeric_bins and col.kind is ColumnKind.NUMERIC:
+        if directive is None and plan.numeric_bins is not None and col.kind is ColumnKind.NUMERIC:
             directive = BinDirective("percentile", plan.numeric_bins)
         if directive is not None:
             try:

@@ -322,11 +322,13 @@ def _best_in_group(group, rows, parent_counts, parent_imp, params):
 # Training
 # ---------------------------------------------------------------------------
 
-def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | None = None) -> DecisionTree:
+def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | None = None,
+          layout: tuple[_HistogramGroup, ...] | None = None) -> DecisionTree:
     """Grow a tree by recursive best-split search, breadth-first node ids.
 
     rows restricts training to a subset of the dataset (used by iterative
-    extraction); node row ids always refer to the full dataset.
+    extraction); node row ids always refer to the full dataset. layout is
+    histogram_layout(ds), built here when not given.
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
@@ -353,7 +355,8 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         nodes.append(node)
         return node
 
-    layout = histogram_layout(ds)
+    if layout is None:
+        layout = histogram_layout(ds)
     queue = [make_node(rows, 0, None)]
     while queue:
         node = queue.pop(0)

@@ -376,6 +376,28 @@ def ordinal_symbolic_dataset(name: str, dictionary: tuple[str, ...]) -> Dataset:
     return Dataset((col,), labels, ("0", "1"))
 
 
+def reference_original_codes(final_codes: set[int], entry) -> set[int]:
+    """The original codes of a logged column whose final code is in final_codes.
+
+    Undoes the column's steps one at a time, last first, on Python sets: a
+    binning step through each bin's members, a reordering through its
+    permutation. Missing (0) stays missing through every step.
+    """
+    from dtclust.preprocess import OrdinalEncoding
+
+    codes = set(final_codes)
+    for step in reversed(entry.steps):
+        keep_missing = 0 in codes
+        if isinstance(step, OrdinalEncoding):
+            codes = {old for old, new in enumerate(step.permutation) if new in codes and old != 0}
+        else:
+            members = {b.id: b.members for b in step.bins}
+            codes = {c for b in codes if b != 0 for c in members.get(b, ())}
+        if keep_missing:
+            codes.add(0)
+    return codes
+
+
 def identity_log(ds: Dataset):
     """A TransformLog with an identity entry per column."""
     from dtclust.preprocess import ColumnLog, TransformLog

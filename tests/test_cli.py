@@ -252,9 +252,10 @@ class TestExtractCommand:
     def test_malformed_plan_fields(self, liner_csv, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["extract", "--input", liner_csv, "--label", "survived",
-                     "--config", str(cfg_path)]) == 2
-        assert message in capsys.readouterr().err
+        for command in ("profile", "extract"):
+            assert main([command, "--input", liner_csv, "--label", "survived",
+                         "--config", str(cfg_path)]) == 2, command
+            assert message in capsys.readouterr().err, command
 
     def test_reorder_symbolic_config_and_flag_precedence(self, liner_csv, tmp_path):
         cfg_path = tmp_path / "plan.json"
@@ -292,6 +293,18 @@ class TestExtractCommand:
         assert main(["profile", "--input", liner_csv, "--label", "survived",
                      "--delimiter", delimiter]) == 2
         assert "--delimiter must be one character" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, config", [
+        (["--bins", "1"], None), (["--bins", "-2"], None), (["--bins", "0"], None),
+        ([], {"numeric_bins": 0}),
+    ])
+    def test_bins_below_two_is_config_error(self, liner_csv, tmp_path, capsys, flags, config):
+        if config is not None:
+            cfg_path = tmp_path / "plan.json"
+            cfg_path.write_text(json.dumps(config))
+            flags = ["--config", str(cfg_path)]
+        assert main(["extract", "--input", liner_csv, "--label", "survived", *flags]) == 2
+        assert "binning needs k >= 2" in capsys.readouterr().err
 
     def test_negative_clusters_is_config_error(self, liner_csv, capsys):
         assert main(["extract", "--input", liner_csv, "--label", "survived",

@@ -18,6 +18,7 @@ from dtclust.extract import (
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import BinDirective, PreprocessPlan, apply_plan
 from dtclust.rules import MISSING, Interval, apply_rule
+from dtclust.stability import draw_sample
 from dtclust.tree import TrainParams, train
 
 from helpers import (
@@ -27,6 +28,7 @@ from helpers import (
     ordinal_symbolic_dataset,
     random_dataset,
     reference_metric_tree,
+    reference_original_codes,
     selection_scenario_tree,
     single_split_tree,
 )
@@ -456,10 +458,17 @@ class TestRoundTrip:
 
 def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
     """Every node of every tree decodes to a rule that reselects exactly its rows
-    among the rows left at that iteration; the clusters are pairwise disjoint."""
+    among the rows left at that iteration; the clusters are pairwise disjoint.
+    Every logged column's code map sends to each final code the original codes
+    that the set-based reference inversion finds."""
     config = PipelineConfig(target_class=target_class, beta=beta, n_clusters=3,
                             params=TrainParams(max_depth=depth), plan=plan)
     result = run_extraction(ds, config)
+    for name, entry in result.log.entries.items():
+        final = entry.code_map()
+        for code in range(result.prepared.column(name).n_values + 1):
+            expected = reference_original_codes({code}, entry)
+            assert set(np.flatnonzero(final == code).tolist()) == expected, (name, code)
     for tree in result.trees:
         for node in tree.nodes:
             rule = linearize_rule(tree, node.id, result.log)
@@ -481,10 +490,18 @@ class TestRoundTripProperty:
         reorder=st.booleans(),
         beta=st.sampled_from([0.33, 1.0, 3.0]),
         depth=st.integers(1, 4),
+        fraction=st.sampled_from([1.0, 0.1]),
+        wide=st.booleans(),
     )
-    def test_every_node_reselects_its_rows(self, seed, numeric, symbolic, k, reorder, beta, depth):
+    def test_every_node_reselects_its_rows(self, seed, numeric, symbolic, k, reorder, beta, depth,
+                                           fraction, wide):
         rng = np.random.default_rng(seed)
-        ds = random_dataset(rng, max_rows=150, max_cols=5)
+        ds = random_dataset(rng, max_rows=150, max_cols=5, wide_column=wide)
+        if fraction < 1.0:
+            # a bagged sample keeps the full dictionaries, so some codes are
+            # absent; equal-width binning drops a bin that would hold only
+            # absent codes, and the code map sends those codes to -1
+            ds, _ = draw_sample(ds, fraction, seed, 0)
         datetime_method = {"percentile": "frequency"}.get(numeric, numeric)
         per_column = {}
         for col in ds.columns:

@@ -1,0 +1,71 @@
+"""Golden digests: report.json bytes of two fixed CLI runs through every binning method.
+
+The table is generated in-repo (census-style features, planted groups, and two
+datetime columns derived from the row index, one with missing cells). Each run
+starts in a fresh directory with relative paths, so the config echo inside
+report.json does not depend on where the tests run. A digest moves only when
+the report itself changes; re-record it on purpose, never to make a run pass.
+"""
+
+import hashlib
+import json
+from datetime import date, timedelta
+
+import pytest
+
+from dtclust.cli import main
+from dtclust.dataset import ColumnKind, Dataset, encode_column
+from dtclust.synth import census_group_specs, census_like_features, plant_groups, write_csv
+
+ROWS = 3000
+
+PLAN = {
+    "per_column": {
+        "fnlwgt": {"method": "percentile", "k": 6},
+        "capital-gain": {"method": "equal-width", "k": 5},
+        "day": {"method": "frequency", "k": 4},
+        "clock": {"method": "equal-width", "k": 3},
+        "native-country": {"method": "frequency", "k": 5},
+        "occupation": {"method": "equal-width", "k": 4},
+        "education": {"method": "similarity", "k": 4},
+    },
+}
+
+GOLDEN = {
+    "extract": "8aba3eb0fe519d4ee27698b514e7c84c8ff86ea8f55121ad3d84acf69e8c6ea2",
+    "stability": "f41ab0ec62b734e76711bc91fcb67a20e06d1f3caf44dd35b7314b12973c6e9d",
+}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    features = census_like_features(ROWS, 7)
+    labelled, _ = plant_groups(features, census_group_specs(), 7)
+    start = date(2020, 1, 1)
+    days = ["" if i % 13 == 0 else (start + timedelta(days=i * 37 % 400)).isoformat()
+            for i in range(ROWS)]
+    clock = [f"{s // 3600:02d}:{s // 60 % 60:02d}:{s % 60:02d}"
+             for s in (i * 7919 % 86400 for i in range(ROWS))]
+    extra = (
+        encode_column("day", days, ColumnKind.DATETIME, pattern="%Y-%m-%d"),
+        encode_column("clock", clock, ColumnKind.DATETIME, pattern="%H:%M:%S"),
+    )
+    table = Dataset(labelled.columns + extra, labelled.labels, labelled.class_names)
+    root = tmp_path_factory.mktemp("golden")
+    write_csv(table, str(root / "data.csv"))
+    (root / "plan.json").write_text(json.dumps(PLAN))
+    return root
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("extract", ["extract", "--config", "plan.json"]),
+    ("stability", ["stability", "--config", "plan.json", "--samples", "3",
+                   "--reorder-symbolic", "off"]),
+])
+def test_report_digest(workdir, monkeypatch, name, argv):
+    monkeypatch.chdir(workdir)
+    out = f"run-{name}"
+    assert main([*argv, "--input", "data.csv", "--label", "label", "--class", "yes",
+                 "--out", out]) == 0
+    report = (workdir / out / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == GOLDEN[name]

@@ -8,7 +8,11 @@ import pytest
 from dtclust.dataset import Column, ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError, DataError
 from dtclust.preprocess import (
+    Bin,
     BinDirective,
+    BinningSpec,
+    ColumnLog,
+    OrdinalEncoding,
     PreprocessPlan,
     apply_plan,
     bin_datetime,
@@ -46,7 +50,7 @@ class TestBinNumeric:
         spec, col = bin_numeric(numeric_column(range(11)), k=2, method="equal-width")
         # intervals [0, 5) and [5, 10]
         assert len(spec.bins) == 2
-        assert [b.members for b in spec.bins] == [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)]
+        assert [tuple(b.members) for b in spec.bins] == [(1, 2, 3, 4, 5), (6, 7, 8, 9, 10, 11)]
         assert spec.bins[0].representative == "2.5"
         assert spec.bins[1].representative == "7.5"
         assert sorted(set(col.codes.tolist())) == [1, 2]
@@ -54,7 +58,7 @@ class TestBinNumeric:
     def test_percentile_rank_edges(self):
         # sorted-rank oracle: edges at ranks ceil(i*8/4) -> values {2, 4, 6}
         spec, col = bin_numeric(numeric_column(range(1, 9)), k=4, method="percentile")
-        assert [b.members for b in spec.bins] == [(1, 2), (3, 4), (5, 6), (7, 8)]
+        assert [tuple(b.members) for b in spec.bins] == [(1, 2), (3, 4), (5, 6), (7, 8)]
         assert [b.representative for b in spec.bins] == ["2", "4", "6", "8"]
 
     def test_percentile_weighted_by_occurrence(self):
@@ -143,7 +147,7 @@ class TestBinDatetime:
         # span midpoint is around July 1st, so Jan 1-2 sit together
         spec, out = bin_datetime(date_column(["2020-01-01", "2020-01-02", "2020-12-31"]),
                                  k=2, method="equal-width")
-        assert [b.members for b in spec.bins] == [(1, 2), (3,)]
+        assert [tuple(b.members) for b in spec.bins] == [(1, 2), (3,)]
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -228,7 +232,7 @@ class TestClassFrequencyEncoding:
         enc, _ = encode_by_class_frequency(ds.column("city"), ds.labels, 0)
         assert sorted(enc.permutation) == [0, 1, 2, 3, 4]
         assert enc.permutation[0] == 0
-        inv = enc.inverse()
+        inv = np.argsort(enc.permutation)
         assert [inv[enc.permutation[c]] for c in range(5)] == list(range(5))
 
     def test_frequencies_non_increasing(self):
@@ -246,6 +250,18 @@ class TestClassFrequencyEncoding:
         labels = np.array([1, 1, 0, 0], dtype=np.int32)
         enc, out = encode_by_class_frequency(col, labels, 1)
         assert out.codes[1] == 0
+
+
+class TestCodeMap:
+    def test_dropped_code_stays_dropped_through_later_steps(self):
+        # code 2 falls in no kept bin; the reordering after the binning must
+        # not read -1 as an index into its permutation
+        binning = BinningSpec("v", "numeric-equal-width", 3,
+                              (Bin(1, range(1, 2), "a"), Bin(2, range(3, 4), "c")),
+                              np.array([0, 1, -1, 2], dtype=np.int32))
+        entry = ColumnLog("v", ColumnKind.NUMERIC, ("a", "b", "c"), np.arange(3.0), None, False,
+                          [binning, OrdinalEncoding("v", (0, 2, 1))], ColumnKind.SYMBOLIC_ORDINAL)
+        assert entry.code_map().tolist() == [0, 2, -1, 1]
 
 
 def partition_is_valid(spec, col):
