@@ -62,7 +62,6 @@ class RunConfig:
     datetime_patterns: tuple[str, ...] = DEFAULT_DATETIME_PATTERNS
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     stability: StabilityParams | None = None
-    out: str | None = None
 
     def to_dict(self) -> dict:
         cfg = {
@@ -105,7 +104,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def to_text(self) -> str:
         lines = ["cluster extraction report", "=" * 60]
@@ -169,12 +168,16 @@ def _profile_summary(ds: Dataset) -> dict:
 
 
 def run(config: RunConfig) -> RunReport:
-    """profile -> preprocess -> iterative extraction -> optional stability, with artifacts."""
+    """The one orchestrator of extract, stability and export-dot; it writes nothing.
+
+    load and check the plan -> resolve the class -> profile -> iterative
+    extraction when n_clusters > 0 -> stability when configured.
+    """
     timings: dict[str, float] = {}
 
     t = time.perf_counter()
     ds = _load(config)
-    pipeline = replace(config.pipeline, target_class=_resolve_class(ds, config.pipeline.target_class))
+    pipeline = replace(config.pipeline, target_class=ds.class_code(config.pipeline.target_class))
     timings["load"] = time.perf_counter() - t
 
     t = time.perf_counter()
@@ -200,17 +203,20 @@ def run(config: RunConfig) -> RunReport:
         )
         timings["stability"] = time.perf_counter() - t
 
-    report = RunReport(config, ds, summary, result, records, stab, timings)
-    if config.out:
-        _write_artifacts(report, Path(config.out))
-    return report
+    return RunReport(config, ds, summary, result, records, stab, timings)
 
 
 def _load(config: RunConfig) -> Dataset:
-    """The one place the CLI reads its input table, with the config's loader hints."""
-    return load_csv(config.input, label=config.label, kind_hints=config.kind_hints or None,
-                    missing_tokens=config.missing_tokens,
-                    datetime_patterns=config.datetime_patterns, delimiter=config.delimiter)
+    """The one place the CLI reads its input table, with the config's loader hints.
+
+    The plan is checked against the table right away, so a directive that
+    cannot bin its column fails every subcommand before any other work.
+    """
+    ds = load_csv(config.input, label=config.label, kind_hints=config.kind_hints or None,
+                  missing_tokens=config.missing_tokens,
+                  datetime_patterns=config.datetime_patterns, delimiter=config.delimiter)
+    config.pipeline.plan.check(ds)
+    return ds
 
 
 def _tree_dot(result: ExtractionResult, k: int) -> str:
@@ -366,21 +372,6 @@ def _pipeline_from_args(args, plan: PreprocessPlan) -> PipelineConfig:
     )
 
 
-def _resolve_class(ds: Dataset, raw: str | int | None) -> int:
-    if raw is None:
-        if ds.n_classes == 2:
-            return 1
-        raise ConfigError(f"--class is required with {ds.n_classes} classes: {list(ds.class_names)}")
-    if isinstance(raw, int):
-        return ds.class_code(raw)
-    if raw in ds.class_names:
-        return ds.class_names.index(raw)
-    try:
-        return ds.class_code(int(raw))
-    except ValueError:
-        raise ConfigError(f"unknown class {raw!r}; classes: {list(ds.class_names)}") from None
-
-
 def _missing_tokens(args, raw: dict) -> tuple[str, ...]:
     """--missing-token when given, else the config's missing_tokens, else the defaults."""
     return tuple(args.missing_token or raw.get("missing_tokens", DEFAULT_MISSING_TOKENS))
@@ -404,7 +395,7 @@ def cmd_profile(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
         (out / "profile.json").write_text(text, encoding="utf-8")
     return 0
 
@@ -429,28 +420,32 @@ def _run_config_from_args(args) -> RunConfig:
                   else PipelineConfig(plan=plan)),
         stability=(StabilityParams(args.samples, args.fraction, args.seed)
                    if args.command == "stability" else None),
-        out=args.out,
     )
 
 
 def cmd_run(args) -> int:
-    """extract and stability: one run, with its text report printed."""
-    print(run(_run_config_from_args(args)).to_text(), end="")
+    """extract and stability: one run, its artifacts written, its text report printed."""
+    report = run(_run_config_from_args(args))
+    if args.out:
+        _write_artifacts(report, Path(args.out))
+    print(report.to_text(), end="")
     return 0
 
 
 def cmd_synth(args) -> int:
+    if args.rows is not None and args.rows < 1:
+        raise ConfigError(f"--rows must be >= 1, got {args.rows}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.generate == "liner":
-        ds = titanic_like(args.rows or 887, args.seed)
+        ds = titanic_like(887 if args.rows is None else args.rows, args.seed)
         write_csv(ds, str(out / "data.csv"), label_column="survived")
         print(f"wrote {out / 'data.csv'} ({ds.row_count} rows)")
         return 0
 
     if args.generate == "census":
-        features = census_like_features(args.rows or 32561, args.seed)
+        features = census_like_features(32561 if args.rows is None else args.rows, args.seed)
     elif args.features:
         features = load_features_csv(
             args.features,
@@ -489,11 +484,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    config = _run_config_from_args(args)
-    ds = _load(config)
-    pipeline = replace(config.pipeline,
-                       target_class=_resolve_class(ds, config.pipeline.target_class))
-    result = run_extraction(ds, pipeline)
+    result = run(_run_config_from_args(args)).result
     if not result.trees:
         raise DataError("no tree was trained (no target-class rows?)")
     dot = _tree_dot(result, 0)

@@ -144,10 +144,23 @@ class Dataset:
                 return i
         raise ConfigError(f"unknown column {name!r}")
 
-    def class_code(self, cls: int | str) -> int:
+    def class_code(self, cls: int | str | None) -> int:
+        """The code of a target class; the one place a class given by a user is resolved.
+
+        None means code 1 of a binary label, and is a ConfigError naming the
+        classes with any other class count. A string is a class name, or else a
+        class code written as text. An int is a class code.
+        """
+        if cls is None:
+            if self.n_classes == 2:
+                return 1
+            raise ConfigError(f"--class is required with {self.n_classes} classes: "
+                              f"{list(self.class_names)}")
         if isinstance(cls, str):
-            try:
+            if cls in self.class_names:
                 return self.class_names.index(cls)
+            try:
+                cls = int(cls)
             except ValueError:
                 raise ConfigError(f"unknown class {cls!r}; classes: {list(self.class_names)}") from None
         if not 0 <= int(cls) < self.n_classes:

@@ -14,6 +14,7 @@ reading original codes off each column's ColumnLog.code_map().
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,8 @@ from .tree import DecisionTree, TrainParams, TreeNode, histogram_layout, train
 
 def fbeta_score(precision: float, recall: float, beta: float) -> float:
     """Harmonic F-measure; recall weighted beta times as heavily as precision."""
-    if beta <= 0:
-        raise ConfigError("beta must be > 0")
+    if not 0 < beta < math.inf:
+        raise ConfigError(f"beta must be finite and > 0, got {beta}")
     denom = beta * beta * precision + recall
     if denom == 0:
         return 0.0
@@ -194,7 +195,7 @@ def linearize_rule(tree: DecisionTree, node_id: int, transform_log: TransformLog
     predicates = []
     for attr, (entry, final, passes) in decoded.items():
         reachable = final >= 0
-        reachable[0] = entry.had_missing
+        reachable[0] = entry.source.has_missing
         pred = _predicate_from_codes(attr, set(np.flatnonzero(passes & reachable).tolist()),
                                      set(np.flatnonzero(reachable).tolist()), entry)
         if pred is not None:
@@ -204,20 +205,20 @@ def linearize_rule(tree: DecisionTree, node_id: int, transform_log: TransformLog
 
 def _predicate_from_codes(attr: str, allowed: set[int], reachable: set[int],
                           entry: ColumnLog) -> Predicate | None:
-    m = len(entry.original_dictionary)
-    universe = set(range(1, m + 1)) | ({0} if entry.had_missing else set())
+    # missing (0) is reachable exactly when the source column has missing cells
+    universe = set(range(1, entry.source.n_values + 1)) | (reachable & {0})
     if allowed >= universe:
         return None
-    kind = entry.original_kind
-    if kind in (ColumnKind.NUMERIC, ColumnKind.DATETIME):
+    if entry.source.kind in (ColumnKind.NUMERIC, ColumnKind.DATETIME):
         return _ordered_predicate(attr, allowed, reachable, entry)
     return _set_predicate(attr, allowed, universe, entry)
 
 
 def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
                        entry: ColumnLog) -> Predicate:
-    m = len(entry.original_dictionary)
-    include_missing = 0 in allowed and entry.had_missing
+    source = entry.source
+    m = source.n_values
+    include_missing = 0 in allowed
     codes = sorted(allowed - {0})
     if not codes:
         return Predicate(attr, "==", MISSING)
@@ -232,7 +233,7 @@ def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
     lo_code, hi_code = codes[0], codes[-1]
 
     def bound(code: int) -> Bound:
-        return Bound(float(entry.original_values[code - 1]), entry.original_dictionary[code - 1])
+        return Bound(float(source.values[code - 1]), source.dictionary[code - 1])
 
     lo = bound(lo_code - 1) if lo_code > 1 else None
     hi = bound(hi_code) if hi_code < m else None
@@ -249,7 +250,7 @@ def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
 def _set_predicate(attr: str, allowed: set[int], universe: set[int], entry: ColumnLog) -> Predicate:
     def texts(codes: set[int]) -> tuple:
         ordered = sorted(codes)
-        return tuple(MISSING if c == 0 else entry.original_dictionary[c - 1] for c in ordered)
+        return tuple(MISSING if c == 0 else entry.source.dictionary[c - 1] for c in ordered)
 
     complement = universe - allowed
     if len(complement) < len(allowed):

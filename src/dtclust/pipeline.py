@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 from . import extract
 from .dataset import Dataset
+from .errors import ConfigError
 from .extract import ClusterCandidate, extract_iterative, fbeta_score
 from .preprocess import PreprocessPlan, TransformLog, apply_plan
 from .rules import render_rule_text, rule_to_dict
@@ -14,13 +16,21 @@ from .tree import DecisionTree, TrainParams, impurity
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything extraction needs beyond the dataset itself."""
+    """Everything extraction needs beyond the dataset itself.
 
-    target_class: int | str = 1
+    target_class is resolved by Dataset.class_code; beta is checked when the
+    config is built, so a caller fails before it reads any table.
+    """
+
+    target_class: int | str | None = 1
     beta: float = 0.33
     n_clusters: int = 3
     params: TrainParams = field(default_factory=TrainParams)
     plan: PreprocessPlan = field(default_factory=PreprocessPlan)
+
+    def __post_init__(self) -> None:
+        if not 0 < self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
 
     def to_dict(self) -> dict:
         return {

@@ -63,6 +63,32 @@ class OrdinalEncoding:
 Transform = BinningSpec | OrdinalEncoding
 
 
+# The binning methods a directive may name, per binnable kind.
+_SYMBOLIC_METHODS = ("frequency", "equal-width", "similarity")
+BINNING_METHODS = {
+    ColumnKind.NUMERIC: ("percentile", "equal-width"),
+    ColumnKind.DATETIME: ("frequency", "equal-width"),
+    ColumnKind.SYMBOLIC_NOMINAL: _SYMBOLIC_METHODS,
+    ColumnKind.SYMBOLIC_ORDINAL: _SYMBOLIC_METHODS,
+}
+
+
+def check_binning(col: Column, method: str, k: int) -> None:
+    """Raise ConfigError unless method can bin a column of col's kind into k >= 2 bins.
+
+    Decided from the kind alone, never from the values the column holds, so a
+    plan is checked before any work and whatever rows a sample draws.
+    """
+    methods = BINNING_METHODS.get(col.kind)
+    if methods is None:
+        raise ConfigError(f"cannot bin a {col.kind.value} column ({col.name!r})")
+    if method not in methods:
+        raise ConfigError(f"unknown {col.kind.value} binning method {method!r} for column "
+                          f"{col.name!r}; expected one of {', '.join(methods)}")
+    if k < 2:
+        raise ConfigError(f"binning needs k >= 2, got {k}")
+
+
 # ---------------------------------------------------------------------------
 # Numeric / datetime binning
 # ---------------------------------------------------------------------------
@@ -76,6 +102,7 @@ def bin_numeric(col: Column, k: int, method: str = "percentile") -> tuple[Binnin
     """
     if col.kind is not ColumnKind.NUMERIC:
         raise ConfigError(f"column {col.name!r} is {col.kind.value}, not numeric")
+    check_binning(col, method, k)
     return _bin_ordered(col, k, method, f"numeric-{method}")
 
 
@@ -83,15 +110,12 @@ def bin_datetime(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
     """Bin a datetime column into k time intervals, by row frequency or equal duration."""
     if col.kind is not ColumnKind.DATETIME:
         raise ConfigError(f"column {col.name!r} is {col.kind.value}, not datetime")
-    inner = {"frequency": "percentile", "equal-width": "equal-width"}.get(method)
-    if inner is None:
-        raise ConfigError(f"unknown datetime binning method {method!r}")
+    check_binning(col, method, k)
+    inner = {"frequency": "percentile", "equal-width": "equal-width"}[method]
     return _bin_ordered(col, k, inner, f"datetime-{method}")
 
 
 def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningSpec, Column]:
-    if k < 2:
-        raise ConfigError(f"binning needs k >= 2, got {k}")
     present = col.codes[col.codes != MISSING_CODE]
     if present.size == 0:
         raise DataError(f"column {col.name!r} has no non-missing values to bin")
@@ -104,7 +128,7 @@ def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningS
         # value v lands in bin j iff edges[j] <= v < edges[j+1]; max joins the last bin
         dict_bins = np.searchsorted(all_edges[1:-1], values, side="right")
         reps = (all_edges[:-1] + all_edges[1:]) / 2
-    elif method == "percentile":
+    else:  # percentile
         srt = np.sort(row_values)
         n = srt.size
         ranks = [int(np.ceil(i * n / k)) for i in range(1, k)]
@@ -112,8 +136,6 @@ def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningS
         # value v lands in bin j iff edges[j-1] < v <= edges[j]
         dict_bins = np.searchsorted(np.array(edges), values, side="left")
         reps = edges + [vmax]
-    else:
-        raise ConfigError(f"unknown binning method {method!r}")
 
     # keep only bins with observed values, renumbered 1..m in value order
     observed = np.unique(dict_bins[np.unique(present) - 1])
@@ -146,8 +168,7 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
     """
     if col.kind not in (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL):
         raise ConfigError(f"column {col.name!r} is {col.kind.value}, not symbolic")
-    if k < 2:
-        raise ConfigError(f"binning needs k >= 2, got {k}")
+    check_binning(col, method, k)
     m = col.n_values
     if m < 2:
         raise DataError(f"column {col.name!r} needs >= 2 unique values to bin")
@@ -171,7 +192,7 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
                 current, mass = [], 0
         if current:
             groups.append(current)
-    elif method == "similarity":
+    else:  # similarity
         order = sorted(range(1, m + 1), key=lambda c: col.dictionary[c - 1])
         gaps = [1.0 - jaro_winkler(col.dictionary[order[i] - 1], col.dictionary[order[i + 1] - 1])
                 for i in range(m - 1)]
@@ -181,8 +202,6 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
             groups.append(order[start:cut + 1])
             start = cut + 1
         groups.append(order[start:])
-    else:
-        raise ConfigError(f"unknown symbolic binning method {method!r}")
 
     code_map = np.full(m + 1, -1, dtype=np.int32)
     code_map[MISSING_CODE] = MISSING_CODE
@@ -377,17 +396,32 @@ class PreprocessPlan:
         per_column = {name: BinDirective(e["method"], e["k"]) for name, e in per_column.items()}
         return cls(numeric_bins, per_column, reorder_symbolic, threshold)
 
+    def directive(self, col: Column) -> BinDirective | None:
+        """How col is binned: its per_column entry, else numeric_bins for a numeric column."""
+        directive = self.per_column.get(col.name)
+        if directive is None and self.numeric_bins is not None and col.kind is ColumnKind.NUMERIC:
+            directive = BinDirective("percentile", self.numeric_bins)
+        return directive
+
+    def check(self, ds: Dataset) -> None:
+        """Raise ConfigError unless every directive names a column of ds that it can bin."""
+        for name in self.per_column:
+            ds.column(name)
+        for col in ds.columns:
+            directive = self.directive(col)
+            if directive is not None:
+                check_binning(col, directive.method, directive.k)
+
 
 @dataclass
 class ColumnLog:
-    """Everything needed to map a transformed column's codes back to original values."""
+    """One column's transforms: the source column as loaded, its steps, and its final kind.
 
-    name: str
-    original_kind: ColumnKind
-    original_dictionary: tuple[str, ...]
-    original_values: np.ndarray | None
-    original_pattern: str | None
-    had_missing: bool
+    source is the column of the dataset the plan ran on; its kind, dictionary,
+    values and missing cells are what rules are rendered over.
+    """
+
+    source: Column
     steps: list[Transform]
     final_kind: ColumnKind
 
@@ -396,7 +430,7 @@ class ColumnLog:
 
         Missing (0) maps to 0; an original code that no kept bin holds maps to -1.
         """
-        final = np.arange(len(self.original_dictionary) + 1)
+        final = np.arange(self.source.n_values + 1)
         for step in self.steps:
             step_map = step.code_map if isinstance(step, BinningSpec) else np.asarray(step.permutation)
             final = np.where(final < 0, -1, step_map[final])
@@ -432,9 +466,9 @@ class TransformLog:
                 else:
                     steps.append({"transform": "reorder", "permutation": list(step.permutation)})
             out["columns"][name] = {
-                "kind": entry.original_kind.value,
+                "kind": entry.source.kind.value,
                 "final_kind": entry.final_kind.value,
-                "dictionary": list(entry.original_dictionary),
+                "dictionary": list(entry.source.dictionary),
                 "steps": steps,
             }
         return out
@@ -453,27 +487,15 @@ def apply_plan(
     """
     if plan.reorder_symbolic and target_class is None:
         raise ConfigError("reorder_symbolic requires a target class")
-    for name in plan.per_column:
-        ds.column(name)
+    plan.check(ds)
 
     out_columns: list[Column] = []
     logbook = TransformLog()
     for col in ds.columns:
-        entry = ColumnLog(
-            name=col.name,
-            original_kind=col.kind,
-            original_dictionary=col.dictionary,
-            original_values=col.values,
-            original_pattern=col.pattern,
-            had_missing=col.has_missing,
-            steps=[],
-            final_kind=col.kind,
-        )
+        entry = ColumnLog(col, [], col.kind)
         current = col
 
-        directive = plan.per_column.get(col.name)
-        if directive is None and plan.numeric_bins is not None and col.kind is ColumnKind.NUMERIC:
-            directive = BinDirective("percentile", plan.numeric_bins)
+        directive = plan.directive(col)
         if directive is not None:
             try:
                 spec, current = _apply_directive(current, directive)
@@ -507,6 +529,4 @@ def _apply_directive(col: Column, directive: BinDirective) -> tuple[BinningSpec,
         return bin_numeric(col, directive.k, directive.method)
     if col.kind is ColumnKind.DATETIME:
         return bin_datetime(col, directive.k, directive.method)
-    if col.kind in _SYMBOLIC:
-        return bin_symbolic(col, directive.k, directive.method)
-    raise ConfigError(f"cannot bin a {col.kind.value} column ({col.name!r})")
+    return bin_symbolic(col, directive.k, directive.method)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import pipeline
 from .dataset import Dataset
 from .errors import ConfigError, DataError
 from .extract import ClusterCandidate
@@ -122,8 +123,6 @@ def stability_report(
     preprocessing (bin edges, frequency orders) and extracts the same number of
     clusters. A sample yielding no clusters contributes a score of 0.
     """
-    from .pipeline import run_extraction  # local import to keep module deps one-way
-
     if n_samples < 1:
         raise ConfigError("n_samples must be >= 1")
     if not clusters:
@@ -133,7 +132,8 @@ def stability_report(
     scores = np.zeros((len(clusters), n_samples))
     for k in range(n_samples):
         view, ids = draw_sample(ds, fraction, seed, k)
-        result = run_extraction(view, sample_config)
+        # looked up on the module at call time, so a wrapper installed there sees every fit
+        result = pipeline.run_extraction(view, sample_config)
         sample_clusters = [ids[c.row_ids] for c in result.clusters]
         if not sample_clusters:
             log.warning("sample %d produced no clusters; scores set to 0", k)

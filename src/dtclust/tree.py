@@ -19,6 +19,7 @@ lowest class code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class TrainParams:
             raise ConfigError(f"impurity_metric must be one of {_METRICS}")
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        if self.min_gain < 0:
-            raise ConfigError("min_gain must be >= 0")
+        if not 0 <= self.min_gain < math.inf:
+            raise ConfigError(f"min_gain must be finite and >= 0, got {self.min_gain}")
         if self.min_samples_leaf < 1:
             raise ConfigError("min_samples_leaf must be >= 1")
 

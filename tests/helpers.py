@@ -260,6 +260,19 @@ def random_dataset(rng, max_rows=200, max_cols=6, wide_column=False) -> Dataset:
     return Dataset(tuple(columns), labels, names)
 
 
+def random_plan(rng, ds: Dataset):
+    """A plan over ds: each binnable column gets a valid directive with even
+    odds (a random method of its kind, k in 2..6), and reordering is on or off."""
+    from dtclust.preprocess import BINNING_METHODS, BinDirective, PreprocessPlan
+
+    per_column = {}
+    for col in ds.columns:
+        methods = BINNING_METHODS.get(col.kind)
+        if methods and rng.random() < 0.5:
+            per_column[col.name] = BinDirective(str(rng.choice(methods)), int(rng.integers(2, 7)))
+    return PreprocessPlan(per_column=per_column, reorder_symbolic=bool(rng.random() < 0.5))
+
+
 # ---------------------------------------------------------------------------
 # Hand-built trees
 # ---------------------------------------------------------------------------
@@ -404,16 +417,7 @@ def identity_log(ds: Dataset):
 
     log = TransformLog()
     for col in ds.columns:
-        log.entries[col.name] = ColumnLog(
-            name=col.name,
-            original_kind=col.kind,
-            original_dictionary=col.dictionary,
-            original_values=col.values,
-            original_pattern=col.pattern,
-            had_missing=col.has_missing,
-            steps=[],
-            final_kind=col.kind,
-        )
+        log.entries[col.name] = ColumnLog(col, [], col.kind)
     return log
 
 

@@ -30,6 +30,15 @@ def grades_csv(tmp_path):
     return str(csv_path), str(cfg_path)
 
 
+@pytest.fixture(scope="module")
+def kinds_csv(tmp_path_factory):
+    """One column of each kind a plan check tells apart, a constant symbolic one included."""
+    path = tmp_path_factory.mktemp("data") / "kinds.csv"
+    path.write_text("age,sex,const,flag,y\n" + "".join(
+        f"{20 + i},{'fm'[i % 2]},x,{'true' if i % 3 else 'false'},{i % 2}\n" for i in range(12)))
+    return str(path)
+
+
 class TestRenderRuleText:
     def test_empty_rule(self):
         text = render_rule_text(Rule((), 1), ("died", "survived"))
@@ -306,6 +315,39 @@ class TestExtractCommand:
         assert main(["extract", "--input", liner_csv, "--label", "survived", *flags]) == 2
         assert "binning needs k >= 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["profile", "extract", "export-dot"])
+    @pytest.mark.parametrize("config, message", [
+        ({"numeric_bins": 0}, "binning needs k >= 2, got 0"),
+        ({"per_column": {"age": {"method": "percentile", "k": 1}}}, "binning needs k >= 2, got 1"),
+        ({"per_column": {"nope": {"method": "percentile", "k": 3}}}, "unknown column 'nope'"),
+        ({"per_column": {"age": {"method": "bogus", "k": 3}}},
+         "unknown numeric binning method 'bogus' for column 'age'"),
+        # k at or above the distinct-value count, and a column with one value
+        ({"per_column": {"sex": {"method": "percentile", "k": 2}}},
+         "unknown symbolic-nominal binning method 'percentile' for column 'sex'"),
+        ({"per_column": {"const": {"method": "percentile", "k": 3}}},
+         "unknown symbolic-nominal binning method 'percentile' for column 'const'"),
+        ({"per_column": {"flag": {"method": "frequency", "k": 2}}},
+         "cannot bin a boolean column ('flag')"),
+    ])
+    def test_plan_checked_on_every_subcommand(self, kinds_csv, tmp_path, capsys, command,
+                                              config, message):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main([command, "--input", kinds_csv, "--label", "y",
+                     "--config", str(cfg_path)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--beta", "nan"), ("--beta", "inf"), ("--beta", "0"), ("--beta", "-1"),
+        ("--min-gain", "nan"), ("--min-gain", "inf"), ("--min-gain", "-1"),
+    ])
+    def test_non_finite_or_out_of_range_model_flag(self, tmp_path, capsys, flag, value):
+        # the input does not exist: exit 3 would mean the check ran after loading
+        assert main(["extract", "--input", str(tmp_path / "nope.csv"), flag, value]) == 2
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must be finite" in capsys.readouterr().err
+
     def test_negative_clusters_is_config_error(self, liner_csv, capsys):
         assert main(["extract", "--input", liner_csv, "--label", "survived",
                      "--clusters", "-2"]) == 2
@@ -375,6 +417,14 @@ class TestSynthCommand:
                      "--seed", "0", "--out", str(out)]) == 0
         truth = json.loads((out / "truth.json").read_text())
         assert len(truth["groups"][0]["rows"]) == 20
+
+    @pytest.mark.parametrize("generator", ["census", "liner"])
+    @pytest.mark.parametrize("rows", ["0", "-3"])
+    def test_rows_below_one_is_config_error(self, tmp_path, capsys, generator, rows):
+        out = tmp_path / "synth"
+        assert main(["synth", "--generate", generator, "--rows", rows, "--out", str(out)]) == 2
+        assert f"--rows must be >= 1, got {rows}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_synth_needs_source(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2

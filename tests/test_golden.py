@@ -1,10 +1,10 @@
-"""Golden digests: report.json bytes of two fixed CLI runs through every binning method.
+"""Golden digests: the artifact bytes of four fixed CLI runs through every binning method.
 
 The table is generated in-repo (census-style features, planted groups, and two
 datetime columns derived from the row index, one with missing cells). Each run
 starts in a fresh directory with relative paths, so the config echo inside
 report.json does not depend on where the tests run. A digest moves only when
-the report itself changes; re-record it on purpose, never to make a run pass.
+the artifact itself changes; re-record it on purpose, never to make a run pass.
 """
 
 import hashlib
@@ -34,6 +34,8 @@ PLAN = {
 GOLDEN = {
     "extract": "8aba3eb0fe519d4ee27698b514e7c84c8ff86ea8f55121ad3d84acf69e8c6ea2",
     "stability": "f41ab0ec62b734e76711bc91fcb67a20e06d1f3caf44dd35b7314b12973c6e9d",
+    "profile": "37caa177bfdde7a8eb0fdd63881707f699246f2f546e12d56a54e57460003120",
+    "export-dot": "8c238302e38607d26e8232dcacc6b833cec98d963455f2aca6c9295c34e60220",
 }
 
 
@@ -57,15 +59,20 @@ def workdir(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("name, argv", [
-    ("extract", ["extract", "--config", "plan.json"]),
-    ("stability", ["stability", "--config", "plan.json", "--samples", "3",
-                   "--reorder-symbolic", "off"]),
+@pytest.mark.parametrize("name, argv, artifact", [
+    pytest.param("extract", ["extract", "--config", "plan.json", "--class", "yes"],
+                 "report.json", id="extract-argv0"),
+    pytest.param("stability", ["stability", "--config", "plan.json", "--class", "yes",
+                               "--samples", "3", "--reorder-symbolic", "off"],
+                 "report.json", id="stability-argv1"),
+    pytest.param("profile", ["profile", "--config", "plan.json"], "profile.json",
+                 id="profile-argv2"),
+    pytest.param("export-dot", ["export-dot", "--config", "plan.json", "--class", "yes"],
+                 "tree.dot", id="export-dot-argv3"),
 ])
-def test_report_digest(workdir, monkeypatch, name, argv):
+def test_report_digest(workdir, monkeypatch, name, argv, artifact):
     monkeypatch.chdir(workdir)
     out = f"run-{name}"
-    assert main([*argv, "--input", "data.csv", "--label", "label", "--class", "yes",
-                 "--out", out]) == 0
-    report = (workdir / out / "report.json").read_bytes()
-    assert hashlib.sha256(report).hexdigest() == GOLDEN[name]
+    assert main([*argv, "--input", "data.csv", "--label", "label", "--out", out]) == 0
+    data = (workdir / out / artifact).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN[name]

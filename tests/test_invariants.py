@@ -6,12 +6,14 @@ Run alone with: pytest tests/test_invariants.py
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtclust.extract import extract_iterative, fbeta_score
 from dtclust.preprocess import PreprocessPlan, apply_plan, bin_numeric, bin_symbolic, build_contingency
 from dtclust.tree import TrainParams, train
 
-from helpers import random_dataset
+from helpers import random_dataset, random_plan
 
 
 def check_purity_monotonicity(n_datasets=20, seed=101):
@@ -139,6 +141,38 @@ def test_iterative_disjoint():
 
 def test_report_reproducibility(tmp_path):
     check_report_reproducibility(tmp_path)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_report_reproducibility_property(tmp_path_factory, seed):
+    # any table, plan, class and stability seed: two runs write the same
+    # bytes, and the report is strict JSON (no NaN or Infinity)
+    from dtclust.cli import RunConfig, StabilityParams, run
+    from dtclust.dataset import load_csv
+    from dtclust.pipeline import PipelineConfig
+    from dtclust.synth import write_csv
+
+    rng = np.random.default_rng(seed)
+    csv_path = tmp_path_factory.mktemp("table") / "data.csv"
+    write_csv(random_dataset(rng, max_rows=120, max_cols=5), str(csv_path))
+    ds = load_csv(str(csv_path), label="label")
+    config = RunConfig(
+        input=str(csv_path),
+        label="label",
+        pipeline=PipelineConfig(target_class=str(rng.choice(ds.class_names)),
+                                beta=float(rng.choice([0.33, 1.0, 3.0])), n_clusters=3,
+                                params=TrainParams(max_depth=int(rng.integers(1, 4))),
+                                plan=random_plan(rng, ds)),
+        stability=StabilityParams(n_samples=2, fraction=0.7, seed=int(rng.integers(0, 100))),
+    )
+    first = run(config).to_json()
+    assert run(config).to_json() == first
+    json.loads(first, parse_constant=_reject_constant)
 
 
 def test_pipeline_determinism():

@@ -259,8 +259,10 @@ class TestCodeMap:
         binning = BinningSpec("v", "numeric-equal-width", 3,
                               (Bin(1, range(1, 2), "a"), Bin(2, range(3, 4), "c")),
                               np.array([0, 1, -1, 2], dtype=np.int32))
-        entry = ColumnLog("v", ColumnKind.NUMERIC, ("a", "b", "c"), np.arange(3.0), None, False,
-                          [binning, OrdinalEncoding("v", (0, 2, 1))], ColumnKind.SYMBOLIC_ORDINAL)
+        source = Column("v", ColumnKind.NUMERIC, np.array([1, 2, 3], dtype=np.int32),
+                        ("a", "b", "c"), np.arange(3.0))
+        entry = ColumnLog(source, [binning, OrdinalEncoding("v", (0, 2, 1))],
+                          ColumnKind.SYMBOLIC_ORDINAL)
         assert entry.code_map().tolist() == [0, 2, -1, 1]
 
 

@@ -5,11 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dtclust import pipeline
 from dtclust.errors import ConfigError, DataError
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.stability import draw_sample, pairwise_score, stability_report
 from dtclust.synth import titanic_like
 from dtclust.tree import TrainParams
+
+from helpers import random_dataset, random_plan
 
 
 @pytest.fixture(scope="module")
@@ -118,6 +124,40 @@ class TestStabilityReport:
         for cluster in report.clusters:
             assert cluster.per_sample == (1.0,) * 3
             assert cluster.mean == 1.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_full_fraction_scores_one_property(self, seed):
+        # a sample of every row refits the same plan on the same table, so it
+        # finds the same clusters, whatever the plan, class and depth
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, max_rows=120, max_cols=5)
+        config = PipelineConfig(target_class=int(rng.integers(0, ds.n_classes)),
+                                beta=float(rng.choice([0.33, 1.0, 3.0])), n_clusters=3,
+                                params=TrainParams(max_depth=int(rng.integers(1, 4))),
+                                plan=random_plan(rng, ds))
+        result = run_extraction(ds, config)
+        if not result.clusters:
+            return
+        report = stability_report(ds, result.clusters, config, n_samples=2, fraction=1.0,
+                                  seed=int(rng.integers(0, 100)))
+        for cluster in report.clusters:
+            assert cluster.per_sample == (1.0, 1.0)
+
+    def test_samples_fit_through_pipeline_module(self, liner, monkeypatch):
+        # stability_report must look run_extraction up on dtclust.pipeline at
+        # call time: a wrapper installed there has to see every sample's fit
+        config = self.make_config()
+        result = run_extraction(liner, config)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_extraction(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "run_extraction", counting)
+        stability_report(liner, result.clusters, config, n_samples=3, fraction=0.8, seed=0)
+        assert len(calls) == 3
 
     def test_reproducible(self, liner):
         config = self.make_config()
