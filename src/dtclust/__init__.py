@@ -9,7 +9,6 @@ from .dataset import (
     ColumnKind,
     Dataset,
     ProfileReport,
-    infer_kinds,
     load_csv,
     load_features_csv,
     profile,
@@ -31,9 +30,7 @@ from .preprocess import (
     PreprocessPlan,
     TransformLog,
     apply_plan,
-    bin_datetime,
-    bin_numeric,
-    bin_symbolic,
+    bin_column,
     build_contingency,
     encode_by_class_frequency,
     jaro_winkler,
@@ -47,28 +44,27 @@ from .synth import (
     census_like_features,
     evaluate_recovery,
     plant_groups,
-    shift_numeric,
     titanic_like,
     write_csv,
 )
-from .tree import DecisionTree, Split, TrainParams, TreeNode, best_split, impurity, split_gain, to_dot, train
+from .tree import DecisionTree, Split, TrainParams, TreeNode, best_split, impurity, to_dot, train
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Column", "ColumnKind", "Dataset", "ProfileReport", "infer_kinds", "load_csv",
-    "load_features_csv", "profile",
+    "Column", "ColumnKind", "Dataset", "ProfileReport", "load_csv", "load_features_csv",
+    "profile",
     "ConfigError", "DataError", "DtclustError", "InternalError",
     "ClusterCandidate", "extract_iterative", "fbeta_score", "linearize_rule",
     "rank_nodes", "select_from_single_tree",
     "PipelineConfig", "cluster_record", "run_extraction",
     "BinningSpec", "ContingencyTable", "OrdinalEncoding", "PreprocessPlan",
-    "TransformLog", "apply_plan", "bin_datetime", "bin_numeric", "bin_symbolic",
-    "build_contingency", "encode_by_class_frequency", "jaro_winkler",
+    "TransformLog", "apply_plan", "bin_column", "build_contingency",
+    "encode_by_class_frequency", "jaro_winkler",
     "MISSING", "Predicate", "Rule", "apply_rule", "render_rule_text",
     "StabilityReport", "draw_sample", "pairwise_score", "stability_report",
     "HiddenGroupSpec", "RecoveryReport", "census_group_specs", "census_like_features",
-    "evaluate_recovery", "plant_groups", "shift_numeric", "titanic_like", "write_csv",
+    "evaluate_recovery", "plant_groups", "titanic_like", "write_csv",
     "DecisionTree", "Split", "TrainParams", "TreeNode", "best_split", "impurity",
-    "split_gain", "to_dot", "train",
+    "to_dot", "train",
 ]

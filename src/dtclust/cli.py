@@ -12,7 +12,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .dataset import (
@@ -45,9 +45,17 @@ SCHEMA_VERSION = 2
 
 @dataclass(frozen=True)
 class StabilityParams:
+    """The stability flags, checked when built, so a bad value fails before any table is read."""
+
     n_samples: int = 20
     fraction: float = 0.8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {self.n_samples}")
+        if not 0 < self.fraction <= 1:
+            raise ConfigError(f"--fraction must be in (0, 1], got {self.fraction}")
 
 
 @dataclass
@@ -323,13 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(args) -> dict:
-    """The optional JSON pipeline config: plan fields plus loader hints.
+# Config keys read by the loader: column names to treat as symbolic-ordinal,
+# missing tokens, and extra strptime patterns tried after the built-in ones.
+_LOADER_KEYS = ("missing_tokens", "datetime_patterns", "ordinal_hints")
 
-    Recognized keys: numeric_bins, per_column, reorder_symbolic,
-    high_cardinality_threshold, ordinal_hints (column names to treat as
-    symbolic-ordinal), missing_tokens, datetime_patterns (extra strptime
-    patterns tried after the built-in ones).
+
+def _read_config_file(args) -> dict:
+    """The optional JSON pipeline config: PreprocessPlan fields plus _LOADER_KEYS.
+
+    Any other top-level key is a ConfigError.
     """
     if not args.config:
         return {}
@@ -342,7 +352,12 @@ def _read_config_file(args) -> dict:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"malformed config {args.config}: the top level must be a JSON object")
-    for key in ("missing_tokens", "datetime_patterns", "ordinal_hints"):
+    accepted = [f.name for f in fields(PreprocessPlan)] + list(_LOADER_KEYS)
+    unknown = sorted(set(raw) - set(accepted))
+    if unknown:
+        raise ConfigError(f"malformed config {args.config}: unknown keys {unknown}; "
+                          f"accepted keys: {', '.join(accepted)}")
+    for key in _LOADER_KEYS:
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"malformed config {args.config}: {key!r} must be a list of strings")
@@ -433,13 +448,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    """Build the labelled table, then write it; --out is made only once every check passed."""
     if args.rows is not None and args.rows < 1:
         raise ConfigError(f"--rows must be >= 1, got {args.rows}")
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.generate == "liner":
         ds = titanic_like(887 if args.rows is None else args.rows, args.seed)
+        out.mkdir(parents=True, exist_ok=True)
         write_csv(ds, str(out / "data.csv"), label_column="survived")
         print(f"wrote {out / 'data.csv'} ({ds.row_count} rows)")
         return 0
@@ -469,6 +485,7 @@ def cmd_synth(args) -> int:
         raise ConfigError("synth needs --spec or --default-groups")
 
     labelled, truth = plant_groups(features, specs, args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(labelled, str(out / "data.csv"), label_column=args.label_name)
     truth_doc = {
         "seed": args.seed,

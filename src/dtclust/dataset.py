@@ -138,12 +138,6 @@ class Dataset:
                 return c
         raise ConfigError(f"unknown column {name!r}")
 
-    def column_index(self, name: str) -> int:
-        for i, c in enumerate(self.columns):
-            if c.name == name:
-                return i
-        raise ConfigError(f"unknown column {name!r}")
-
     def class_code(self, cls: int | str | None) -> int:
         """The code of a target class; the one place a class given by a user is resolved.
 
@@ -167,12 +161,6 @@ class Dataset:
             raise ConfigError(f"class code {cls} out of range; {self.n_classes} classes")
         return int(cls)
 
-    def with_column(self, new: Column) -> "Dataset":
-        cols = tuple(new if c.name == new.name else c for c in self.columns)
-        if all(c is not new for c in cols):
-            raise ConfigError(f"unknown column {new.name!r}")
-        return Dataset(cols, self.labels, self.class_names)
-
     def subset(self, row_ids: np.ndarray) -> "Dataset":
         """Row-sliced copy (used for bagged samples)."""
         cols = tuple(
@@ -195,16 +183,6 @@ def format_value(value: float, kind: ColumnKind, pattern: str | None = None) -> 
     return repr(float(value))
 
 
-def _parse_number(text: str) -> float | None:
-    try:
-        v = float(text)
-    except ValueError:
-        return None
-    if not np.isfinite(v):
-        return None
-    return v
-
-
 def _parse_datetime(text: str, pattern: str) -> float | None:
     try:
         dt = datetime.strptime(text, pattern)
@@ -219,33 +197,17 @@ def _parse_datetime(text: str, pattern: str) -> float | None:
 _BOOL_TOKENS = {"true", "false", "0", "1"}
 
 
-def infer_kinds(
-    raw_table: Sequence[Sequence[str]],
-    missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    datetime_patterns: Sequence[str] = DEFAULT_DATETIME_PATTERNS,
-) -> list[tuple[ColumnKind, str | None]]:
-    """Infer a kind (and datetime pattern) for each column of a parsed text table.
-
-    A column is numeric when every non-missing cell parses as a finite number,
-    datetime when one pattern parses every non-missing cell, boolean when all
-    values are in {true, false, 0, 1} (case-insensitive), symbolic-nominal
-    otherwise. Symbolic-ordinal is never inferred; it requires an explicit hint.
-    """
-    if not raw_table or not raw_table[0]:
-        raise DataError("cannot infer kinds of an empty table")
-    missing = set(missing_tokens)
-    out: list[tuple[ColumnKind, str | None]] = []
-    for cells in zip(*raw_table):
-        kind, pattern, _ = _infer_one([c for c in cells if c not in missing], datetime_patterns)
-        out.append((kind, pattern))
-    return out
-
-
 def _infer_one(
     present: list[str], datetime_patterns: Sequence[str]
 ) -> tuple[ColumnKind, str | None, np.ndarray | None]:
     """Kind and pattern of a column's present cells, plus their parsed values
-    when the kind is numeric or datetime, so the encoder need not parse again."""
+    when the kind is numeric or datetime, so the encoder need not parse again.
+
+    A column is numeric when every present cell parses as a finite number,
+    datetime when one pattern parses every present cell, boolean when all
+    values are in {true, false, 0, 1} (case-insensitive), symbolic-nominal
+    otherwise. Symbolic-ordinal is never inferred; it requires an explicit hint.
+    """
     if not present:
         return ColumnKind.SYMBOLIC_NOMINAL, None, None
     vals = _parse_numbers(present)
@@ -330,8 +292,8 @@ def _encode(
     if vals is None:
         vals = _parse_numbers(present) if kind is ColumnKind.NUMERIC else _parse_datetimes(present, pattern)
     if vals is None:
-        parse = _parse_number if kind is ColumnKind.NUMERIC else (lambda t: _parse_datetime(t, pattern))
-        bad = next(c for c in present if parse(c) is None)
+        parse = _parse_numbers if kind is ColumnKind.NUMERIC else (lambda c: _parse_datetimes(c, pattern))
+        bad = next(c for c in present if parse([c]) is None)
         raise DataError(f"column {name!r}: cell {bad!r} does not parse as {kind.value}")
     # a stable sort: first[i] is where value i is first seen, whose text is its display form
     _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
@@ -490,13 +452,6 @@ class ProfileReport:
     class_prevalence: tuple[float, ...]
     columns: dict[str, tuple[CategoryProfile, ...]]
     n_categories: dict[str, int]
-
-    def rate(self, column: str, value: str, cls: int) -> float:
-        """Class rate of a kept category; a category beyond the cap raises KeyError."""
-        for cat in self.columns[column]:
-            if cat.value == value:
-                return cat.class_rates[cls]
-        raise KeyError(f"{value!r} not found in column {column!r}")
 
 
 def profile(ds: Dataset) -> ProfileReport:

@@ -45,23 +45,23 @@ class Bin:
 class BinningSpec:
     """A binning step; code_map[old code] = bin id, 0 for missing, -1 outside every kept bin."""
 
-    column: str
     method: str
     k: int
     bins: tuple[Bin, ...]
     code_map: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrdinalEncoding:
-    """A bijective remap of codes; permutation[old_code] = new_code, sentinel fixed."""
+    """A reordering step; code_map is a permutation, code_map[old code] = new code, 0 fixed."""
 
-    column: str
-    permutation: tuple[int, ...]
+    code_map: np.ndarray
 
 
 Transform = BinningSpec | OrdinalEncoding
 
+
+_SYMBOLIC = (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL)
 
 # The binning methods a directive may name, per binnable kind.
 _SYMBOLIC_METHODS = ("frequency", "equal-width", "similarity")
@@ -90,32 +90,26 @@ def check_binning(col: Column, method: str, k: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Numeric / datetime binning
+# Binning
 # ---------------------------------------------------------------------------
 
-def bin_numeric(col: Column, k: int, method: str = "percentile") -> tuple[BinningSpec, Column]:
-    """Replace a numeric column's codes by k (or fewer) interval-bin ids.
+def bin_column(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
+    """Replace a column's codes by at most k bin ids, by a method of its kind.
 
-    equal-width cuts [min, max] into k spans of equal width (last span closed);
-    percentile places edges at the i*n/k rank quantiles of the row values, so
-    each bin holds roughly the same number of rows. Duplicate edges collapse.
+    Numeric and datetime columns are cut into value intervals: equal-width cuts
+    [min, max] into k spans of equal width (last span closed); percentile
+    (numeric) and frequency (datetime) place edges at the i*n/k rank quantiles
+    of the row values, so each bin holds roughly the same number of rows.
+    Duplicate edges collapse. Symbolic columns are grouped by _bin_symbolic.
     """
-    if col.kind is not ColumnKind.NUMERIC:
-        raise ConfigError(f"column {col.name!r} is {col.kind.value}, not numeric")
     check_binning(col, method, k)
-    return _bin_ordered(col, k, method, f"numeric-{method}")
+    if col.kind in _SYMBOLIC:
+        return _bin_symbolic(col, method, k)
+    inner = "equal-width" if method == "equal-width" else "percentile"
+    return _bin_ordered(col, inner, k, f"{col.kind.value}-{method}")
 
 
-def bin_datetime(col: Column, k: int, method: str = "frequency") -> tuple[BinningSpec, Column]:
-    """Bin a datetime column into k time intervals, by row frequency or equal duration."""
-    if col.kind is not ColumnKind.DATETIME:
-        raise ConfigError(f"column {col.name!r} is {col.kind.value}, not datetime")
-    check_binning(col, method, k)
-    inner = {"frequency": "percentile", "equal-width": "equal-width"}[method]
-    return _bin_ordered(col, k, inner, f"datetime-{method}")
-
-
-def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningSpec, Column]:
+def _bin_ordered(col: Column, method: str, k: int, label: str) -> tuple[BinningSpec, Column]:
     present = col.codes[col.codes != MISSING_CODE]
     if present.size == 0:
         raise DataError(f"column {col.name!r} has no non-missing values to bin")
@@ -154,11 +148,7 @@ def _bin_ordered(col: Column, k: int, method: str, label: str) -> tuple[BinningS
     return _binned(col, label, k, bins, code_map, col.kind, rep_values)
 
 
-# ---------------------------------------------------------------------------
-# Symbolic binning
-# ---------------------------------------------------------------------------
-
-def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[BinningSpec, Column]:
+def _bin_symbolic(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
     """Group a symbolic column's values into at most k bins.
 
     equal-width chops the current dictionary order into near-equal groups;
@@ -166,9 +156,6 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
     bin's joint mass approaches rows/k; similarity sorts values lexicographically
     and cuts at the k-1 adjacent pairs with the largest Jaro-Winkler distance.
     """
-    if col.kind not in (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL):
-        raise ConfigError(f"column {col.name!r} is {col.kind.value}, not symbolic")
-    check_binning(col, method, k)
     m = col.n_values
     if m < 2:
         raise DataError(f"column {col.name!r} needs >= 2 unique values to bin")
@@ -218,7 +205,7 @@ def bin_symbolic(col: Column, k: int, method: str = "frequency") -> tuple[Binnin
 def _binned(col: Column, method: str, k: int, bins: tuple[Bin, ...], code_map: np.ndarray,
             kind: ColumnKind, values: np.ndarray | None) -> tuple[BinningSpec, Column]:
     """The binning step and the column it rewrites with one gather through its code map."""
-    spec = BinningSpec(col.name, method, k, bins, code_map)
+    spec = BinningSpec(method, k, bins, code_map)
     return spec, Column(col.name, kind, code_map[col.codes],
                         tuple(b.representative for b in bins), values=values, pattern=col.pattern)
 
@@ -287,12 +274,6 @@ class ContingencyTable:
     target_class: int
     entries: tuple[ValueClassCount, ...]
 
-    def frequency(self, value: str) -> float:
-        for e in self.entries:
-            if e.value == value:
-                return e.frequency
-        raise KeyError(f"{value!r} not in contingency table for {self.column!r}")
-
 
 def build_contingency(col: Column, labels: np.ndarray, target_class: int) -> ContingencyTable:
     """Per unique value: how often its rows belong to the target class."""
@@ -318,7 +299,7 @@ def encode_by_class_frequency(
     so one <= split can separate them. Ties keep the prior dictionary order.
     The returned column is symbolic-ordinal.
     """
-    if col.kind not in (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL):
+    if col.kind not in _SYMBOLIC:
         raise ConfigError(f"cannot frequency-encode a {col.kind.value} column")
     m = col.n_values
     totals = np.bincount(col.codes, minlength=m + 1).astype(np.float64)
@@ -335,7 +316,7 @@ def encode_by_class_frequency(
         perm[col.codes],
         tuple(col.dictionary[old - 1] for old in order.tolist()),
     )
-    return OrdinalEncoding(col.name, tuple(perm.tolist())), new_col
+    return OrdinalEncoding(perm), new_col
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +344,11 @@ class PreprocessPlan:
     per_column: dict[str, BinDirective] = field(default_factory=dict)
     reorder_symbolic: bool = True
     high_cardinality_threshold: int = 100
+
+    def __post_init__(self) -> None:
+        if self.high_cardinality_threshold < 0:
+            raise ConfigError("high_cardinality_threshold must be >= 0, "
+                              f"got {self.high_cardinality_threshold}")
 
     def to_dict(self) -> dict:
         return {
@@ -432,8 +418,7 @@ class ColumnLog:
         """
         final = np.arange(self.source.n_values + 1)
         for step in self.steps:
-            step_map = step.code_map if isinstance(step, BinningSpec) else np.asarray(step.permutation)
-            final = np.where(final < 0, -1, step_map[final])
+            final = np.where(final < 0, -1, step.code_map[final])
         return final
 
 
@@ -464,7 +449,7 @@ class TransformLog:
                         ],
                     })
                 else:
-                    steps.append({"transform": "reorder", "permutation": list(step.permutation)})
+                    steps.append({"transform": "reorder", "permutation": step.code_map.tolist()})
             out["columns"][name] = {
                 "kind": entry.source.kind.value,
                 "final_kind": entry.final_kind.value,
@@ -472,9 +457,6 @@ class TransformLog:
                 "steps": steps,
             }
         return out
-
-
-_SYMBOLIC = (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL)
 
 
 def apply_plan(
@@ -498,7 +480,7 @@ def apply_plan(
         directive = plan.directive(col)
         if directive is not None:
             try:
-                spec, current = _apply_directive(current, directive)
+                spec, current = bin_column(current, directive.method, directive.k)
                 entry.steps.append(spec)
             except DataError as exc:
                 log.warning("skipped binning for %r: %s", col.name, exc)
@@ -523,10 +505,3 @@ def apply_plan(
 
     return Dataset(tuple(out_columns), ds.labels, ds.class_names), logbook
 
-
-def _apply_directive(col: Column, directive: BinDirective) -> tuple[BinningSpec, Column]:
-    if col.kind is ColumnKind.NUMERIC:
-        return bin_numeric(col, directive.k, directive.method)
-    if col.kind is ColumnKind.DATETIME:
-        return bin_datetime(col, directive.k, directive.method)
-    return bin_symbolic(col, directive.k, directive.method)

@@ -147,24 +147,6 @@ def evaluate_recovery(clusters: Sequence, truth: Sequence[np.ndarray]) -> Recove
     return RecoveryReport(tuple(scores), tuple(assignment))
 
 
-def shift_numeric(ds: Dataset, column: str, constant: float) -> Dataset:
-    """Subtract a constant from a numeric column (order-preserving affine shift).
-
-    Lets group rules with negative thresholds apply to non-negative source data.
-    """
-    col = ds.column(column)
-    if col.kind is not ColumnKind.NUMERIC:
-        raise ConfigError(f"column {column!r} is {col.kind.value}, not numeric")
-    shifted = col.values - constant
-    return ds.with_column(Column(
-        col.name,
-        col.kind,
-        col.codes,
-        tuple(format_value(v, col.kind) for v in shifted),
-        values=shifted,
-    ))
-
-
 # ---------------------------------------------------------------------------
 # Feature generators
 # ---------------------------------------------------------------------------

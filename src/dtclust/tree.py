@@ -102,9 +102,6 @@ class DecisionTree:
     def node(self, node_id: int) -> TreeNode:
         return self.nodes[node_id]
 
-    def leaves(self) -> list[TreeNode]:
-        return [n for n in self.nodes if n.is_leaf]
-
     def _chain(self, node_id: int) -> list[int]:
         """node_id, its parent, and so on up to the root."""
         chain = [node_id]
@@ -162,21 +159,6 @@ def impurity(class_counts, metric: str = "gini") -> float:
         nz = p[p > 0]
         return float(-(nz * np.log2(nz)).sum())
     raise ConfigError(f"unknown impurity metric {metric!r}")
-
-
-def split_gain(parent_counts, left_counts, right_counts, metric: str = "gini") -> float:
-    """Impurity decrease of a split: imp(parent) - weighted mean of child impurities."""
-    parent = np.asarray(parent_counts, dtype=np.float64)
-    left = np.asarray(left_counts, dtype=np.float64)
-    right = np.asarray(right_counts, dtype=np.float64)
-    if not np.array_equal(left + right, parent):
-        raise DataError("left + right counts must equal parent counts")
-    n, nl, nr = parent.sum(), left.sum(), right.sum()
-    return float(
-        impurity(parent, metric)
-        - (nl / n) * impurity(left, metric)
-        - (nr / n) * impurity(right, metric)
-    )
 
 
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.ndarray:

@@ -362,7 +362,7 @@ def single_split_tree(ds: Dataset, column: str, pivot: int) -> DecisionTree:
     from dtclust.tree import Split, impurity
 
     rows = np.arange(ds.row_count)
-    split = Split(0.1, pivot, column, ds.column_index(column), True)
+    split = Split(0.1, pivot, column, ds.column_names.index(column), True)
     mask = split.goes_left(ds.column(column).codes)
     nodes: list[TreeNode] = []
 
@@ -402,7 +402,7 @@ def reference_original_codes(final_codes: set[int], entry) -> set[int]:
     for step in reversed(entry.steps):
         keep_missing = 0 in codes
         if isinstance(step, OrdinalEncoding):
-            codes = {old for old, new in enumerate(step.permutation) if new in codes and old != 0}
+            codes = {old for old, new in enumerate(step.code_map) if new in codes and old != 0}
         else:
             members = {b.id: b.members for b in step.bins}
             codes = {c for b in codes if b != 0 for c in members.get(b, ())}

@@ -10,13 +10,12 @@ import pytest
 
 from dtclust.dataset import Dataset
 from dtclust.extract import (
-    extract_iterative,
     fbeta_score,
     linearize_rule,
     select_from_single_tree,
 )
 from dtclust.pipeline import PipelineConfig, run_extraction
-from dtclust.preprocess import PreprocessPlan, apply_plan, build_contingency, encode_by_class_frequency
+from dtclust.preprocess import PreprocessPlan, build_contingency, encode_by_class_frequency
 from dtclust.rules import apply_rule
 from dtclust.stability import stability_report
 from dtclust.synth import census_group_specs, census_like_features, evaluate_recovery, plant_groups, titanic_like

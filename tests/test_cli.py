@@ -2,7 +2,6 @@
 
 import json
 
-import numpy as np
 import pytest
 
 from dtclust.cli import main
@@ -266,6 +265,26 @@ class TestExtractCommand:
                          "--config", str(cfg_path)]) == 2, command
             assert message in capsys.readouterr().err, command
 
+    @pytest.mark.parametrize("command", ["profile", "extract"])
+    def test_unknown_config_key(self, liner_csv, tmp_path, capsys, command):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps({"numeric_bin": 4, "reorder_symbolc": False}))
+        assert main([command, "--input", liner_csv, "--label", "survived",
+                     "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys ['numeric_bin', 'reorder_symbolc']" in err
+        assert ("accepted keys: numeric_bins, per_column, reorder_symbolic, "
+                "high_cardinality_threshold, missing_tokens, datetime_patterns, ordinal_hints") in err
+
+    @pytest.mark.parametrize("command", ["profile", "extract", "stability", "export-dot"])
+    def test_negative_high_cardinality_threshold(self, tmp_path, capsys, command):
+        cfg_path = tmp_path / "plan.json"
+        cfg_path.write_text(json.dumps({"high_cardinality_threshold": -5}))
+        # the input does not exist: exit 3 would mean the check ran after loading
+        assert main([command, "--input", str(tmp_path / "nope.csv"),
+                     "--config", str(cfg_path)]) == 2
+        assert "high_cardinality_threshold must be >= 0, got -5" in capsys.readouterr().err
+
     def test_reorder_symbolic_config_and_flag_precedence(self, liner_csv, tmp_path):
         cfg_path = tmp_path / "plan.json"
         cfg_path.write_text(json.dumps({"reorder_symbolic": False}))
@@ -378,6 +397,15 @@ class TestStabilityCommand:
         assert all(0.0 <= s <= 1.0 for s in scores)
         assert "stability over 4 samples" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--samples", "0"), ("--samples", "-2"),
+        ("--fraction", "0"), ("--fraction", "nan"), ("--fraction", "1.5"),
+    ])
+    def test_sampling_flag_checked_before_loading(self, tmp_path, capsys, flag, value):
+        # the input does not exist: exit 3 would mean the check ran after loading
+        assert main(["stability", "--input", str(tmp_path / "nope.csv"), flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_generate_census_with_default_groups(self, tmp_path, capsys):
@@ -428,6 +456,17 @@ class TestSynthCommand:
 
     def test_synth_needs_source(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--generate", "census", "--rows", "50", "--p-in", "nan"],
+        ["--generate", "census", "--rows", "50", "--spec", "{tmp}/missing.json"],
+        [],
+    ], ids=["p-in-nan", "missing-spec", "no-source"])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, flags):
+        out = tmp_path / "D"
+        flags = [f.format(tmp=tmp_path) for f in flags]
+        assert main(["synth", *flags, "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 class TestExportDot:

@@ -16,7 +16,6 @@ from dtclust.dataset import (
     MISSING_CODE,
     PROFILE_CATEGORY_CAP,
     encode_column,
-    infer_kinds,
     load_csv,
     load_features_csv,
     profile,
@@ -45,32 +44,39 @@ def census_slice(tmp_path_factory):
     return str(path)
 
 
-class TestInferKinds:
-    def test_numeric_with_missing(self):
-        table = [["1.5"], ["2"], ["?"]]
-        assert infer_kinds(table)[0][0] is ColumnKind.NUMERIC
+def inferred_kinds(tmp_path, table):
+    """(kind, pattern) of each column of a headerless text table, as the loader infers them."""
+    header = ",".join(f"c{j}" for j in range(len(table[0])))
+    text = "\n".join([header, *(",".join(row) for row in table)]) + "\n"
+    return [(c.kind, c.pattern) for c in load_features_csv(write(tmp_path, text)).columns]
 
-    def test_dates(self):
+
+class TestInferKinds:
+    def test_numeric_with_missing(self, tmp_path):
+        table = [["1.5"], ["2"], ["?"]]
+        assert inferred_kinds(tmp_path, table)[0][0] is ColumnKind.NUMERIC
+
+    def test_dates(self, tmp_path):
         table = [["2020-01-01"], ["2020-02-01"]]
-        kind, pattern = infer_kinds(table)[0]
+        kind, pattern = inferred_kinds(tmp_path, table)[0]
         assert kind is ColumnKind.DATETIME
         assert pattern == "%Y-%m-%d"
 
-    def test_symbolic_fallback(self):
+    def test_symbolic_fallback(self, tmp_path):
         table = [["Exec-managerial"], ["Sales"]]
-        assert infer_kinds(table)[0][0] is ColumnKind.SYMBOLIC_NOMINAL
+        assert inferred_kinds(tmp_path, table)[0][0] is ColumnKind.SYMBOLIC_NOMINAL
 
-    def test_boolean(self):
+    def test_boolean(self, tmp_path):
         table = [["true"], ["False"], ["true"]]
-        assert infer_kinds(table)[0][0] is ColumnKind.BOOLEAN
+        assert inferred_kinds(tmp_path, table)[0][0] is ColumnKind.BOOLEAN
 
-    def test_zero_one_is_numeric(self):
+    def test_zero_one_is_numeric(self, tmp_path):
         table = [["0"], ["1"]]
-        assert infer_kinds(table)[0][0] is ColumnKind.NUMERIC
+        assert inferred_kinds(tmp_path, table)[0][0] is ColumnKind.NUMERIC
 
-    def test_mixed_row(self):
+    def test_mixed_row(self, tmp_path):
         table = [["1", "a", "2021-05-01 10:00:00"], ["2", "b", "2021-05-02 11:30:00"]]
-        kinds = [k for k, _ in infer_kinds(table)]
+        kinds = [k for k, _ in inferred_kinds(tmp_path, table)]
         assert kinds == [ColumnKind.NUMERIC, ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.DATETIME]
 
 
@@ -255,8 +261,6 @@ class TestEncoderEquivalence:
         assert_columns_equal(got, expected)
         assert_columns_equal(encode_column("c", cells, expected.kind, pattern=expected.pattern),
                              expected)
-        if hint is None:
-            assert infer_kinds([[c] for c in cells]) == [(expected.kind, expected.pattern)]
 
     def test_census_slice_matches_reference(self, census_slice):
         ds = load_csv(census_slice, label="label")
@@ -321,11 +325,13 @@ class TestProfile:
         report = profile(titanic_like())
         assert report.row_count == 887
         survived = report.class_names.index("survived")
-        assert abs(report.rate("passenger-class", "1st", survived) - 0.61) < 0.05
-        assert abs(report.rate("passenger-class", "2nd", survived) - 0.42) < 0.05
-        assert abs(report.rate("passenger-class", "3rd", survived) - 0.24) < 0.05
-        assert abs(report.rate("sex", "female", survived) - 0.75) < 0.05
-        assert abs(report.rate("sex", "male", survived) - 0.20) < 0.05
+        rate = {(name, cat.value): cat.class_rates[survived]
+                for name in ("passenger-class", "sex") for cat in report.columns[name]}
+        assert abs(rate["passenger-class", "1st"] - 0.61) < 0.05
+        assert abs(rate["passenger-class", "2nd"] - 0.42) < 0.05
+        assert abs(rate["passenger-class", "3rd"] - 0.24) < 0.05
+        assert abs(rate["sex", "female"] - 0.75) < 0.05
+        assert abs(rate["sex", "male"] - 0.20) < 0.05
 
 
 def _profile_rows(report, name):

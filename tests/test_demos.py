@@ -1,11 +1,14 @@
-"""Every demo script runs to completion against the package in this checkout."""
+"""Every demo script, and the README's library snippet, runs against the package in this checkout."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from dtclust.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -21,3 +24,19 @@ def test_demo_runs(demo):
     done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_library_snippet(tmp_path):
+    """The README's python block, verbatim, on the synth liner table saved as passengers.csv."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme[readme.index("## Library"):]
+    snippet = re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1)
+    assert main(["synth", "--generate", "liner", "--out", str(tmp_path)]) == 0
+    (tmp_path / "data.csv").rename(tmp_path / "passengers.csv")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rules = done.stdout.splitlines()
+    assert len(rules) == 3
+    assert all(rule.startswith("IF ") and " THEN survived " in rule for rule in rules)

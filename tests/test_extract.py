@@ -22,7 +22,6 @@ from dtclust.stability import draw_sample
 from dtclust.tree import TrainParams, train
 
 from helpers import (
-    REFERENCE_COUNTS,
     city_dataset,
     identity_log,
     ordinal_symbolic_dataset,

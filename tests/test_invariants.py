@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dtclust.extract import extract_iterative, fbeta_score
-from dtclust.preprocess import PreprocessPlan, apply_plan, bin_numeric, bin_symbolic, build_contingency
+from dtclust.preprocess import PreprocessPlan, apply_plan, bin_column, build_contingency
 from dtclust.tree import TrainParams, train
 
 from helpers import random_dataset, random_plan
@@ -45,11 +45,11 @@ def check_binning_partition(n_cases=30, seed=102):
             ColumnKind.NUMERIC)
         symbolic = encode_column(
             "s", [f"t{i}" for i in rng.integers(0, 12, size=60)], ColumnKind.SYMBOLIC_NOMINAL)
-        for col, binner, method in (
-            (numeric, bin_numeric, ("equal-width", "percentile")[int(rng.integers(2))]),
-            (symbolic, bin_symbolic, ("equal-width", "frequency", "similarity")[int(rng.integers(3))]),
+        for col, method in (
+            (numeric, ("equal-width", "percentile")[int(rng.integers(2))]),
+            (symbolic, ("equal-width", "frequency", "similarity")[int(rng.integers(3))]),
         ):
-            spec, out = binner(col, k, method)
+            spec, out = bin_column(col, method, k)
             covered = [c for b in spec.bins for c in b.members]
             assert len(covered) == len(set(covered)), "bins overlap"
             present = set(int(c) for c in col.codes if c != 0)

@@ -5,7 +5,7 @@ import pytest
 
 from dtclust.dataset import ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError
-from dtclust.rules import Bound, Predicate, Rule, apply_rule
+from dtclust.rules import Predicate, Rule
 from dtclust.synth import (
     GROUP1_COUNTRIES,
     HiddenGroupSpec,
@@ -13,7 +13,6 @@ from dtclust.synth import (
     census_like_features,
     evaluate_recovery,
     plant_groups,
-    shift_numeric,
     titanic_like,
 )
 
@@ -128,24 +127,6 @@ class TestEvaluateRecovery:
         fwd_map = {g: c for c, g in fwd.assignment}
         rev_map = {g: len(clusters) - 1 - c for c, g in rev.assignment}
         assert fwd_map == rev_map
-
-
-class TestShiftNumeric:
-    def test_affine_shift(self):
-        ds = simple_features()
-        shifted = shift_numeric(ds, "size", 5.0)
-        assert np.allclose(shifted.column("size").values, ds.column("size").values - 5.0)
-        assert list(shifted.column("size").codes) == list(ds.column("size").codes)
-
-    def test_enables_negative_thresholds(self):
-        ds = shift_numeric(simple_features(), "size", 5.0)
-        rule = Rule((Predicate("size", "<=", Bound(-1.0, "-1")),), 1)
-        rows = apply_rule(rule, ds)
-        assert 0 < len(rows) < ds.row_count
-
-    def test_symbolic_rejected(self):
-        with pytest.raises(ConfigError):
-            shift_numeric(simple_features(), "color", 1.0)
 
 
 class TestGenerators:

@@ -13,7 +13,6 @@ from dtclust.tree import (
     best_split,
     histogram_layout,
     impurity,
-    split_gain,
     to_dot,
     train,
 )
@@ -56,22 +55,6 @@ class TestImpurity:
     def test_unknown_metric(self):
         with pytest.raises(ConfigError):
             impurity([1, 2], "mse")
-
-
-class TestSplitGain:
-    def test_perfect_separation(self):
-        assert split_gain([4, 4], [4, 0], [0, 4]) == pytest.approx(0.5)
-
-    def test_no_information(self):
-        assert split_gain([4, 4], [2, 2], [2, 2]) == pytest.approx(0.0)
-
-    def test_direct_formula(self):
-        # parent [3,1]: gini 0.375; both children pure
-        assert split_gain([3, 1], [3, 0], [0, 1]) == pytest.approx(0.375)
-
-    def test_count_mismatch(self):
-        with pytest.raises(DataError):
-            split_gain([4, 4], [3, 0], [0, 4])
 
 
 def ordinal_dataset(codes, labels, n_classes=2):
@@ -203,7 +186,7 @@ class TestTrain:
         rng = np.random.default_rng(6)
         ds = random_dataset(rng)
         tree = train(ds, TrainParams(max_depth=4))
-        leaf_rows = np.concatenate([n.rows for n in tree.leaves()])
+        leaf_rows = np.concatenate([n.rows for n in tree.nodes if n.is_leaf])
         assert sorted(leaf_rows.tolist()) == list(range(ds.row_count))
         for node in tree.nodes:
             if node.children:
