@@ -35,7 +35,7 @@ from .preprocess import (
     encode_by_class_frequency,
     jaro_winkler,
 )
-from .rules import MISSING, Predicate, Rule, apply_rule, render_rule_text
+from .rules import MISSING, Predicate, RangeTest, Rule, SetTest, apply_rule, render_rule_text
 from .stability import StabilityReport, draw_sample, pairwise_score, stability_report
 from .synth import (
     HiddenGroupSpec,
@@ -61,7 +61,7 @@ __all__ = [
     "BinningSpec", "ContingencyTable", "OrdinalEncoding", "PreprocessPlan",
     "TransformLog", "apply_plan", "bin_column", "build_contingency",
     "encode_by_class_frequency", "jaro_winkler",
-    "MISSING", "Predicate", "Rule", "apply_rule", "render_rule_text",
+    "MISSING", "Predicate", "RangeTest", "Rule", "SetTest", "apply_rule", "render_rule_text",
     "StabilityReport", "draw_sample", "pairwise_score", "stability_report",
     "HiddenGroupSpec", "RecoveryReport", "census_group_specs", "census_like_features",
     "evaluate_recovery", "plant_groups", "titanic_like", "write_csv",

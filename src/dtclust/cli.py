@@ -448,7 +448,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    """Build the labelled table, then write it; --out is made only once every check passed."""
+    """Check the group specs, then build and write the labelled table; --out is made last."""
     if args.rows is not None and args.rows < 1:
         raise ConfigError(f"--rows must be >= 1, got {args.rows}")
     out = Path(args.out)
@@ -460,16 +460,8 @@ def cmd_synth(args) -> int:
         print(f"wrote {out / 'data.csv'} ({ds.row_count} rows)")
         return 0
 
-    if args.generate == "census":
-        features = census_like_features(32561 if args.rows is None else args.rows, args.seed)
-    elif args.features:
-        features = load_features_csv(
-            args.features,
-            missing_tokens=tuple(args.missing_token) if args.missing_token else ("",),
-        )
-    else:
+    if args.generate != "census" and not args.features:
         raise ConfigError("synth needs --generate or --features")
-
     if args.spec:
         try:
             with open(args.spec, encoding="utf-8") as fh:
@@ -484,9 +476,14 @@ def cmd_synth(args) -> int:
     else:
         raise ConfigError("synth needs --spec or --default-groups")
 
+    if args.generate == "census":
+        features = census_like_features(32561 if args.rows is None else args.rows, args.seed)
+    else:
+        features = load_features_csv(
+            args.features,
+            missing_tokens=tuple(args.missing_token) if args.missing_token else ("",),
+        )
     labelled, truth = plant_groups(features, specs, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(labelled, str(out / "data.csv"), label_column=args.label_name)
     truth_doc = {
         "seed": args.seed,
         "groups": [
@@ -494,6 +491,8 @@ def cmd_synth(args) -> int:
             for spec, rows in zip(specs, truth)
         ],
     }
+    out.mkdir(parents=True, exist_ok=True)
+    write_csv(labelled, str(out / "data.csv"), label_column=args.label_name)
     (out / "truth.json").write_text(json.dumps(truth_doc, sort_keys=True) + "\n", encoding="utf-8")
     shares = ", ".join(f"{len(rows) / features.row_count:.3f}" for rows in truth)
     print(f"wrote {out / 'data.csv'} ({features.row_count} rows); group shares: {shares}")

@@ -22,7 +22,7 @@ import numpy as np
 from .dataset import ColumnKind, Dataset
 from .errors import ConfigError, DataError, InternalError
 from .preprocess import ColumnLog, TransformLog
-from .rules import MISSING, Bound, Interval, Predicate, Rule
+from .rules import MISSING, Bound, Predicate, RangeTest, Rule, SetTest
 from .tree import DecisionTree, TrainParams, TreeNode, histogram_layout, train
 
 
@@ -217,11 +217,9 @@ def _predicate_from_codes(attr: str, allowed: set[int], reachable: set[int],
 def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
                        entry: ColumnLog) -> Predicate:
     source = entry.source
-    m = source.n_values
-    include_missing = 0 in allowed
     codes = sorted(allowed - {0})
     if not codes:
-        return Predicate(attr, "==", MISSING)
+        return SetTest(attr, (MISSING,))
     # codes unrepresentable by the transform chain (dropped empty bins) carry no
     # rows, so the interval hull absorbs them; reachable gaps would be a bug
     gaps = set(range(codes[0], codes[-1] + 1)) - allowed
@@ -236,25 +234,16 @@ def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
         return Bound(float(source.values[code - 1]), source.dictionary[code - 1])
 
     lo = bound(lo_code - 1) if lo_code > 1 else None
-    hi = bound(hi_code) if hi_code < m else None
+    hi = bound(hi_code) if hi_code < source.n_values else None
     if lo is None and hi is None:
-        # only the missing sentinel is excluded (or included alone with values)
-        return Predicate(attr, "not_in", (MISSING,))
-    if lo is None:
-        return Predicate(attr, "<=", hi, include_missing=include_missing)
-    if hi is None:
-        return Predicate(attr, ">", lo, include_missing=include_missing)
-    return Predicate(attr, "in", Interval(lo, hi), include_missing=include_missing)
+        # every value passes: only the missing sentinel is excluded
+        return SetTest(attr, (MISSING,), negated=True)
+    return RangeTest(attr, lo, hi, include_missing=0 in allowed)
 
 
-def _set_predicate(attr: str, allowed: set[int], universe: set[int], entry: ColumnLog) -> Predicate:
-    def texts(codes: set[int]) -> tuple:
-        ordered = sorted(codes)
-        return tuple(MISSING if c == 0 else entry.source.dictionary[c - 1] for c in ordered)
-
+def _set_predicate(attr: str, allowed: set[int], universe: set[int], entry: ColumnLog) -> SetTest:
     complement = universe - allowed
-    if len(complement) < len(allowed):
-        values = texts(complement)
-        return Predicate(attr, "!=", values[0]) if len(values) == 1 else Predicate(attr, "not_in", values)
-    values = texts(allowed)
-    return Predicate(attr, "==", values[0]) if len(values) == 1 else Predicate(attr, "in", values)
+    negated = len(complement) < len(allowed)
+    codes = sorted(complement if negated else allowed)
+    return SetTest(attr, tuple(MISSING if c == 0 else entry.source.dictionary[c - 1] for c in codes),
+                   negated)

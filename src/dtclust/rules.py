@@ -2,21 +2,24 @@
 
 A Rule is what a tree path becomes after decoding: every predicate speaks the
 language of the raw CSV (value sets, numeric bounds), not internal codes, so a
-rule can be checked against the original table or quoted in a report.
+rule can be checked against the original table or quoted in a report. A
+predicate is one of two tests, each rendering, serialising and evaluating
+itself: a RangeTest on an ordered column or a SetTest over display texts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dataset import Dataset, MISSING_CODE, MISSING_DISPLAY
+from .dataset import Column, Dataset, MISSING_CODE, MISSING_DISPLAY
 from .errors import ConfigError
 
 
 class _Missing:
-    """Marker for the missing value inside predicate operands."""
+    """Marker for the missing value among a SetTest's values."""
 
     _instance = None
 
@@ -41,55 +44,91 @@ class Bound:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """lo < x <= hi; either side may be open (None)."""
+class RangeTest:
+    """lo < x <= hi on an ordered column; either side may be open (None), not both.
 
-    lo: Bound | None
-    hi: Bound | None
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """One attribute test.
-
-    op and operand pair up as:
-      "<=" / ">"        Bound              ordered comparison
-      "in"              Interval or tuple  merged range, or value-set membership
-      "not_in"          tuple              value-set exclusion
-      "==" / "!="       str or MISSING     single-value test
-    include_missing widens ordered comparisons to also accept missing cells.
+    include_missing widens the test to also accept missing cells.
     """
 
     attribute: str
-    op: str
-    operand: object
+    lo: Bound | None
+    hi: Bound | None
     include_missing: bool = False
+
+    def __post_init__(self) -> None:
+        if self.lo is None and self.hi is None:
+            raise ConfigError(f"range test on {self.attribute!r} needs a lower or an upper bound")
+
+    @property
+    def op(self) -> str:
+        return "<=" if self.lo is None else ">" if self.hi is None else "in"
 
     def text(self) -> str:
         a = self.attribute
-        if self.op == "<=":
-            s = f"{a} <= {self.operand.text}"
-        elif self.op == ">":
-            s = f"{a} > {self.operand.text}"
-        elif self.op == "in" and isinstance(self.operand, Interval):
-            s = f"{self.operand.lo.text} < {a} <= {self.operand.hi.text}"
-        elif self.op == "in":
-            s = f"{a} is in {{{_join(self.operand)}}}"
-        elif self.op == "not_in":
-            s = f"{a} is not in {{{_join(self.operand)}}}"
-        elif self.op == "==":
-            s = f"{a} is missing" if self.operand is MISSING else f"{a} = {self.operand}"
-        elif self.op == "!=":
-            s = f"{a} is not missing" if self.operand is MISSING else f"{a} != {self.operand}"
+        if self.lo is None:
+            s = f"{a} <= {self.hi.text}"
+        elif self.hi is None:
+            s = f"{a} > {self.lo.text}"
         else:
-            raise ConfigError(f"unknown predicate op {self.op!r}")
-        if self.include_missing and self.op in ("<=", ">", "in") and not isinstance(self.operand, tuple):
-            s += " (or missing)"
-        return s
+            s = f"{self.lo.text} < {a} <= {self.hi.text}"
+        return s + " (or missing)" if self.include_missing else s
+
+    def to_dict(self) -> dict:
+        out: dict = {"attribute": self.attribute, "op": self.op, "include_missing": self.include_missing}
+        if self.lo is None or self.hi is None:
+            out.update(asdict(self.hi if self.lo is None else self.lo))
+        else:
+            out.update(lo=asdict(self.lo), hi=asdict(self.hi))
+        return out
+
+    def matches(self, col: Column, codes: np.ndarray) -> np.ndarray:
+        if col.values is None:
+            raise ConfigError(f"ordered predicate on unordered column {col.name!r}")
+        lo = -np.inf if self.lo is None else self.lo.value
+        hi = np.inf if self.hi is None else self.hi.value
+        v = np.concatenate(([np.nan], col.values))[codes]
+        sat = (v > lo) & (v <= hi)
+        sat[codes == MISSING_CODE] = self.include_missing
+        return sat
 
 
-def _join(values: tuple) -> str:
-    return ", ".join(MISSING_DISPLAY if v is MISSING else str(v) for v in values)
+@dataclass(frozen=True)
+class SetTest:
+    """x is one of values, or none of them when negated; a value is a display text or MISSING."""
+
+    attribute: str
+    values: tuple
+    negated: bool = False
+
+    @property
+    def op(self) -> str:
+        if len(self.values) == 1:
+            return "!=" if self.negated else "=="
+        return "not_in" if self.negated else "in"
+
+    def text(self) -> str:
+        a = self.attribute
+        if len(self.values) != 1:
+            shown = ", ".join(MISSING_DISPLAY if v is MISSING else str(v) for v in self.values)
+            return f"{a} is {'not in' if self.negated else 'in'} {{{shown}}}"
+        (v,) = self.values
+        if v is MISSING:
+            return f"{a} is not missing" if self.negated else f"{a} is missing"
+        return f"{a} != {v}" if self.negated else f"{a} = {v}"
+
+    def to_dict(self) -> dict:
+        plain = [None if v is MISSING else v for v in self.values]
+        key, value = ("value", plain[0]) if len(plain) == 1 else ("values", plain)
+        return {"attribute": self.attribute, "op": self.op, key: value}
+
+    def matches(self, col: Column, codes: np.ndarray) -> np.ndarray:
+        lookup = {text: i + 1 for i, text in enumerate(col.dictionary)}
+        lookup[MISSING] = MISSING_CODE
+        wanted = np.array([lookup[v] for v in self.values if v in lookup], dtype=np.int32)
+        return np.isin(codes, wanted, invert=self.negated)
+
+
+Predicate = RangeTest | SetTest
 
 
 @dataclass(frozen=True)
@@ -130,60 +169,51 @@ def render_rule_text(
 # JSON round-trip (reports, synthetic-group spec files)
 # ---------------------------------------------------------------------------
 
-def _bound_to_dict(b: Bound | None):
-    return None if b is None else {"value": b.value, "text": b.text}
-
-
-def _bound_from_dict(raw) -> Bound | None:
-    if raw is None:
-        return None
-    if isinstance(raw, dict):
-        return Bound(float(raw["value"]), str(raw.get("text", raw["value"])))
-    return Bound(float(raw), str(raw))
-
-
-def predicate_to_dict(pred: Predicate) -> dict:
-    out: dict = {"attribute": pred.attribute, "op": pred.op}
-    if pred.op in ("<=", ">"):
-        out["value"] = pred.operand.value
-        out["text"] = pred.operand.text
-        out["include_missing"] = pred.include_missing
-    elif pred.op == "in" and isinstance(pred.operand, Interval):
-        out["lo"] = _bound_to_dict(pred.operand.lo)
-        out["hi"] = _bound_to_dict(pred.operand.hi)
-        out["include_missing"] = pred.include_missing
-    elif pred.op in ("in", "not_in"):
-        out["values"] = [None if v is MISSING else v for v in pred.operand]
-    else:
-        out["value"] = None if pred.operand is MISSING else pred.operand
-    return out
+def _bound_from_dict(raw) -> Bound:
+    """A bound written as {"value": number, "text": ...} or as a bare number."""
+    value = raw["value"] if isinstance(raw, dict) else raw
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ConfigError(f"a range bound's value must be a finite number, got {value!r}")
+    return Bound(float(value), str(raw.get("text", value) if isinstance(raw, dict) else value))
 
 
 def predicate_from_dict(raw: dict) -> Predicate:
+    """The test a JSON predicate record describes; ConfigError names a field of the wrong type."""
     attr, op = raw["attribute"], raw["op"]
+    include_missing = raw.get("include_missing", False)
+    if type(include_missing) is not bool:
+        raise ConfigError(f"'include_missing' of {attr!r} must be true or false, "
+                          f"got {include_missing!r}")
     if op in ("<=", ">"):
-        bound = Bound(float(raw["value"]), str(raw.get("text", raw["value"])))
-        return Predicate(attr, op, bound, include_missing=bool(raw.get("include_missing", False)))
+        bound = _bound_from_dict(raw)
+        lo, hi = (None, bound) if op == "<=" else (bound, None)
+        return RangeTest(attr, lo, hi, include_missing)
     if op == "in" and ("lo" in raw or "hi" in raw):
-        return Predicate(attr, op, Interval(_bound_from_dict(raw.get("lo")), _bound_from_dict(raw.get("hi"))),
-                         include_missing=bool(raw.get("include_missing", False)))
+        lo, hi = (None if raw.get(side) is None else _bound_from_dict(raw[side])
+                  for side in ("lo", "hi"))
+        return RangeTest(attr, lo, hi, include_missing)
     if op in ("in", "not_in"):
-        return Predicate(attr, op, tuple(MISSING if v is None else str(v) for v in raw["values"]))
+        values = raw["values"]
+        if not isinstance(values, list) or not all(v is None or isinstance(v, str) for v in values):
+            raise ConfigError(f"'values' of {attr!r} must be a list of strings or nulls, got {values!r}")
+        return SetTest(attr, tuple(MISSING if v is None else v for v in values), negated=op == "not_in")
     if op in ("==", "!="):
         v = raw.get("value")
-        return Predicate(attr, op, MISSING if v is None else str(v))
+        return SetTest(attr, (MISSING if v is None else str(v),), negated=op == "!=")
     raise ConfigError(f"unknown predicate op {op!r}")
 
 
 def rule_to_dict(rule: Rule) -> dict:
     return {
         "target_class": rule.target_class,
-        "predicates": [predicate_to_dict(p) for p in rule.predicates],
+        "predicates": [p.to_dict() for p in rule.predicates],
         "text": rule.text(),
     }
 
 
 def rule_from_dict(raw: dict) -> Rule:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a rule must be a JSON object, got {raw!r}")
     return Rule(
         tuple(predicate_from_dict(p) for p in raw.get("predicates", [])),
         int(raw.get("target_class", 0)),
@@ -204,53 +234,6 @@ def apply_rule(rule: Rule, ds: Dataset, rows: np.ndarray | None = None) -> np.nd
         rows = np.arange(ds.row_count)
     mask = np.ones(len(rows), dtype=bool)
     for pred in rule.predicates:
-        mask &= _eval_predicate(pred, ds, rows)
+        col = ds.column(pred.attribute)
+        mask &= pred.matches(col, col.codes[rows])
     return rows[mask]
-
-
-def _eval_predicate(pred: Predicate, ds: Dataset, rows: np.ndarray) -> np.ndarray:
-    col = ds.column(pred.attribute)
-    codes = col.codes[rows]
-    missing = codes == MISSING_CODE
-
-    if pred.op in ("<=", ">") or (pred.op == "in" and isinstance(pred.operand, Interval)):
-        if col.values is None:
-            raise ConfigError(f"ordered predicate on unordered column {col.name!r}")
-        padded = np.concatenate(([np.nan], col.values))
-        v = padded[codes]
-        if pred.op == "<=":
-            sat = v <= pred.operand.value
-        elif pred.op == ">":
-            sat = v > pred.operand.value
-        else:
-            iv = pred.operand
-            sat = np.ones(len(v), dtype=bool)
-            if iv.lo is not None:
-                sat &= v > iv.lo.value
-            if iv.hi is not None:
-                sat &= v <= iv.hi.value
-        sat[missing] = pred.include_missing
-        return sat
-
-    if pred.op in ("in", "not_in"):
-        wanted = _codes_for(col, pred.operand)
-        sat = np.isin(codes, wanted)
-        return sat if pred.op == "in" else ~sat
-
-    if pred.op in ("==", "!="):
-        wanted = _codes_for(col, (pred.operand,))
-        sat = np.isin(codes, wanted)
-        return sat if pred.op == "==" else ~sat
-
-    raise ConfigError(f"unknown predicate op {pred.op!r}")
-
-
-def _codes_for(col, values: tuple) -> np.ndarray:
-    lookup = {text: i + 1 for i, text in enumerate(col.dictionary)}
-    out = []
-    for v in values:
-        if v is MISSING:
-            out.append(MISSING_CODE)
-        elif v in lookup:
-            out.append(lookup[v])
-    return np.array(out, dtype=np.int32)

@@ -25,7 +25,7 @@ from .dataset import (
     format_value,
 )
 from .errors import ConfigError
-from .rules import Bound, Predicate, Rule, apply_rule, rule_from_dict, rule_to_dict
+from .rules import Bound, RangeTest, Rule, SetTest, apply_rule, rule_from_dict, rule_to_dict
 
 log = logging.getLogger(__name__)
 
@@ -314,27 +314,27 @@ def census_like_features(n_rows: int = 32561, seed: int = 7) -> Dataset:
 def census_group_specs(p_in: float = 0.95, p_out: float = 0.05) -> list[HiddenGroupSpec]:
     """The four benchmark hidden groups over the census-style features."""
     def le(attr, value):
-        return Predicate(attr, "<=", Bound(value, format_value(value, ColumnKind.NUMERIC)))
+        return RangeTest(attr, None, Bound(value, format_value(value, ColumnKind.NUMERIC)))
 
     rules = [
         (Rule((
             le("fnlwgt", 285194.62),
-            Predicate("native-country", "in", GROUP1_COUNTRIES),
+            SetTest("native-country", GROUP1_COUNTRIES),
         ), 1), 0.178),
         (Rule((
-            Predicate("occupation", "==", "Exec-managerial"),
+            SetTest("occupation", ("Exec-managerial",)),
             le("capital-gain", -75.82),
-            Predicate("race", "in", ("Amer-Indian-Eskimo", "Asian-Pac-Islander", "White")),
+            SetTest("race", ("Amer-Indian-Eskimo", "Asian-Pac-Islander", "White")),
         ), 1), 0.05),
         (Rule((
             le("capital-loss", 115.42),
             le("education-num", 9.1),
-            Predicate("income", "==", ">50K"),
+            SetTest("income", (">50K",)),
         ), 1), 0.042),
         (Rule((
             le("hours-per-week", 35.12),
-            Predicate("marital-status", "in", ("Widowed", "Married-spouse-absent", "Divorced")),
-            Predicate("relationship", "==", "Not-in-family"),
+            SetTest("marital-status", ("Widowed", "Married-spouse-absent", "Divorced")),
+            SetTest("relationship", ("Not-in-family",)),
         ), 1), 0.016),
     ]
     return [HiddenGroupSpec(rule, share, p_in, p_out) for rule, share in rules]

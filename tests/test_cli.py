@@ -7,8 +7,17 @@ import pytest
 from dtclust.cli import main
 from dtclust.dataset import load_csv
 from dtclust.errors import InternalError
-from dtclust.rules import Bound, Interval, MISSING, Predicate, Rule, render_rule_text, rule_from_dict
+from dtclust.rules import MISSING, Bound, RangeTest, Rule, SetTest, render_rule_text, rule_from_dict
 from dtclust.synth import titanic_like, write_csv
+
+
+# a census table of 50 rows labelled by the spec file {tmp}/spec.json
+SPEC_FLAGS = ["--generate", "census", "--rows", "50", "--spec", "{tmp}/spec.json"]
+
+
+def one_group(predicate):
+    """A spec planting one group defined by the given predicate record."""
+    return {"groups": [{"rule": {"target_class": 1, "predicates": [predicate]}}]}
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +53,12 @@ class TestRenderRuleText:
         assert text == "IF (always) THEN survived"
 
     def test_not_in_phrasing(self):
-        rule = Rule((Predicate("country", "not_in", ("United-States", "Canada")),), 0)
+        rule = Rule((SetTest("country", ("United-States", "Canada"), negated=True),), 0)
         text = render_rule_text(rule, ("no", "yes"))
         assert "country is not in {United-States, Canada}" in text
 
     def test_interval_clause(self):
-        rule = Rule((Predicate("fare", "in", Interval(Bound(10.0, "10"), Bound(50.0, "50"))),), 1)
+        rule = Rule((RangeTest("fare", Bound(10.0, "10"), Bound(50.0, "50")),), 1)
         text = render_rule_text(rule, ("no", "yes"))
         assert "10 < fare <= 50" in text
 
@@ -61,7 +70,7 @@ class TestRenderRuleText:
         assert "25.0% of population" in text
 
     def test_missing_clause(self):
-        rule = Rule((Predicate("age", "==", MISSING),), 1)
+        rule = Rule((SetTest("age", (MISSING,)),), 1)
         assert "age is missing" in render_rule_text(rule, ("no", "yes"))
 
 
@@ -457,15 +466,51 @@ class TestSynthCommand:
     def test_synth_needs_source(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "x")]) == 2
 
-    @pytest.mark.parametrize("flags", [
-        ["--generate", "census", "--rows", "50", "--p-in", "nan"],
-        ["--generate", "census", "--rows", "50", "--spec", "{tmp}/missing.json"],
-        [],
-    ], ids=["p-in-nan", "missing-spec", "no-source"])
-    def test_config_error_leaves_no_output_directory(self, tmp_path, flags):
+    @pytest.mark.parametrize("flags, spec", [
+        (["--generate", "census", "--rows", "50", "--p-in", "nan"], None),
+        (["--generate", "census", "--rows", "50", "--spec", "{tmp}/missing.json"], None),
+        ([], None),
+        (SPEC_FLAGS, one_group({"attribute": "sex", "op": "in", "values": "Male"})),
+        (SPEC_FLAGS, one_group({"attribute": "sex", "op": "in", "values": ["Male", 1]})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": "<=", "value": 30,
+                                "include_missing": "false"})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": "<=", "value": "30"})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": ">", "value": True})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": "in", "lo": {"value": 30},
+                                "hi": {"value": False}})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": "in", "lo": None, "hi": None})),
+        (SPEC_FLAGS, one_group({"attribute": "age", "op": "~", "value": 30})),
+        (SPEC_FLAGS, {"groups": [{"rule": "age <= 30"}]}),
+    ], ids=["p-in-nan", "missing-spec", "no-source", "values-string", "values-number",
+            "include-missing-string", "bound-string", "bound-boolean", "interval-bound-boolean",
+            "open-interval", "unknown-op", "rule-not-object"])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, flags, spec):
+        if spec is not None:
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
         out = tmp_path / "D"
         flags = [f.format(tmp=tmp_path) for f in flags]
         assert main(["synth", *flags, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_half_open_spec_interval_echoes_one_sided_test(self, tmp_path):
+        spec = one_group({"attribute": "age", "op": "in", "lo": {"value": 30}})
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+        out = tmp_path / "D"
+        flags = [f.format(tmp=tmp_path) for f in SPEC_FLAGS]
+        assert main(["synth", *flags, "--out", str(out)]) == 0
+        rule = json.loads((out / "truth.json").read_text())["groups"][0]["spec"]["rule"]
+        assert rule["predicates"] == [{"attribute": "age", "op": ">", "value": 30.0, "text": "30",
+                                       "include_missing": False}]
+        assert rule["text"] == "age > 30"
+
+    def test_group_specs_checked_before_features_are_built(self, tmp_path, monkeypatch):
+        def build_features(*args, **kwargs):
+            pytest.fail("the feature table was built before the group specs were checked")
+
+        monkeypatch.setattr("dtclust.cli.census_like_features", build_features)
+        out = tmp_path / "D"
+        assert main(["synth", "--generate", "census", "--p-in", "nan", "--out", str(out)]) == 2
         assert not out.exists()
 
 

@@ -1,5 +1,7 @@
-"""Every demo script, and the README's library snippet, runs against the package in this checkout."""
+"""Every demo script, and the README's library snippet and group-spec example, runs against the
+package in this checkout."""
 
+import json
 import os
 import re
 import subprocess
@@ -40,3 +42,20 @@ def test_readme_library_snippet(tmp_path):
     rules = done.stdout.splitlines()
     assert len(rules) == 3
     assert all(rule.startswith("IF ") and " THEN survived " in rule for rule in rules)
+
+
+def test_readme_group_spec_example(tmp_path):
+    """The README's group-spec JSON block, verbatim, as a synth --spec file."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(\{\"groups\".*?)```", readme, re.DOTALL).group(1)
+    (tmp_path / "spec.json").write_text(example, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["synth", "--generate", "census", "--rows", "500",
+                 "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+    groups = json.loads((out / "truth.json").read_text())["groups"]
+    documented = json.loads(example)["groups"]
+    assert len(groups) == len(documented)
+    for group, spec in zip(groups, documented):
+        assert [(p["attribute"], p["op"]) for p in group["spec"]["rule"]["predicates"]] == \
+            [(p["attribute"], p["op"]) for p in spec["rule"]["predicates"]]
+        assert group["rows"]

@@ -1,5 +1,7 @@
 """F-beta scoring, node ranking and selection, iterative extraction, rule decoding."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from dtclust.extract import (
 )
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import BinDirective, PreprocessPlan, apply_plan
-from dtclust.rules import MISSING, Interval, apply_rule
+from dtclust.rules import MISSING, RangeTest, SetTest, apply_rule, rule_from_dict, rule_to_dict
 from dtclust.stability import draw_sample
 from dtclust.tree import TrainParams, train
 
@@ -260,9 +262,9 @@ class TestLinearize:
         assert len(rule.predicates) == 1
         pred = rule.predicates[0]
         assert pred.op == "in"
-        assert set(pred.operand) == set(COUNTRY_ORDER[pivot:])
-        assert len(pred.operand) == 17
-        assert "United-States" in pred.operand
+        assert set(pred.values) == set(COUNTRY_ORDER[pivot:])
+        assert len(pred.values) == 17
+        assert "United-States" in pred.values
 
     def test_education_singleton(self):
         ds = ordinal_symbolic_dataset("education", EDUCATION_ORDER)
@@ -271,7 +273,7 @@ class TestLinearize:
         rule = linearize_rule(tree, tree.root.children[1], identity_log(ds))
         pred = rule.predicates[0]
         assert pred.op == "=="
-        assert pred.operand == "Some-college"
+        assert pred.values == ("Some-college",)
 
     def test_root_is_empty_rule(self):
         ds = city_dataset()
@@ -296,7 +298,7 @@ class TestLinearize:
             if node.depth == 2 and node.impurity == 0.0 and node.decision == 1:
                 pred = rule.predicates[0]
                 assert pred.op == "in"
-                assert isinstance(pred.operand, Interval)
+                assert isinstance(pred, RangeTest)
 
     def test_complement_rendering(self):
         # excluding one nominal value renders as != rather than a long in-set
@@ -308,6 +310,21 @@ class TestLinearize:
         rule_r = linearize_rule(tree, right, log)
         ops = {rule_l.predicates[0].op, rule_r.predicates[0].op}
         assert ops == {"==", "!="}
+
+    def test_ordered_not_missing(self):
+        # a numeric column split at the missing pivot: the child that keeps every
+        # value reads like a symbolic column's "not missing" test
+        from dtclust.dataset import encode_column
+        col = encode_column("x", ["1.5", "", "2.5", "", "3.5", "7", "", "9"], ColumnKind.NUMERIC)
+        labels = (col.codes == 0).astype(np.int32)
+        ds = Dataset((col,), labels, ("0", "1"))
+        tree = train(ds, TrainParams(max_depth=1))
+        assert tree.root.split.pivot == 0
+        child = tree.node(tree.root.children[1])
+        rule = linearize_rule(tree, child.id, identity_log(ds))
+        assert rule.text() == "x is not missing"
+        assert rule_to_dict(rule)["predicates"] == [{"attribute": "x", "op": "!=", "value": None}]
+        assert np.array_equal(apply_rule(rule, ds), child.rows)
 
     def test_missing_transform_record(self):
         ds = city_dataset()
@@ -331,20 +348,20 @@ class TestApplyRule:
         assert len(apply_rule(Rule((), 0), ds)) == 8
 
     def test_unknown_attribute(self):
-        from dtclust.rules import Predicate, Rule
+        from dtclust.rules import Rule
         ds = city_dataset()
-        rule = Rule((Predicate("nope", "==", "x"),), 0)
+        rule = Rule((SetTest("nope", ("x",)),), 0)
         with pytest.raises(ConfigError):
             apply_rule(rule, ds)
 
     def test_missing_marker(self):
         from dtclust.dataset import encode_column
-        from dtclust.rules import Predicate, Rule
+        from dtclust.rules import Rule
         col = encode_column("a", ["x", "?", "y", "?"], ColumnKind.SYMBOLIC_NOMINAL)
         ds = Dataset((col,), np.zeros(4, dtype=np.int32), ("0",))
-        rule = Rule((Predicate("a", "==", MISSING),), 0)
+        rule = Rule((SetTest("a", (MISSING,)),), 0)
         assert sorted(apply_rule(rule, ds).tolist()) == [1, 3]
-        rule = Rule((Predicate("a", "!=", MISSING),), 0)
+        rule = Rule((SetTest("a", (MISSING,), negated=True),), 0)
         assert sorted(apply_rule(rule, ds).tolist()) == [0, 2]
 
 
@@ -456,10 +473,10 @@ class TestRoundTrip:
 
 
 def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
-    """Every node of every tree decodes to a rule that reselects exactly its rows
-    among the rows left at that iteration; the clusters are pairwise disjoint.
-    Every logged column's code map sends to each final code the original codes
-    that the set-based reference inversion finds."""
+    """Every node of every tree decodes to a rule that survives a JSON round trip
+    and reselects exactly its rows among the rows left at that iteration; the
+    clusters are pairwise disjoint. Every logged column's code map sends to each
+    final code the original codes that the set-based reference inversion finds."""
     config = PipelineConfig(target_class=target_class, beta=beta, n_clusters=3,
                             params=TrainParams(max_depth=depth), plan=plan)
     result = run_extraction(ds, config)
@@ -471,7 +488,9 @@ def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
     for tree in result.trees:
         for node in tree.nodes:
             rule = linearize_rule(tree, node.id, result.log)
-            got = apply_rule(rule, result.source, rows=tree.root.rows)
+            parsed = rule_from_dict(json.loads(json.dumps(rule_to_dict(rule))))
+            assert parsed == rule, rule.text()
+            got = apply_rule(parsed, result.source, rows=tree.root.rows)
             assert np.array_equal(got, node.rows), (tree.root.rows.size, node.id, rule.text())
     claimed = np.concatenate([c.row_ids for c in result.clusters] + [np.array([], dtype=int)])
     assert np.unique(claimed).size == claimed.size

@@ -5,7 +5,7 @@ import pytest
 
 from dtclust.dataset import ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError
-from dtclust.rules import Predicate, Rule
+from dtclust.rules import Rule, SetTest
 from dtclust.synth import (
     GROUP1_COUNTRIES,
     HiddenGroupSpec,
@@ -27,7 +27,7 @@ def simple_features(n=400, seed=0):
 
 
 def red_rule():
-    return Rule((Predicate("color", "==", "red"),), 1)
+    return Rule((SetTest("color", ("red",)),), 1)
 
 
 class TestHiddenGroupSpec:
@@ -86,7 +86,7 @@ class TestPlantGroups:
 
     def test_unknown_column_in_rule(self):
         features = simple_features()
-        bad = HiddenGroupSpec(Rule((Predicate("nope", "==", "x"),), 1))
+        bad = HiddenGroupSpec(Rule((SetTest("nope", ("x",)),), 1))
         with pytest.raises(ConfigError):
             plant_groups(features, [bad], seed=0)
 
