@@ -491,9 +491,10 @@ def cmd_synth(args) -> int:
             for spec, rows in zip(specs, truth)
         ],
     }
+    truth_text = json.dumps(truth_doc, sort_keys=True, allow_nan=False) + "\n"
     out.mkdir(parents=True, exist_ok=True)
     write_csv(labelled, str(out / "data.csv"), label_column=args.label_name)
-    (out / "truth.json").write_text(json.dumps(truth_doc, sort_keys=True) + "\n", encoding="utf-8")
+    (out / "truth.json").write_text(truth_text, encoding="utf-8")
     shares = ", ".join(f"{len(rows) / features.row_count:.3f}" for rows in truth)
     print(f"wrote {out / 'data.csv'} ({features.row_count} rows); group shares: {shares}")
     return 0

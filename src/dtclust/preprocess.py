@@ -110,29 +110,32 @@ def bin_column(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
 
 
 def _bin_ordered(col: Column, method: str, k: int, label: str) -> tuple[BinningSpec, Column]:
-    present = col.codes[col.codes != MISSING_CODE]
-    if present.size == 0:
+    # rows per value (code - 1); values ascend with the code, so the counts
+    # are the sorted column's run lengths
+    counts = np.bincount(col.codes, minlength=col.n_values + 1)[1:]
+    kept = np.flatnonzero(counts)
+    if kept.size == 0:
         raise DataError(f"column {col.name!r} has no non-missing values to bin")
     values = col.values
-    row_values = values[present - 1]
 
-    vmin, vmax = float(row_values.min()), float(row_values.max())
+    vmin, vmax = float(values[kept[0]]), float(values[kept[-1]])
     if method == "equal-width":
         all_edges = np.linspace(vmin, vmax, k + 1)
         # value v lands in bin j iff edges[j] <= v < edges[j+1]; max joins the last bin
         dict_bins = np.searchsorted(all_edges[1:-1], values, side="right")
         reps = (all_edges[:-1] + all_edges[1:]) / 2
     else:  # percentile
-        srt = np.sort(row_values)
-        n = srt.size
+        ends = np.cumsum(counts)
+        n = int(ends[-1])
         ranks = [int(np.ceil(i * n / k)) for i in range(1, k)]
-        edges = sorted({float(srt[r - 1]) for r in ranks if r >= 1} - {vmax})
+        # the r-th smallest row value is the first value whose run ends at or after r
+        edges = sorted({float(values[np.searchsorted(ends, r)]) for r in ranks if r >= 1} - {vmax})
         # value v lands in bin j iff edges[j-1] < v <= edges[j]
         dict_bins = np.searchsorted(np.array(edges), values, side="left")
         reps = edges + [vmax]
 
     # keep only bins with observed values, renumbered 1..m in value order
-    observed = np.unique(dict_bins[np.unique(present) - 1])
+    observed = np.flatnonzero(np.bincount(dict_bins[kept], minlength=len(reps)))
     renumber = np.full(len(reps), -1, dtype=np.int32)
     renumber[observed] = np.arange(1, observed.size + 1)
     code_map = np.zeros(col.n_values + 1, dtype=np.int32)

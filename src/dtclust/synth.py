@@ -42,6 +42,8 @@ class HiddenGroupSpec:
     def __post_init__(self) -> None:
         if not 0 <= self.p_out < self.p_in <= 1:
             raise ConfigError(f"need 0 <= p_out < p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}")
+        if self.share is not None and not 0 <= self.share <= 1:
+            raise ConfigError(f"a group's share must be null or in [0, 1], got {self.share}")
 
     def to_dict(self) -> dict:
         return {"rule": rule_to_dict(self.rule), "share": self.share,
@@ -49,12 +51,14 @@ class HiddenGroupSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HiddenGroupSpec":
-        return cls(
-            rule=rule_from_dict(raw["rule"]),
-            share=raw.get("share"),
-            p_in=float(raw.get("p_in", 0.95)),
-            p_out=float(raw.get("p_out", 0.05)),
-        )
+        """A group record of a spec file; share, p_in and p_out must be JSON numbers."""
+        if not isinstance(raw, dict):
+            raise ConfigError(f"a group must be a JSON object, got {raw!r}")
+        share, p_in, p_out = raw.get("share"), raw.get("p_in", 0.95), raw.get("p_out", 0.05)
+        for key, value in (("share", share), ("p_in", p_in), ("p_out", p_out)):
+            if type(value) not in (int, float) and not (key == "share" and value is None):
+                raise ConfigError(f"a group's {key} must be a number, got {value!r}")
+        return cls(rule_from_dict(raw["rule"]), share, float(p_in), float(p_out))
 
 
 def plant_groups(
@@ -74,6 +78,9 @@ def plant_groups(
 
     n = features.row_count
     truth = [apply_rule(spec.rule, features) for spec in specs]
+    for i, (spec, rows) in enumerate(zip(specs, truth)):
+        if len(rows) == 0:
+            log.warning("group %d matches no row: %s", i, spec.rule.text())
 
     p = np.full(n, specs[0].p_out)
     claimed = np.zeros(n, dtype=bool)

@@ -7,14 +7,22 @@ x = pivot vs x != pivot. The missing sentinel 0 takes part like any other code:
 it sorts below all values and forms its own category.
 
 Search needs no sort: codes are dense integers 0..n_values, so one bincount
-over per-dataset keys gives a node's class histogram over every column's codes
-at once, and a cumulative sum per column gives the ordered splits' left sides.
-A node costs about rows x columns + codes; columns with more codes than the
-table has rows get their own histogram, which bounds its memory.
+over per-dataset keys gives a node's class histogram over a group of columns'
+codes at once, and a cumulative sum per column gives the ordered splits' left
+sides. Columns with more codes than the table has rows get a group of their
+own, which bounds a histogram's memory.
+
+Trees grow level by level. A group is narrow when classes x bins <= rows;
+for those, one bincount per level counts the smaller child of every split
+made on the level above, each larger child's histogram is its parent's minus
+its sibling's, and all of the level's candidate pivots are scored in one
+vectorised pass. A wide group, whose histogram would outsize the table,
+keeps none: each node counts its own and scores only the codes present in it.
+best_split is the one-node case of the same search.
 
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
-lowest class code.
+lowest class code. Node ids are breadth-first.
 """
 
 from __future__ import annotations
@@ -187,19 +195,24 @@ class _HistogramGroup:
     keys:    rows x members, the key of each row in each member.
     columns: dataset column index of each member.
     starts:  first bin of each member.
+    member:  member of each bin.
     ordered: whether each member splits with <= (else with =).
     n_bins:  bins in the group, the sum of its members' code counts.
+    narrow:  classes x bins <= rows: training keeps each node's histogram
+             and scores a whole level of nodes in one pass.
     """
 
     keys: np.ndarray
     columns: np.ndarray
     starts: np.ndarray
+    member: np.ndarray
     ordered: np.ndarray
     n_bins: int
+    narrow: bool
 
 
 def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
-    """The per-dataset key layout that best_split counts classes with.
+    """The per-dataset key layout that split search counts classes with.
 
     Columns are packed in order into groups of at most max(largest column's
     code count, rows) bins, which bounds one node's histogram by the input's
@@ -231,7 +244,20 @@ def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
     for j, (col, start) in enumerate(zip(cols, starts)):
         keys[:, j] = class_base + (col.codes + start)
     ordered = np.array([col.kind.is_ordered for col in cols])
-    return _HistogramGroup(keys, np.array(members), starts, ordered, n_bins)
+    member = np.repeat(np.arange(len(cols)), widths)
+    narrow = ds.n_classes * n_bins <= ds.row_count
+    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, narrow)
+
+
+def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: int) -> np.ndarray:
+    """(sets x classes x bins) class histograms of several row sets from one
+    bincount: each set's keys are offset by its slot."""
+    size = n_classes * group.n_bins
+    keys = np.take(group.keys, np.concatenate(row_sets), axis=0)
+    if len(row_sets) > 1:
+        keys += np.repeat(np.arange(len(row_sets)) * size, [len(r) for r in row_sets])[:, None]
+    cnt = np.bincount(keys.ravel(), minlength=len(row_sets) * size)
+    return cnt.reshape(len(row_sets), n_classes, group.n_bins)
 
 
 def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
@@ -241,40 +267,107 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     Scans every column and every code present in the rows as a pivot; keeps the
     strictly best gain, so equal-gain ties go to the earliest column and the
     lowest pivot. layout is histogram_layout(ds), built here when not given.
-    The result is the test alone; Split.goes_left partitions rows by it.
+    The result is the test alone; Split.goes_left partitions rows by it. This
+    is the one-node case of the search that train runs level by level.
     """
     if layout is None:
         layout = histogram_layout(ds)
-    parent_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes).astype(np.float64)
-    parent_imp = impurity(parent_counts, params.impurity_metric)
+    counts = np.bincount(ds.labels[rows], minlength=ds.n_classes)
+    imps = np.array([impurity(counts, params.impurity_metric)])
+    hists = [_histograms(g, [rows], ds.n_classes) if g.narrow else None for g in layout]
+    return _best_splits(ds, params, layout, [rows], counts[None, :], imps, hists)[0]
 
-    best: tuple[float, int, int] | None = None  # gain, column index, pivot
-    for group in layout:
-        found = _best_in_group(group, rows, parent_counts, parent_imp, params)
-        if found is not None and found[0] > params.min_gain and (best is None or found[0] > best[0]):
-            best = found
 
-    if best is None:
-        return None
-    gain, ci, pivot = best
-    col = ds.columns[ci]
-    return Split(gain, pivot, col.name, ci, col.kind.is_ordered)
+def _best_splits(ds, params, layout, row_sets, class_counts, imps, hists) -> list[Split | None]:
+    """The best split of each node, as best_split, for nodes given by their rows,
+    class counts (nodes x classes) and impurities; hists holds each narrow
+    group's (nodes x classes x bins) histograms and None for a wide group."""
+    counts = class_counts.astype(np.float64)
+    n = counts.sum(axis=1)
+    best = np.full(len(row_sets), params.min_gain)  # a split must beat min_gain
+    best_col = np.full(len(row_sets), -1)
+    best_pivot = np.zeros(len(row_sets), dtype=np.intp)
+    for group, hist in zip(layout, hists):
+        if hist is not None:
+            gain, col, pivot = _best_in_level(group, hist, counts, imps, n, params)
+        else:
+            gain, col, pivot = map(np.array, zip(*(
+                _best_in_group(group, rows, counts[i:i + 1], imps[i], params)
+                for i, rows in enumerate(row_sets))))
+        better = gain > best  # strict: an earlier group keeps a tie
+        best = np.where(better, gain, best)
+        best_col = np.where(better, col, best_col)
+        best_pivot = np.where(better, pivot, best_pivot)
+    cols = ds.columns
+    return [None if ci < 0 else Split(gain, pivot, cols[ci].name, ci, cols[ci].kind.is_ordered)
+            for gain, ci, pivot in zip(best.tolist(), best_col.tolist(), best_pivot.tolist())]
+
+
+def _gains(left, n_left, parent_counts, parent_imp, n, metric):
+    """Impurity decrease of each candidate: rows of left are its left side's
+    class counts, taken out of its node's parent_counts."""
+    n_right = n - n_left
+    imp_left = _impurity_matrix(left, n_left, metric)
+    imp_right = _impurity_matrix(parent_counts - left, n_right, metric)
+    return parent_imp - (n_left * imp_left + n_right * imp_right) / n
+
+
+def _best_in_level(group, hist, counts, imps, n, params):
+    """(gain, column, pivot) arrays of each node's first best valid candidate in
+    a narrow group, gain -inf where a node has none.
+
+    Every bin of every node is a candidate, scored in one vectorised pass; a
+    bin whose code is absent from the node is no pivot.
+    """
+    m = len(hist)
+    # left of a pivot: its own code (nominal), or every code of its column up
+    # to it (ordered), a cumulative sum restarted at each column
+    cum = np.zeros((m, hist.shape[1], group.n_bins + 1), dtype=hist.dtype)
+    np.cumsum(hist, axis=2, out=cum[:, :, 1:])
+    first = group.starts[group.member]
+    left = np.where(group.ordered[group.member], cum[:, :, 1:] - cum[:, :, first], hist)
+    n_left = left.sum(axis=1)
+    msl = params.min_samples_leaf
+    valid = (hist.sum(axis=1) > 0) & (n_left >= msl) & (n[:, None] - n_left >= msl)
+    node, bin_ = np.nonzero(valid)  # in (node, column, code) order
+
+    gain = np.full(m, -np.inf)
+    col = np.full(m, -1)
+    pivot = np.zeros(m, dtype=np.intp)
+    if node.size == 0:
+        return gain, col, pivot
+    gains = _gains(left[node, :, bin_].astype(np.float64), n_left[node, bin_].astype(np.float64),
+                   counts[node], imps[node], n[node], params.impurity_metric)
+    # first maximum of each node's run of candidates -> earliest column, lowest pivot
+    run_starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    run_max = np.maximum.reduceat(gains, run_starts)
+    hits = np.flatnonzero(gains == np.repeat(run_max, np.diff(np.r_[run_starts, node.size])))
+    pick = bin_[hits[np.searchsorted(hits, run_starts)]]
+    owner = node[run_starts]
+    j = group.member[pick]
+    gain[owner] = run_max
+    col[owner] = group.columns[j]
+    pivot[owner] = pick - group.starts[j]
+    return gain, col, pivot
 
 
 def _best_in_group(group, rows, parent_counts, parent_imp, params):
-    """(gain, column, pivot) of the group's first best valid candidate, or None."""
-    n_classes = len(parent_counts)
+    """(gain, column, pivot) of one node's first best valid candidate in a wide
+    group; gain -inf when it has none.
+
+    The node's histogram is counted afresh and only the codes present in it
+    are scored, so a group with many more codes than rows stays cheap.
+    """
+    n_classes = parent_counts.shape[1]
     n = len(rows)
-    keys = np.take(group.keys, rows, axis=0)
-    cnt = np.bincount(keys.ravel(), minlength=n_classes * group.n_bins)
-    cnt = cnt.reshape(n_classes, group.n_bins)
+    cnt = _histograms(group, [rows], n_classes)[0]
 
     # the pivots are the codes present in the node, in (column, code) order;
     # row n_classes of counts holds each pivot's total
     per_code = cnt.sum(axis=0)
     present = np.flatnonzero(per_code)
     counts = np.vstack((cnt[:, present], per_code[present]))
-    member = np.searchsorted(group.starts, present, side="right") - 1
+    member = group.member[present]
     # left of a pivot: its own code (nominal), or every present code of its
     # column up to it (ordered), a cumulative sum restarted at each column
     cum = np.zeros((n_classes + 1, len(present) + 1), dtype=counts.dtype)
@@ -285,16 +378,11 @@ def _best_in_group(group, rows, parent_counts, parent_imp, params):
     msl = params.min_samples_leaf
     valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
     if valid.size == 0:
-        return None
+        return -np.inf, -1, 0
 
     left_counts = np.ascontiguousarray(left[:n_classes, valid].T, dtype=np.float64)
-    right_counts = parent_counts[None, :] - left_counts
-    n_left = n_left[valid].astype(np.float64)
-    n_right = n - n_left
-    imp_left = _impurity_matrix(left_counts, n_left, params.impurity_metric)
-    imp_right = _impurity_matrix(right_counts, n_right, params.impurity_metric)
-    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
-
+    gains = _gains(left_counts, n_left[valid].astype(np.float64), parent_counts, parent_imp, n,
+                   params.impurity_metric)
     best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
     i = valid[best]
     j = member[i]
@@ -307,11 +395,14 @@ def _best_in_group(group, rows, parent_counts, parent_imp, params):
 
 def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | None = None,
           layout: tuple[_HistogramGroup, ...] | None = None) -> DecisionTree:
-    """Grow a tree by recursive best-split search, breadth-first node ids.
+    """Grow a tree level by level, breadth-first node ids.
 
-    rows restricts training to a subset of the dataset (used by iterative
-    extraction); node row ids always refer to the full dataset. layout is
-    histogram_layout(ds), built here when not given.
+    Each level's open nodes are searched together. A narrow group counts only
+    the smaller child of each split with one bincount per level; the larger
+    child's histogram is its parent's minus the smaller one's. rows restricts
+    training to a subset of the dataset (used by iterative extraction); node
+    row ids always refer to the full dataset. layout is histogram_layout(ds),
+    built here when not given.
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
@@ -320,12 +411,12 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     if len(rows) == 0:
         raise DataError("cannot train on an empty dataset")
 
+    labels = ds.labels
     n_classes = ds.n_classes
     metric = params.impurity_metric
     nodes: list[TreeNode] = []
 
-    def make_node(node_rows: np.ndarray, depth: int, parent: int | None) -> TreeNode:
-        counts = np.bincount(ds.labels[node_rows], minlength=n_classes)
+    def make_node(node_rows: np.ndarray, counts: np.ndarray, depth: int, parent: int | None) -> TreeNode:
         node = TreeNode(
             id=len(nodes),
             depth=depth,
@@ -338,24 +429,50 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         nodes.append(node)
         return node
 
+    def is_open(node: TreeNode) -> bool:
+        return (node.depth < params.max_depth and node.samples >= 2 * params.min_samples_leaf
+                and node.impurity != 0.0)
+
     if layout is None:
         layout = histogram_layout(ds)
-    queue = [make_node(rows, 0, None)]
-    while queue:
-        node = queue.pop(0)
-        if node.depth >= params.max_depth:
-            continue
-        if node.samples < 2 * params.min_samples_leaf or node.impurity == 0.0:
-            continue
-        split = best_split(node.rows, ds, params, layout)
-        if split is None:
-            continue
-        node.split = split
-        mask = split.goes_left(ds.columns[split.column_index].codes[node.rows])
-        left = make_node(node.rows[mask], node.depth + 1, node.id)
-        right = make_node(node.rows[~mask], node.depth + 1, node.id)
-        node.children = (left.id, right.id)
-        queue.extend((left, right))
+    root = make_node(rows, np.bincount(labels[rows], minlength=n_classes), 0, None)
+    if not is_open(root):
+        return DecisionTree(nodes, params)
+    level = [root]
+    hists = [_histograms(g, [rows], n_classes) if g.narrow else None for g in layout]
+    while True:
+        splits = _best_splits(ds, params, layout, [node.rows for node in level],
+                              np.array([node.class_counts for node in level]),
+                              np.array([node.impurity for node in level]), hists)
+        # per split whose children are not both closed: parent slot, smaller
+        # child's rows, and each open child with whether it is the larger one
+        slots, smaller, children = [], [], []
+        for slot, (node, split) in enumerate(zip(level, splits)):
+            if split is None:
+                continue
+            node.split = split
+            mask = split.goes_left(ds.columns[split.column_index].codes[node.rows])
+            sides = (node.rows[mask], node.rows[~mask])
+            small = 0 if len(sides[0]) <= len(sides[1]) else 1
+            small_counts = np.bincount(labels[sides[small]], minlength=n_classes)
+            pair_counts = (small_counts, node.class_counts - small_counts)
+            left, right = (make_node(sides[k], pair_counts[k != small], node.depth + 1, node.id)
+                           for k in (0, 1))
+            node.children = (left.id, right.id)
+            opened = [(child, k != small) for k, child in enumerate((left, right)) if is_open(child)]
+            if opened:
+                children.extend((child, len(slots), larger) for child, larger in opened)
+                slots.append(slot)
+                smaller.append(sides[small])
+        level = [child for child, _, _ in children]
+        if not level:
+            break
+        # each narrow group stacks the smaller children, then the larger ones
+        pick = [pair + len(slots) * larger for _, pair, larger in children]
+        for g, group in enumerate(layout):
+            if group.narrow:
+                small = _histograms(group, smaller, n_classes)
+                hists[g] = np.concatenate((small, hists[g][slots] - small))[pick]
 
     return DecisionTree(nodes, params)
 

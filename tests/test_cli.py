@@ -15,9 +15,12 @@ from dtclust.synth import titanic_like, write_csv
 SPEC_FLAGS = ["--generate", "census", "--rows", "50", "--spec", "{tmp}/spec.json"]
 
 
-def one_group(predicate):
-    """A spec planting one group defined by the given predicate record."""
-    return {"groups": [{"rule": {"target_class": 1, "predicates": [predicate]}}]}
+def one_group(predicate, **fields):
+    """A spec planting one group defined by the given predicate record and group fields."""
+    return {"groups": [{"rule": {"target_class": 1, "predicates": [predicate]}, **fields}]}
+
+
+AGE_30 = {"attribute": "age", "op": "<=", "value": 30}
 
 
 @pytest.fixture(scope="module")
@@ -481,9 +484,20 @@ class TestSynthCommand:
         (SPEC_FLAGS, one_group({"attribute": "age", "op": "in", "lo": None, "hi": None})),
         (SPEC_FLAGS, one_group({"attribute": "age", "op": "~", "value": 30})),
         (SPEC_FLAGS, {"groups": [{"rule": "age <= 30"}]}),
+        (SPEC_FLAGS, one_group(AGE_30, share=float("nan"), p_in=True, p_out="0.05")),
+        (SPEC_FLAGS, one_group(AGE_30, share=float("nan"))),
+        (SPEC_FLAGS, one_group(AGE_30, share=1.5)),
+        (SPEC_FLAGS, one_group(AGE_30, share="0.2")),
+        (SPEC_FLAGS, one_group(AGE_30, share=False)),
+        (SPEC_FLAGS, one_group(AGE_30, p_in=True)),
+        (SPEC_FLAGS, one_group(AGE_30, p_in=None)),
+        (SPEC_FLAGS, one_group(AGE_30, p_out="0.05")),
+        (SPEC_FLAGS, {"groups": ["age <= 30"]}),
     ], ids=["p-in-nan", "missing-spec", "no-source", "values-string", "values-number",
             "include-missing-string", "bound-string", "bound-boolean", "interval-bound-boolean",
-            "open-interval", "unknown-op", "rule-not-object"])
+            "open-interval", "unknown-op", "rule-not-object", "share-nan-p-in-true-p-out-string",
+            "share-nan", "share-above-one", "share-string", "share-boolean", "p-in-boolean",
+            "p-in-null", "p-out-string", "group-not-object"])
     def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, flags, spec):
         if spec is not None:
             (tmp_path / "spec.json").write_text(json.dumps(spec))

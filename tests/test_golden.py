@@ -1,4 +1,4 @@
-"""Golden digests: the artifact bytes of four fixed CLI runs through every binning method.
+"""Golden digests: the artifact bytes of five fixed CLI runs through every binning method.
 
 The table is generated in-repo (census-style features, planted groups, and two
 datetime columns derived from the row index, one with missing cells). Each run
@@ -36,6 +36,7 @@ GOLDEN = {
     "stability": "f41ab0ec62b734e76711bc91fcb67a20e06d1f3caf44dd35b7314b12973c6e9d",
     "profile": "37caa177bfdde7a8eb0fdd63881707f699246f2f546e12d56a54e57460003120",
     "export-dot": "8c238302e38607d26e8232dcacc6b833cec98d963455f2aca6c9295c34e60220",
+    "extract-deep": "e813cfc0d86bb16bd9c00d4d039aaf82d00164cc295cb80c07463161e94da3be",
 }
 
 
@@ -69,6 +70,9 @@ def workdir(tmp_path_factory):
                  id="profile-argv2"),
     pytest.param("export-dot", ["export-dot", "--config", "plan.json", "--class", "yes"],
                  "tree.dot", id="export-dot-argv3"),
+    pytest.param("extract-deep", ["extract", "--config", "plan.json", "--class", "yes",
+                                  "--depth", "7", "--min-samples-leaf", "3"],
+                 "report.json", id="extract-deep-argv4"),
 ])
 def test_report_digest(workdir, monkeypatch, name, argv, artifact):
     monkeypatch.chdir(workdir)

@@ -1,11 +1,13 @@
 """Hidden-group planting, recovery scoring, and the feature generators."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from dtclust.dataset import ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError
-from dtclust.rules import Rule, SetTest
+from dtclust.rules import Rule, SetTest, rule_from_dict
 from dtclust.synth import (
     GROUP1_COUNTRIES,
     HiddenGroupSpec,
@@ -100,6 +102,21 @@ class TestPlantGroups:
     def test_needs_specs(self):
         with pytest.raises(ConfigError):
             plant_groups(simple_features(), [], seed=0)
+
+    def test_group_matching_no_row_is_logged(self, caplog):
+        # a spec value is compared as display text: "0.0" is no cell's text,
+        # while many rows read "0"; the group plants nothing and says so
+        features = titanic_like(n_rows=300, seed=1)
+        specs = [
+            HiddenGroupSpec(rule_from_dict({"target_class": 1, "predicates": [
+                {"attribute": "siblings-aboard", "op": "==", "value": value}]}))
+            for value in ("0", 0.0)
+        ]
+        with caplog.at_level(logging.WARNING, logger="dtclust.synth"):
+            _, truth = plant_groups(features, specs, seed=0)
+        assert len(truth[0]) > 0 and len(truth[1]) == 0
+        empty = [r.getMessage() for r in caplog.records if "matches no row" in r.getMessage()]
+        assert empty == ["group 1 matches no row: siblings-aboard = 0.0"]
 
 
 class TestEvaluateRecovery:

@@ -154,6 +154,76 @@ class TestBestSplitProperty:
             assert len(histogram_layout(ds)) > 1
 
 
+def is_open(node, params):
+    """Whether training searches the node for a split."""
+    return (node.depth < params.max_depth and node.samples >= 2 * params.min_samples_leaf
+            and node.impurity != 0.0)
+
+
+def tree_case(seed, wide, subset):
+    """A random table and, when subset, a random subset of its rows to train on."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, max_rows=120, max_cols=5, wide_column=wide)
+    rows = None
+    if subset:
+        rows = np.sort(rng.choice(ds.row_count, size=int(rng.integers(2, ds.row_count + 1)),
+                                  replace=False))
+    return ds, rows
+
+
+class TestTrainProperty:
+    """Whole trees against the brute-force oracle: every node of every level,
+    through histograms counted on the smaller child and subtracted from the
+    parent on narrow groups, and counted per node on wide ones."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        wide=st.booleans(),
+        subset=st.booleans(),
+        max_depth=st.integers(1, 4),
+        min_samples_leaf=st.sampled_from([1, 3]),
+        metric=st.sampled_from(["gini", "entropy"]),
+    )
+    def test_equals_oracle(self, seed, wide, subset, max_depth, min_samples_leaf, metric):
+        ds, rows = tree_case(seed, wide, subset)
+        params = TrainParams(metric, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+        tree = train(ds, params, rows=rows)
+        assert_tree_matches_oracle(tree, ds, params)
+        root_rows = np.arange(ds.row_count) if rows is None else rows
+        assert tree.root.rows.tolist() == root_rows.tolist()
+        for node in tree.nodes:
+            expected = np.bincount(ds.labels[node.rows], minlength=ds.n_classes)
+            assert node.class_counts.tolist() == expected.tolist(), f"node {node.id}"
+
+    def test_cases_reach_every_path(self):
+        # the property's tables hit both group kinds, narrow groups below the
+        # root (subtracted histograms), and splits where only the smaller or
+        # only the larger child is searched again
+        seen = set()
+        for seed in range(40):
+            for wide in (False, True):
+                ds, rows = tree_case(seed, wide, subset=seed % 2 == 1)
+                params = TrainParams(max_depth=4, min_samples_leaf=3)
+                layout = histogram_layout(ds)
+                tree = train(ds, params, rows=rows, layout=layout)
+                seen.update("narrow" if g.narrow else "wide" for g in layout)
+                if any(g.narrow for g in layout) and any(
+                        n.depth > 0 and is_open(n, params) for n in tree.nodes):
+                    seen.add("narrow below root")
+                for node in tree.nodes:
+                    if node.children is None:
+                        continue
+                    kids = sorted((tree.node(c) for c in node.children), key=lambda k: k.samples)
+                    opened = [is_open(k, params) for k in kids]
+                    if opened == [True, False]:
+                        seen.add("only smaller open")
+                    elif opened == [False, True]:
+                        seen.add("only larger open")
+        assert seen == {"narrow", "wide", "narrow below root", "only smaller open",
+                        "only larger open"}
+
+
 class TestTrain:
     def test_single_class_single_leaf(self):
         ds = ordinal_dataset([1, 2, 3], [0, 0, 0], n_classes=1)
