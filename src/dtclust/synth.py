@@ -52,13 +52,12 @@ class HiddenGroupSpec:
     @classmethod
     def from_dict(cls, raw: dict) -> "HiddenGroupSpec":
         """A group record of a spec file; share, p_in and p_out must be JSON numbers."""
-        if not isinstance(raw, dict):
-            raise ConfigError(f"a group must be a JSON object, got {raw!r}")
+        rule = rule_from_dict(raw["rule"])
         share, p_in, p_out = raw.get("share"), raw.get("p_in", 0.95), raw.get("p_out", 0.05)
         for key, value in (("share", share), ("p_in", p_in), ("p_out", p_out)):
             if type(value) not in (int, float) and not (key == "share" and value is None):
                 raise ConfigError(f"a group's {key} must be a number, got {value!r}")
-        return cls(rule_from_dict(raw["rule"]), share, float(p_in), float(p_out))
+        return cls(rule, share, float(p_in), float(p_out))
 
 
 def plant_groups(

@@ -12,13 +12,15 @@ codes at once, and a cumulative sum per column gives the ordered splits' left
 sides. Columns with more codes than the table has rows get a group of their
 own, which bounds a histogram's memory.
 
-Trees grow level by level. A group is narrow when classes x bins <= rows;
-for those, one bincount per level counts the smaller child of every split
-made on the level above, each larger child's histogram is its parent's minus
-its sibling's, and all of the level's candidate pivots are scored in one
-vectorised pass. A wide group, whose histogram would outsize the table,
-keeps none: each node counts its own and scores only the codes present in it.
-best_split is the one-node case of the same search.
+Trees grow level by level, and best_split searches each open node. A group
+keeps the histograms of a level's nodes while they hold no more counts than
+the table has rows. For such a group, one bincount per level counts the
+smaller child of every split made on the level above, each larger child's
+histogram is its parent's minus its sibling's, and best_split is handed the
+node's histogram instead of counting it. A wide group, whose histogram for
+even one node would outsize the table, keeps none, nor does a group on a level
+with more nodes than it keeps histograms for: there best_split counts the
+node's own. Either way only the codes present in the node are scored.
 
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
@@ -198,8 +200,9 @@ class _HistogramGroup:
     member:  member of each bin.
     ordered: whether each member splits with <= (else with =).
     n_bins:  bins in the group, the sum of its members' code counts.
-    narrow:  classes x bins <= rows: training keeps each node's histogram
-             and scores a whole level of nodes in one pass.
+    max_nodes: the most nodes whose histograms a level keeps, so that they
+             hold no more counts than the table has rows; 0 when even one
+             node's would hold more (a wide group).
     """
 
     keys: np.ndarray
@@ -208,7 +211,7 @@ class _HistogramGroup:
     member: np.ndarray
     ordered: np.ndarray
     n_bins: int
-    narrow: bool
+    max_nodes: int
 
 
 def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
@@ -245,8 +248,8 @@ def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
         keys[:, j] = class_base + (col.codes + start)
     ordered = np.array([col.kind.is_ordered for col in cols])
     member = np.repeat(np.arange(len(cols)), widths)
-    narrow = ds.n_classes * n_bins <= ds.row_count
-    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, narrow)
+    max_nodes = ds.row_count // (ds.n_classes * n_bins)
+    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, max_nodes)
 
 
 def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: int) -> np.ndarray:
@@ -261,128 +264,70 @@ def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: i
 
 
 def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
-               layout: tuple[_HistogramGroup, ...] | None = None) -> Split | None:
+               layout: tuple[_HistogramGroup, ...] | None = None,
+               hists: list[np.ndarray | None] | None = None) -> Split | None:
     """Exhaustive best split of the given rows, or None when no gain beats min_gain.
 
     Scans every column and every code present in the rows as a pivot; keeps the
     strictly best gain, so equal-gain ties go to the earliest column and the
     lowest pivot. layout is histogram_layout(ds), built here when not given.
-    The result is the test alone; Split.goes_left partitions rows by it. This
-    is the one-node case of the search that train runs level by level.
+    hists holds, per group of layout, the rows' (classes x bins) histogram when
+    the caller already has it (train derives them by subtraction) and
+    None for one to be counted here. The result is the test alone;
+    Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
-    counts = np.bincount(ds.labels[rows], minlength=ds.n_classes)
-    imps = np.array([impurity(counts, params.impurity_metric)])
-    hists = [_histograms(g, [rows], ds.n_classes) if g.narrow else None for g in layout]
-    return _best_splits(ds, params, layout, [rows], counts[None, :], imps, hists)[0]
+    if hists is None:
+        hists = [None] * len(layout)
+    parent_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes).astype(np.float64)
+    parent_imp = impurity(parent_counts, params.impurity_metric)
 
-
-def _best_splits(ds, params, layout, row_sets, class_counts, imps, hists) -> list[Split | None]:
-    """The best split of each node, as best_split, for nodes given by their rows,
-    class counts (nodes x classes) and impurities; hists holds each narrow
-    group's (nodes x classes x bins) histograms and None for a wide group."""
-    counts = class_counts.astype(np.float64)
-    n = counts.sum(axis=1)
-    best = np.full(len(row_sets), params.min_gain)  # a split must beat min_gain
-    best_col = np.full(len(row_sets), -1)
-    best_pivot = np.zeros(len(row_sets), dtype=np.intp)
+    best: tuple[float, int, int] | None = None  # gain, column index, pivot
     for group, hist in zip(layout, hists):
-        if hist is not None:
-            gain, col, pivot = _best_in_level(group, hist, counts, imps, n, params)
-        else:
-            gain, col, pivot = map(np.array, zip(*(
-                _best_in_group(group, rows, counts[i:i + 1], imps[i], params)
-                for i, rows in enumerate(row_sets))))
-        better = gain > best  # strict: an earlier group keeps a tie
-        best = np.where(better, gain, best)
-        best_col = np.where(better, col, best_col)
-        best_pivot = np.where(better, pivot, best_pivot)
-    cols = ds.columns
-    return [None if ci < 0 else Split(gain, pivot, cols[ci].name, ci, cols[ci].kind.is_ordered)
-            for gain, ci, pivot in zip(best.tolist(), best_col.tolist(), best_pivot.tolist())]
+        if hist is None:
+            hist = _histograms(group, [rows], ds.n_classes)[0]
+        found = _best_in_group(group, hist, parent_counts, parent_imp, params)
+        if found is not None and found[0] > params.min_gain and (best is None or found[0] > best[0]):
+            best = found
+
+    if best is None:
+        return None
+    gain, ci, pivot = best
+    col = ds.columns[ci]
+    return Split(gain, pivot, col.name, ci, col.kind.is_ordered)
 
 
-def _gains(left, n_left, parent_counts, parent_imp, n, metric):
-    """Impurity decrease of each candidate: rows of left are its left side's
-    class counts, taken out of its node's parent_counts."""
-    n_right = n - n_left
-    imp_left = _impurity_matrix(left, n_left, metric)
-    imp_right = _impurity_matrix(parent_counts - left, n_right, metric)
-    return parent_imp - (n_left * imp_left + n_right * imp_right) / n
+def _best_in_group(group, cnt, parent_counts, parent_imp, params):
+    """(gain, column, pivot) of the group's first best valid candidate, or None,
+    from the node's (classes x bins) histogram cnt."""
+    n_classes = len(parent_counts)
+    n = int(parent_counts.sum())
 
-
-def _best_in_level(group, hist, counts, imps, n, params):
-    """(gain, column, pivot) arrays of each node's first best valid candidate in
-    a narrow group, gain -inf where a node has none.
-
-    Every bin of every node is a candidate, scored in one vectorised pass; a
-    bin whose code is absent from the node is no pivot.
-    """
-    m = len(hist)
-    # left of a pivot: its own code (nominal), or every code of its column up
-    # to it (ordered), a cumulative sum restarted at each column
-    cum = np.zeros((m, hist.shape[1], group.n_bins + 1), dtype=hist.dtype)
-    np.cumsum(hist, axis=2, out=cum[:, :, 1:])
-    first = group.starts[group.member]
-    left = np.where(group.ordered[group.member], cum[:, :, 1:] - cum[:, :, first], hist)
-    n_left = left.sum(axis=1)
-    msl = params.min_samples_leaf
-    valid = (hist.sum(axis=1) > 0) & (n_left >= msl) & (n[:, None] - n_left >= msl)
-    node, bin_ = np.nonzero(valid)  # in (node, column, code) order
-
-    gain = np.full(m, -np.inf)
-    col = np.full(m, -1)
-    pivot = np.zeros(m, dtype=np.intp)
-    if node.size == 0:
-        return gain, col, pivot
-    gains = _gains(left[node, :, bin_].astype(np.float64), n_left[node, bin_].astype(np.float64),
-                   counts[node], imps[node], n[node], params.impurity_metric)
-    # first maximum of each node's run of candidates -> earliest column, lowest pivot
-    run_starts = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
-    run_max = np.maximum.reduceat(gains, run_starts)
-    hits = np.flatnonzero(gains == np.repeat(run_max, np.diff(np.r_[run_starts, node.size])))
-    pick = bin_[hits[np.searchsorted(hits, run_starts)]]
-    owner = node[run_starts]
-    j = group.member[pick]
-    gain[owner] = run_max
-    col[owner] = group.columns[j]
-    pivot[owner] = pick - group.starts[j]
-    return gain, col, pivot
-
-
-def _best_in_group(group, rows, parent_counts, parent_imp, params):
-    """(gain, column, pivot) of one node's first best valid candidate in a wide
-    group; gain -inf when it has none.
-
-    The node's histogram is counted afresh and only the codes present in it
-    are scored, so a group with many more codes than rows stays cheap.
-    """
-    n_classes = parent_counts.shape[1]
-    n = len(rows)
-    cnt = _histograms(group, [rows], n_classes)[0]
-
-    # the pivots are the codes present in the node, in (column, code) order;
-    # row n_classes of counts holds each pivot's total
-    per_code = cnt.sum(axis=0)
-    present = np.flatnonzero(per_code)
-    counts = np.vstack((cnt[:, present], per_code[present]))
+    # the pivots are the codes present in the node, in (column, code) order
+    present = np.flatnonzero(cnt.any(axis=0))
+    counts = cnt[:, present]
     member = group.member[present]
     # left of a pivot: its own code (nominal), or every present code of its
     # column up to it (ordered), a cumulative sum restarted at each column
-    cum = np.zeros((n_classes + 1, len(present) + 1), dtype=counts.dtype)
+    cum = np.zeros((n_classes, len(present) + 1), dtype=counts.dtype)
     np.cumsum(counts, axis=1, out=cum[:, 1:])
     first = np.searchsorted(present, group.starts)[member]
     left = np.where(group.ordered[member], cum[:, 1:] - cum[:, first], counts)
-    n_left = left[n_classes]
+    n_left = left.sum(axis=0)
     msl = params.min_samples_leaf
     valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
     if valid.size == 0:
-        return -np.inf, -1, 0
+        return None
 
-    left_counts = np.ascontiguousarray(left[:n_classes, valid].T, dtype=np.float64)
-    gains = _gains(left_counts, n_left[valid].astype(np.float64), parent_counts, parent_imp, n,
-                   params.impurity_metric)
+    left_counts = np.ascontiguousarray(left[:, valid].T, dtype=np.float64)
+    right_counts = parent_counts[None, :] - left_counts
+    n_left = n_left[valid].astype(np.float64)
+    n_right = n - n_left
+    imp_left = _impurity_matrix(left_counts, n_left, params.impurity_metric)
+    imp_right = _impurity_matrix(right_counts, n_right, params.impurity_metric)
+    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
+
     best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
     i = valid[best]
     j = member[i]
@@ -397,12 +342,13 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
           layout: tuple[_HistogramGroup, ...] | None = None) -> DecisionTree:
     """Grow a tree level by level, breadth-first node ids.
 
-    Each level's open nodes are searched together. A narrow group counts only
-    the smaller child of each split with one bincount per level; the larger
-    child's histogram is its parent's minus the smaller one's. rows restricts
-    training to a subset of the dataset (used by iterative extraction); node
-    row ids always refer to the full dataset. layout is histogram_layout(ds),
-    built here when not given.
+    Each open node is searched with best_split. A group keeps the histograms
+    of a level's nodes while they hold no more counts than the table has rows
+    (_HistogramGroup.max_nodes); then one bincount per level counts the smaller
+    child of each split, and the larger child's histogram is its parent's minus
+    the smaller one's. rows restricts training to a subset of the dataset (used
+    by iterative extraction); node row ids always refer to the full dataset.
+    layout is histogram_layout(ds), built here when not given.
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
@@ -439,15 +385,15 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     if not is_open(root):
         return DecisionTree(nodes, params)
     level = [root]
-    hists = [_histograms(g, [rows], n_classes) if g.narrow else None for g in layout]
+    # per group: the (nodes x classes x bins) histograms of the level, or None
+    hists = [_histograms(g, [rows], n_classes) if g.max_nodes >= 1 else None for g in layout]
     while True:
-        splits = _best_splits(ds, params, layout, [node.rows for node in level],
-                              np.array([node.class_counts for node in level]),
-                              np.array([node.impurity for node in level]), hists)
         # per split whose children are not both closed: parent slot, smaller
         # child's rows, and each open child with whether it is the larger one
         slots, smaller, children = [], [], []
-        for slot, (node, split) in enumerate(zip(level, splits)):
+        for slot, node in enumerate(level):
+            split = best_split(node.rows, ds, params, layout,
+                               [None if h is None else h[slot] for h in hists])
             if split is None:
                 continue
             node.split = split
@@ -467,12 +413,15 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         level = [child for child, _, _ in children]
         if not level:
             break
-        # each narrow group stacks the smaller children, then the larger ones
+        # a kept group stacks the smaller children, then the larger ones; one
+        # whose level outgrows max_nodes keeps none from here on
         pick = [pair + len(slots) * larger for _, pair, larger in children]
         for g, group in enumerate(layout):
-            if group.narrow:
+            if hists[g] is not None and len(level) <= group.max_nodes:
                 small = _histograms(group, smaller, n_classes)
                 hists[g] = np.concatenate((small, hists[g][slots] - small))[pick]
+            else:
+                hists[g] = None
 
     return DecisionTree(nodes, params)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtclust import tree as tree_module
 from dtclust.dataset import Column, ColumnKind, Dataset
 from dtclust.errors import ConfigError, DataError
 from dtclust.preprocess import encode_by_class_frequency
@@ -174,7 +175,8 @@ def tree_case(seed, wide, subset):
 class TestTrainProperty:
     """Whole trees against the brute-force oracle: every node of every level,
     through histograms counted on the smaller child and subtracted from the
-    parent on narrow groups, and counted per node on wide ones."""
+    parent on narrow groups, and counted per node on wide ones and on levels
+    that outgrow a narrow group's max_nodes."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -198,8 +200,9 @@ class TestTrainProperty:
 
     def test_cases_reach_every_path(self):
         # the property's tables hit both group kinds, narrow groups below the
-        # root (subtracted histograms), and splits where only the smaller or
-        # only the larger child is searched again
+        # root (subtracted histograms), levels with more open nodes than a
+        # narrow group keeps histograms for, and splits where only the smaller
+        # or only the larger child is searched again
         seen = set()
         for seed in range(40):
             for wide in (False, True):
@@ -207,10 +210,14 @@ class TestTrainProperty:
                 params = TrainParams(max_depth=4, min_samples_leaf=3)
                 layout = histogram_layout(ds)
                 tree = train(ds, params, rows=rows, layout=layout)
-                seen.update("narrow" if g.narrow else "wide" for g in layout)
-                if any(g.narrow for g in layout) and any(
-                        n.depth > 0 and is_open(n, params) for n in tree.nodes):
-                    seen.add("narrow below root")
+                seen.update("narrow" if g.max_nodes >= 1 else "wide" for g in layout)
+                open_at = np.bincount([n.depth for n in tree.nodes if is_open(n, params)],
+                                      minlength=params.max_depth)
+                for g in layout:
+                    if g.max_nodes >= 1 and open_at[1:].any():
+                        seen.add("narrow below root")
+                    if 1 <= g.max_nodes < open_at.max():
+                        seen.add("level outgrows narrow group")
                 for node in tree.nodes:
                     if node.children is None:
                         continue
@@ -220,8 +227,31 @@ class TestTrainProperty:
                         seen.add("only smaller open")
                     elif opened == [False, True]:
                         seen.add("only larger open")
-        assert seen == {"narrow", "wide", "narrow below root", "only smaller open",
-                        "only larger open"}
+        assert seen == {"narrow", "wide", "narrow below root", "level outgrows narrow group",
+                        "only smaller open", "only larger open"}
+
+
+def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
+    # a narrow group's histograms, of one node or of a whole level's smaller
+    # children, hold no more counts than the table has rows
+    counted = []
+    real = tree_module._histograms
+
+    def spy(group, row_sets, n_classes):
+        out = real(group, row_sets, n_classes)
+        if group.max_nodes >= 1:
+            counted.append((out.size, len(row_sets)))
+        return out
+
+    monkeypatch.setattr(tree_module, "_histograms", spy)
+    level_counts = 0
+    for seed in range(40):
+        ds = random_dataset(np.random.default_rng(seed), max_rows=400, max_cols=3)
+        counted.clear()
+        train(ds, TrainParams(max_depth=6))
+        assert all(size <= ds.row_count for size, _ in counted), f"seed {seed}"
+        level_counts += sum(sets > 1 for _, sets in counted)
+    assert level_counts > 0
 
 
 class TestTrain:
