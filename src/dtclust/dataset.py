@@ -6,20 +6,35 @@ codes 1..m. For numeric and datetime columns the dictionary is sorted ascending
 by natural value, so code order coincides with value order and the tree can
 compare codes directly.
 
-Loading splits the table into columns once and parses each present cell once:
-kind inference parses a numeric column in one numpy conversion (Python float()
-syntax) and a datetime column with one strptime per cell, and hands the values
-to the encoder. A profile keeps the PROFILE_CATEGORY_CAP most frequent
-categories of each column and counts the rest.
+Loading reads the raw cells and splits them into columns once. No Python-level
+loop then runs over a column's cells; the per-cell work is left to C (csv,
+dict, map, numpy):
+
+1. A column that may be numeric (no kind hint, or a numeric one) is parsed
+   from its raw cells in one numpy conversion, with Python float() syntax. If
+   every cell is a finite number, it is a numeric column with no missing cell
+   and np.unique gives its codes; only the display text of each value is
+   stripped. The step is skipped when a missing token itself parses as a
+   number, since such cells must still read as missing.
+2. Any other column, and the label, is interned: its distinct texts in
+   first-seen order and each cell's index into them. Stripping (texts that
+   strip alike merge), missing-token tests, kind inference, datetime parsing
+   and the dictionary then work on the distinct texts, and one gather maps
+   every cell to its code.
+
+A profile keeps the PROFILE_CATEGORY_CAP most frequent categories of each
+column and counts the rest.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from itertools import compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -96,6 +111,18 @@ class Column:
         if code == MISSING_CODE:
             return MISSING_DISPLAY
         return self.dictionary[code - 1]
+
+    def natural_value(self, text: str) -> float | None:
+        """The value a text stands for on a numeric or datetime column, parsed
+        as the loader parses a cell; None when it does not parse or the column
+        is of another kind."""
+        text = text.strip()
+        if self.kind is ColumnKind.NUMERIC:
+            vals = _parse_numbers([text])
+            return None if vals is None else float(vals[0])
+        if self.kind is ColumnKind.DATETIME and self.pattern is not None:
+            return _parse_datetime(text, self.pattern)
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,11 +227,11 @@ _BOOL_TOKENS = {"true", "false", "0", "1"}
 def _infer_one(
     present: list[str], datetime_patterns: Sequence[str]
 ) -> tuple[ColumnKind, str | None, np.ndarray | None]:
-    """Kind and pattern of a column's present cells, plus their parsed values
-    when the kind is numeric or datetime, so the encoder need not parse again.
+    """Kind and pattern of a column's distinct present texts, plus their parsed
+    values when the kind is numeric or datetime, so the encoder need not parse again.
 
-    A column is numeric when every present cell parses as a finite number,
-    datetime when one pattern parses every present cell, boolean when all
+    A column is numeric when every present text parses as a finite number,
+    datetime when one pattern parses every present text, boolean when all
     values are in {true, false, 0, 1} (case-insensitive), symbolic-nominal
     otherwise. Symbolic-ordinal is never inferred; it requires an explicit hint.
     """
@@ -221,20 +248,20 @@ def _infer_one(
     return ColumnKind.SYMBOLIC_NOMINAL, None, None
 
 
-def _parse_numbers(present: list[str]) -> np.ndarray | None:
-    """All cells parsed at once (numpy follows Python float() syntax); None
-    unless every cell is a finite number."""
+def _parse_numbers(texts: Sequence[str]) -> np.ndarray | None:
+    """All texts parsed at once (numpy follows Python float() syntax, which
+    ignores surrounding whitespace); None unless every text is a finite number."""
     try:
-        vals = np.array(present, dtype=np.float64)
+        vals = np.array(texts, dtype=np.float64)
     except ValueError:
         return None
     return vals if np.isfinite(vals).all() else None
 
 
-def _parse_datetimes(present: list[str], pattern: str) -> np.ndarray | None:
-    """One strptime per cell; None as soon as a cell does not match the pattern."""
+def _parse_datetimes(texts: Sequence[str], pattern: str) -> np.ndarray | None:
+    """One strptime per text; None as soon as a text does not match the pattern."""
     out = []
-    for c in present:
+    for c in texts:
         v = _parse_datetime(c, pattern)
         if v is None:
             return None
@@ -242,10 +269,10 @@ def _parse_datetimes(present: list[str], pattern: str) -> np.ndarray | None:
     return np.array(out, dtype=np.float64)
 
 
-def _match_datetime(present: list[str], patterns: Sequence[str]) -> tuple[str, np.ndarray] | None:
-    """The first pattern that parses every cell, with the parsed values."""
+def _match_datetime(texts: Sequence[str], patterns: Sequence[str]) -> tuple[str, np.ndarray] | None:
+    """The first pattern that parses every text, with the parsed values."""
     for pattern in patterns:
-        vals = _parse_datetimes(present, pattern)
+        vals = _parse_datetimes(texts, pattern)
         if vals is not None:
             return pattern, vals
     return None
@@ -258,36 +285,61 @@ def encode_column(
     missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
     pattern: str | None = None,
 ) -> Column:
-    """Encode raw text cells into a Column of the given kind.
+    """Encode raw text cells into a Column of the given kind, as the loader does.
 
-    Numeric and datetime columns key dictionary entries by parsed value (the
-    first-seen text is kept as the display form), so the dictionary order is
-    exactly the natural value order. Symbolic and boolean dictionaries are
-    sorted lexicographically.
+    Cells are stripped of surrounding whitespace. Numeric and datetime columns
+    key dictionary entries by parsed value (the text of the first row holding
+    the value is its display form), so the dictionary order is exactly the
+    natural value order. Symbolic and boolean dictionaries are sorted
+    lexicographically. A datetime column without a pattern takes the first
+    default pattern that parses every present cell.
     """
-    missing = set(missing_tokens)
-    return _encode(name, cells, [c for c in cells if c not in missing], missing, kind, pattern)
+    return _encode_cells(name, cells, kind, frozenset(missing_tokens), DEFAULT_DATETIME_PATTERNS, pattern)
 
 
-def _encode(
+def _encode_cells(
     name: str,
     cells: Sequence[str],
-    present: list[str],
-    missing: set[str],
-    kind: ColumnKind,
-    pattern: str | None,
-    vals: np.ndarray | None = None,
+    kind: ColumnKind | None,
+    missing: frozenset[str],
+    datetime_patterns: Sequence[str],
+    pattern: str | None = None,
 ) -> Column:
-    """Encode one column whose present (non-missing) cells are already split out.
+    """Encode one column of raw cells; kind None infers it.
 
-    vals, when given, are the parsed values of the present cells of a numeric
-    or datetime column; otherwise they are parsed here, once per cell.
+    A column that may be numeric is first parsed from its raw cells in one
+    numpy call. A cell that parses reads as its stripped text would: float()
+    ignores surrounding whitespace, all of which str.strip removes. So when
+    every cell is a finite number and no missing token is one, no cell is
+    missing. Any other column is interned, and the rest of the work is per
+    distinct text.
     """
+    if kind in (None, ColumnKind.NUMERIC) and not any(_parse_numbers([t]) is not None for t in missing):
+        vals = _parse_numbers(cells)
+        if vals is not None:
+            # a stable sort: first[i] is the row where value i is first seen
+            _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
+            dictionary = tuple(cells[i].strip() for i in first.tolist())
+            return Column(name, ColumnKind.NUMERIC, (inverse + 1).astype(np.int32), dictionary,
+                          values=vals[first])
+
+    texts, ids = _intern(cells)
+    is_present = [t not in missing for t in texts]
+    present = list(compress(texts, is_present))
+    vals = None
+    if kind is None:
+        kind, pattern, vals = _infer_one(present, datetime_patterns)
+    elif kind is ColumnKind.DATETIME and pattern is None:
+        match = _match_datetime(present, datetime_patterns)
+        if match is None:
+            raise DataError(f"column {name!r} hinted datetime but no pattern matches")
+        pattern, vals = match
+
     if kind is not ColumnKind.NUMERIC and kind is not ColumnKind.DATETIME:
-        ordered_texts = sorted(set(present))
-        code_of_text = {t: i + 1 for i, t in enumerate(ordered_texts)}
-        codes = np.array([code_of_text.get(c, MISSING_CODE) for c in cells], dtype=np.int32)
-        return Column(name, kind, codes, tuple(ordered_texts))
+        ordered = sorted(present)
+        code_of_text = dict(zip(ordered, range(1, len(ordered) + 1)))
+        table = np.array([code_of_text.get(t, MISSING_CODE) for t in texts], dtype=np.int32)
+        return Column(name, kind, table[ids], tuple(ordered))
 
     if vals is None:
         vals = _parse_numbers(present) if kind is ColumnKind.NUMERIC else _parse_datetimes(present, pattern)
@@ -295,25 +347,48 @@ def _encode(
         parse = _parse_numbers if kind is ColumnKind.NUMERIC else (lambda c: _parse_datetimes(c, pattern))
         bad = next(c for c in present if parse([c]) is None)
         raise DataError(f"column {name!r}: cell {bad!r} does not parse as {kind.value}")
-    # a stable sort: first[i] is where value i is first seen, whose text is its display form
+    # texts are in first-seen order, so first[i] is the earliest text of value i
     _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
-    codes = np.zeros(len(cells), dtype=np.int32)
-    if len(present) == len(cells):
-        codes[:] = inverse + 1
-    else:
-        codes[np.fromiter((c not in missing for c in cells), bool, len(cells))] = inverse + 1
+    table = np.zeros(len(texts), dtype=np.int32)
+    table[np.array(is_present, dtype=bool)] = inverse + 1
     return Column(
         name,
         kind,
-        codes,
+        table[ids],
         tuple(present[i] for i in first.tolist()),
         values=vals[first],
         pattern=pattern,
     )
 
 
-def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    """Parse a headered CSV into stripped cells, validating shape.
+def _intern(cells: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct stripped texts of the cells, in first-seen order, and each
+    cell's index into them.
+
+    Only the distinct raw texts are stripped; raw texts that strip alike merge.
+    """
+    raw, ids = _first_seen(cells)
+    stripped = [t.strip() for t in raw]
+    if stripped == raw:
+        return raw, ids
+    texts, of_raw = _first_seen(stripped)
+    return texts, of_raw[ids]
+
+
+def _first_seen(items: Sequence[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct items in first-seen order and each item's index into them,
+    with no Python-level loop over the items."""
+    row_of: dict[str, int] = {}
+    # setdefault hands back, per item, the row where its text was first seen
+    firsts = np.fromiter(map(row_of.setdefault, items, count()), np.int32, len(items))
+    index = np.empty(len(items), dtype=np.int32)
+    index[np.fromiter(row_of.values(), np.int32, len(row_of))] = np.arange(len(row_of), dtype=np.int32)
+    return list(row_of), index[firsts]
+
+
+def _read_table(path: str, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
+    """Parse a headered CSV into its stripped header names and its columns of
+    raw cells, validating shape.
 
     A leading UTF-8 byte-order mark is read as encoding, not as header text.
     """
@@ -321,7 +396,7 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
             try:
-                rows = [[cell.strip() for cell in row] for row in reader if row]
+                rows = list(filter(None, reader))
             except csv.Error as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
@@ -330,41 +405,30 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
-    header, data = rows[0], rows[1:]
+    header, data = [h.strip() for h in rows[0]], rows[1:]
     if not data:
         raise DataError(f"{path}: no data rows")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header names {dupes}")
-    for i, row in enumerate(data):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}")
-    return header, data
+    if set(map(len, data)) != {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(data) if len(row) != len(header))
+        raise DataError(f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}")
+    return header, list(zip(*data))
 
 
 def _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns) -> list[Column]:
-    """Infer (or take hinted) kinds per column and encode them all.
-
-    columns holds each feature's cells, in the order of names. Every present
-    cell of a numeric or datetime column is parsed once, by the kind inference.
-    """
+    """Encode each feature's raw cells (columns, in the order of names) with
+    its hinted kind, or else the kind it infers."""
     hints = dict(kind_hints or {})
-    missing = set(missing_tokens)
+    missing = frozenset(missing_tokens)
     encoded = []
     for name, cells in zip(names, columns):
-        present = [c for c in cells if c not in missing]
-        kind, pattern, vals = _infer_one(present, datetime_patterns)
+        kind = None
         if name in hints:
             hint = hints.pop(name)
-            hinted = ColumnKind(hint) if isinstance(hint, str) else hint
-            if hinted is not kind:
-                kind, pattern, vals = hinted, None, None
-                if kind is ColumnKind.DATETIME:
-                    match = _match_datetime(present, datetime_patterns)
-                    if match is None:
-                        raise DataError(f"column {name!r} hinted datetime but no pattern matches")
-                    pattern, vals = match
-        encoded.append(_encode(name, cells, present, missing, kind, pattern, vals))
+            kind = ColumnKind(hint) if isinstance(hint, str) else hint
+        encoded.append(_encode_cells(name, cells, kind, missing, datetime_patterns))
     if hints:
         raise ConfigError(f"kind hints for unknown columns: {sorted(hints)}")
     return encoded
@@ -384,7 +448,7 @@ def load_csv(
     Cells are stripped of surrounding whitespace before matching missing tokens.
     kind_hints overrides inference per column name, e.g. {"grade": "symbolic-ordinal"}.
     """
-    header, data = _read_table(path, delimiter)
+    header, columns = _read_table(path, delimiter)
 
     if label is None:
         label_idx = len(header) - 1
@@ -397,24 +461,20 @@ def load_csv(
             raise ConfigError(f"label column {label!r} not in header {header}")
         label_idx = header.index(label)
 
-    table = list(zip(*data))
-    missing = set(missing_tokens)
-    label_cells = table.pop(label_idx)
-    present_labels = [c for c in label_cells if c not in missing]
-    if not present_labels:
+    # class codes run from 0: the label is encoded as a symbolic column, less one
+    label_col = _encode_cells(header[label_idx], columns.pop(label_idx), ColumnKind.SYMBOLIC_NOMINAL,
+                              frozenset(missing_tokens), datetime_patterns)
+    if not label_col.n_values:
         raise DataError(f"label column {header[label_idx]!r} is entirely missing")
-    if len(present_labels) != len(label_cells):
+    if label_col.has_missing:
         raise DataError(f"label column {header[label_idx]!r} has missing cells")
-    class_names = tuple(sorted(set(label_cells)))
-    class_code = {name: i for i, name in enumerate(class_names)}
-    labels = np.array([class_code[c] for c in label_cells], dtype=np.int32)
 
     names = header[:label_idx] + header[label_idx + 1:]
-    columns = _encode_features(names, table, kind_hints, missing_tokens, datetime_patterns)
+    features = _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns)
 
-    ds = Dataset(tuple(columns), labels, class_names)
+    ds = Dataset(tuple(features), label_col.codes - 1, label_col.dictionary)
     log.info("loaded %s: %d rows, %d feature columns, %d classes",
-             path, ds.row_count, len(columns), ds.n_classes)
+             path, ds.row_count, len(features), ds.n_classes)
     return ds
 
 
@@ -426,8 +486,8 @@ def load_features_csv(
     delimiter: str = ",",
 ) -> Dataset:
     """Load a headered CSV that has no class column (all columns become features)."""
-    header, data = _read_table(path, delimiter)
-    columns = _encode_features(header, zip(*data), kind_hints, missing_tokens, datetime_patterns)
+    header, columns = _read_table(path, delimiter)
+    columns = _encode_features(header, columns, kind_hints, missing_tokens, datetime_patterns)
     return Dataset(tuple(columns), None, ())
 
 
@@ -485,15 +545,18 @@ def profile(ds: Dataset) -> ProfileReport:
 
 
 def _top_categories(col: Column, present: np.ndarray, counts: np.ndarray) -> list[int]:
-    """The first PROFILE_CATEGORY_CAP of the present codes sorted by (-count, text).
+    """The first PROFILE_CATEGORY_CAP of the present codes sorted by (-count, text, code).
 
-    Only codes whose count reaches the cap-th largest count can qualify; the
-    stable sort over them, in code order, keeps the full sort's tie order.
+    Only codes whose count reaches the cap-th largest count can qualify. Those
+    above it are all kept and ranked in full; display texts are compared among
+    the codes tied at it only to pick the ones that fill the cap.
     """
-    if len(present) > PROFILE_CATEGORY_CAP:
-        present_counts = counts[present]
-        floor = np.partition(present_counts, -PROFILE_CATEGORY_CAP)[-PROFILE_CATEGORY_CAP]
-        present = present[present_counts >= floor]
-    cnt = counts.tolist()
-    ranked = sorted(present.tolist(), key=lambda c: (-cnt[c], col.decode(c)))
-    return ranked[:PROFILE_CATEGORY_CAP]
+    texts = (MISSING_DISPLAY, *col.dictionary)
+    cap = PROFILE_CATEGORY_CAP
+    present_counts = counts[present]
+    floor = np.partition(present_counts, -cap)[-cap] if len(present) > cap else 0
+    above = present[present_counts > floor].tolist()
+    ranked = sorted(zip((-counts[above]).tolist(), map(texts.__getitem__, above), above))
+    tied = present[present_counts == floor].tolist()
+    fill = heapq.nsmallest(cap - len(ranked), zip(map(texts.__getitem__, tied), tied))
+    return [code for *_, code in ranked] + [code for _, code in fill]

@@ -4,7 +4,7 @@ A Rule is what a tree path becomes after decoding: every predicate speaks the
 language of the raw CSV (value sets, numeric bounds), not internal codes, so a
 rule can be checked against the original table or quoted in a report. A
 predicate is one of two tests, each rendering, serialising and evaluating
-itself: a RangeTest on an ordered column or a SetTest over display texts.
+itself: a RangeTest on an ordered column or a SetTest over original values.
 """
 
 from __future__ import annotations
@@ -122,10 +122,19 @@ class SetTest:
         return {"attribute": self.attribute, "op": self.op, key: value}
 
     def matches(self, col: Column, codes: np.ndarray) -> np.ndarray:
-        lookup = {text: i + 1 for i, text in enumerate(col.dictionary)}
-        lookup[MISSING] = MISSING_CODE
-        wanted = np.array([lookup[v] for v in self.values if v in lookup], dtype=np.int32)
-        return np.isin(codes, wanted, invert=self.negated)
+        """Rows whose cell is (or, negated, is not) one of the values. On a
+        numeric or datetime column a text stands for its parsed value, so
+        "0.0" selects the cells that read "0"; elsewhere it must be a display text."""
+        texts = [v for v in self.values if v is not MISSING]
+        if col.values is None:
+            lookup = {text: i + 1 for i, text in enumerate(col.dictionary)}
+            wanted = [lookup[t] for t in texts if t in lookup]
+        else:
+            parsed = [v for v in map(col.natural_value, texts) if v is not None]
+            wanted = (np.flatnonzero(np.isin(col.values, parsed)) + 1).tolist()
+        if MISSING in self.values:
+            wanted.append(MISSING_CODE)
+        return np.isin(codes, np.array(wanted, dtype=np.int32), invert=self.negated)
 
 
 Predicate = RangeTest | SetTest
@@ -228,7 +237,8 @@ def apply_rule(rule: Rule, ds: Dataset, rows: np.ndarray | None = None) -> np.nd
     """Row ids (of ds, or of the given subset) satisfying every predicate.
 
     Predicates are evaluated over original values: numeric bounds against the
-    parsed numbers, set membership against the display texts.
+    parsed numbers, set membership against the parsed values on numeric and
+    datetime columns and against the display texts elsewhere.
     """
     if rows is None:
         rows = np.arange(ds.row_count)

@@ -265,7 +265,9 @@ def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: i
 
 def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
                layout: tuple[_HistogramGroup, ...] | None = None,
-               hists: list[np.ndarray | None] | None = None) -> Split | None:
+               hists: list[np.ndarray | None] | None = None, *,
+               class_counts: np.ndarray | None = None,
+               node_impurity: float | None = None) -> Split | None:
     """Exhaustive best split of the given rows, or None when no gain beats min_gain.
 
     Scans every column and every code present in the rows as a pivot; keeps the
@@ -273,15 +275,18 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     lowest pivot. layout is histogram_layout(ds), built here when not given.
     hists holds, per group of layout, the rows' (classes x bins) histogram when
     the caller already has it (train derives them by subtraction) and
-    None for one to be counted here. The result is the test alone;
-    Split.goes_left partitions rows by it.
+    None for one to be counted here. class_counts and node_impurity are the
+    rows' class counts and impurity, counted here when not given. The result
+    is the test alone; Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
     if hists is None:
         hists = [None] * len(layout)
-    parent_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes).astype(np.float64)
-    parent_imp = impurity(parent_counts, params.impurity_metric)
+    if class_counts is None:
+        class_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes)
+    parent_counts = class_counts.astype(np.float64)
+    parent_imp = impurity(parent_counts, params.impurity_metric) if node_impurity is None else node_impurity
 
     best: tuple[float, int, int] | None = None  # gain, column index, pivot
     for group, hist in zip(layout, hists):
@@ -393,7 +398,8 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         slots, smaller, children = [], [], []
         for slot, node in enumerate(level):
             split = best_split(node.rows, ds, params, layout,
-                               [None if h is None else h[slot] for h in hists])
+                               [None if h is None else h[slot] for h in hists],
+                               class_counts=node.class_counts, node_impurity=node.impurity)
             if split is None:
                 continue
             node.split = split

@@ -130,11 +130,13 @@ def _ref_infer(present, datetime_patterns):
 
 def reference_encode(name, cells, kind_hint=None, missing_tokens=DEFAULT_MISSING_TOKENS,
                      datetime_patterns=DEFAULT_DATETIME_PATTERNS) -> Column:
-    """One feature column as the loader encodes it: kind inferred (or hinted),
-    then a dictionary keyed by parsed value (first-seen text) or sorted text.
+    """One feature column as the loader encodes it: cells stripped, kind
+    inferred (or hinted), then a dictionary keyed by parsed value (first-seen
+    text) or sorted text.
 
     Every cell is parsed one at a time, again at each step, with no numpy.
     """
+    cells = [c.strip() for c in cells]
     missing = set(missing_tokens)
     present = [c for c in cells if c not in missing]
     kind, pattern = _ref_infer(present, datetime_patterns)

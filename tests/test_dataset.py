@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from dtclust.cli import main
 from dtclust.dataset import (
+    DEFAULT_DATETIME_PATTERNS,
+    DEFAULT_MISSING_TOKENS,
     Column,
     ColumnKind,
     Dataset,
@@ -87,6 +89,11 @@ class TestLoadCsv:
         assert ds.column_names == ("a", "b")
         assert ds.class_names == ("0", "1")
         assert list(ds.labels) == [0, 1, 0]
+
+    def test_label_cells_are_stripped(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,y\n1, yes\n2,yes\n3,no \n"))
+        assert ds.class_names == ("no", "yes")
+        assert list(ds.labels) == [1, 1, 0]
 
     def test_label_by_name(self, tmp_path):
         ds = load_csv(write(tmp_path, "y,a\nyes,1\nno,2\n"), label="y")
@@ -223,6 +230,8 @@ _CELL_FAMILIES = (
     ("2020-01-02 03:04:05", "2021-06-30 23:59:59"),
     ("12:30:00", "00:00:00", "23:59:59"),
     ("x", "x\x00", "a", "B", "a b", "(missing)"),
+    # str.strip removes "\x1c" and the no-break space; float() accepts only the latter
+    (" 1", "1.5 ", "\t?", "\u00a01", "1\x1c", " x "),
 )
 _KIND_HINTS = (None, "numeric", "datetime", "boolean", "symbolic-nominal", "symbolic-ordinal")
 
@@ -240,6 +249,25 @@ def _encode_or_error(fn):
         return str(exc)
 
 
+def _assert_loader_matches_reference(csv_path, cells, hint, missing_tokens=DEFAULT_MISSING_TOKENS,
+                                     datetime_patterns=DEFAULT_DATETIME_PATTERNS):
+    """One column of cells, written to csv_path and loaded, encodes as the reference does."""
+    with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([["c"], *([c] for c in cells)])
+    hints = {"c": hint} if hint else None
+    expected = _encode_or_error(lambda: reference_encode("c", cells, hint, missing_tokens,
+                                                         datetime_patterns))
+    got = _encode_or_error(lambda: load_features_csv(str(csv_path), kind_hints=hints,
+                                                     missing_tokens=missing_tokens,
+                                                     datetime_patterns=datetime_patterns).columns[0])
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert_columns_equal(got, expected)
+    assert_columns_equal(encode_column("c", cells, expected.kind, missing_tokens, expected.pattern),
+                         expected)
+
+
 class TestEncoderEquivalence:
     """The loader agrees with the per-cell reference encoder in tests/helpers.py."""
 
@@ -250,17 +278,28 @@ class TestEncoderEquivalence:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(cells=_column_cells(), hint=st.sampled_from(_KIND_HINTS))
     def test_loader_matches_reference(self, csv_path, cells, hint):
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([["c"], *([c] for c in cells)])
-        hints = {"c": hint} if hint else None
-        expected = _encode_or_error(lambda: reference_encode("c", cells, hint))
-        got = _encode_or_error(lambda: load_features_csv(str(csv_path), kind_hints=hints).columns[0])
-        if isinstance(expected, str):
-            assert got == expected
-            return
-        assert_columns_equal(got, expected)
-        assert_columns_equal(encode_column("c", cells, expected.kind, pattern=expected.pattern),
-                             expected)
+        _assert_loader_matches_reference(csv_path, cells, hint)
+
+    @pytest.mark.parametrize("cells, hint, options", [
+        # a missing token that parses as a number: "-1" and " -1" are missing cells
+        (["1", "-1", "2.5", " -1"], None, {"missing_tokens": ("-1",)}),
+        (["1", "-1", "2.5"], "numeric", {"missing_tokens": ("-1",)}),
+        # the only missing cell is the last row
+        (["3", "1", "2", "1", "?"], None, {}),
+        # hints that name another kind than the numbers the cells parse as
+        (["3", "10", " 2", "10"], "symbolic-ordinal", {}),
+        (["3", "10", " 2", "10"], "datetime", {}),
+        (["2020", " 1999", "2020"], "datetime", {"datetime_patterns": ("%Y",)}),
+        # " 1", "1" and "1.0" are one value, shown as the earliest row's text
+        ([" 1", "2", "1", "1.0"], None, {}),
+        (["1.0", " 1", "1", "2"], None, {}),
+        ([" 1", "?", "1.0", "1"], None, {}),
+        ([" 1", "1", "1.0"], "numeric", {}),
+    ], ids=["missing-number", "missing-number-hinted", "missing-last", "ordinal-hint",
+            "datetime-hint-no-pattern", "datetime-hint", "merge-stripped-first",
+            "merge-decimal-first", "merge-with-missing", "merge-hinted"])
+    def test_case_matches_reference(self, csv_path, cells, hint, options):
+        _assert_loader_matches_reference(csv_path, cells, hint, **options)
 
     def test_census_slice_matches_reference(self, census_slice):
         ds = load_csv(census_slice, label="label")

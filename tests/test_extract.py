@@ -364,6 +364,23 @@ class TestApplyRule:
         rule = Rule((SetTest("a", (MISSING,), negated=True),), 0)
         assert sorted(apply_rule(rule, ds).tolist()) == [0, 2]
 
+    @pytest.mark.parametrize("kind, cells, raw, expected", [
+        # numeric equality is on values: "0.0" is the 0 of rows 0 and 2
+        (ColumnKind.NUMERIC, ["0", "1", "0", "?", "2"], {"op": "==", "value": 0.0}, [0, 2]),
+        (ColumnKind.NUMERIC, ["0", "1", "0", "?", "2"], {"op": "!=", "value": "0.0"}, [1, 3, 4]),
+        (ColumnKind.NUMERIC, ["0", "1", "0", "?", "2"], {"op": "in", "values": ["2.0", "x", None]}, [3, 4]),
+        (ColumnKind.DATETIME, ["2020-01-02", "?", "2021-06-30"], {"op": "==", "value": "2020-1-2"}, [0]),
+        # on a symbolic column a value must be a display text
+        (ColumnKind.SYMBOLIC_NOMINAL, ["0", "0.0", "1"], {"op": "==", "value": "0.0"}, [1]),
+    ])
+    def test_set_test_on_values(self, kind, cells, raw, expected):
+        from dtclust.dataset import encode_column
+        from dtclust.rules import Rule, predicate_from_dict
+        col = encode_column("a", cells, kind)
+        ds = Dataset((col,), np.zeros(len(cells), dtype=np.int32), ("0",))
+        rule = Rule((predicate_from_dict({"attribute": "a", **raw}),), 0)
+        assert apply_rule(rule, ds).tolist() == expected
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
