@@ -250,8 +250,13 @@ def _infer_one(
 
 def _parse_numbers(texts: Sequence[str]) -> np.ndarray | None:
     """All texts parsed at once (numpy follows Python float() syntax, which
-    ignores surrounding whitespace); None unless every text is a finite number."""
+    ignores surrounding whitespace); None unless every text is a finite number.
+
+    numpy reads every text before it raises, so the first text is tried alone
+    first: when it fails, the whole column cannot parse.
+    """
     try:
+        np.array(texts[:1], dtype=np.float64)
         vals = np.array(texts, dtype=np.float64)
     except ValueError:
         return None

@@ -22,6 +22,16 @@ even one node would outsize the table, keeps none, nor does a group on a level
 with more nodes than it keeps histograms for: there best_split counts the
 node's own. Either way only the codes present in the node are scored.
 
+Scoring runs class by class. Each step (gathering the present codes, the
+cumulative sums, left and right counts, each side's impurity, the gain) works
+on one contiguous row of candidates per class, never on a (candidates x
+classes) matrix, whose strided gathers, cumsums and row sums cost several
+times more. The summation-order contract: _class_sum adds the class terms of
+an impurity in the order numpy sums a (candidates x classes) row, in sequence
+below 8 classes and pairwise from 8 on, so the gains keep the bits of that
+matrix form and reports stay byte-identical. Node impurities go through
+impurity() as before.
+
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
 lowest class code. Node ids are breadth-first.
@@ -171,14 +181,24 @@ def impurity(class_counts, metric: str = "gini") -> float:
     raise ConfigError(f"unknown impurity metric {metric!r}")
 
 
-def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.ndarray:
-    """Row-wise impurity for a (candidates x classes) count matrix."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = counts / totals[:, None]
+def _class_sum(terms: list[np.ndarray]) -> np.ndarray:
+    """Candidate-wise sum of per-class rows, bit for bit as numpy sums a
+    (candidates x classes) matrix along its classes: in sequence below 8
+    classes, by numpy's own pairwise reduction from 8 on."""
+    if len(terms) < 8:
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        return total
+    return np.stack(terms, axis=1).sum(axis=1)
+
+
+def _side_impurity(counts: list[np.ndarray], totals: np.ndarray, metric: str) -> np.ndarray:
+    """Impurity of each candidate's side from its per-class count rows."""
+    ps = [row / totals for row in counts]
     if metric == "gini":
-        return 1.0 - (p ** 2).sum(axis=1)
-    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
-    return -(p * logs).sum(axis=1)
+        return 1.0 - _class_sum([p * p for p in ps])
+    return -_class_sum([p * np.log2(np.where(p > 0, p, 1.0)) for p in ps])  # 0 log 0 = 0
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +262,9 @@ def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
     widths = np.array([col.n_values + 1 for col in cols])
     starts = np.cumsum(widths) - widths
     n_bins = int(widths.sum())
-    class_base = ds.labels.astype(np.intp) * n_bins
-    keys = np.empty((ds.row_count, len(cols)), dtype=np.intp)
-    for j, (col, start) in enumerate(zip(cols, starts)):
-        keys[:, j] = class_base + (col.codes + start)
+    keys = np.stack([col.codes for col in cols], axis=1).astype(np.intp)
+    keys += starts
+    keys += (ds.labels.astype(np.intp) * n_bins)[:, None]
     ordered = np.array([col.kind.is_ordered for col in cols])
     member = np.repeat(np.arange(len(cols)), widths)
     max_nodes = ds.row_count // (ds.n_classes * n_bins)
@@ -276,8 +295,10 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     hists holds, per group of layout, the rows' (classes x bins) histogram when
     the caller already has it (train derives them by subtraction) and
     None for one to be counted here. class_counts and node_impurity are the
-    rows' class counts and impurity, counted here when not given. The result
-    is the test alone; Split.goes_left partitions rows by it.
+    rows' class counts and impurity, counted here when not given. Each group
+    is scored class by class by _best_in_group, with gains bit-identical to a
+    (candidates x classes) matrix kernel. The result is the test alone;
+    Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
@@ -305,38 +326,49 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
 
 def _best_in_group(group, cnt, parent_counts, parent_imp, params):
     """(gain, column, pivot) of the group's first best valid candidate, or None,
-    from the node's (classes x bins) histogram cnt."""
-    n_classes = len(parent_counts)
+    from the node's (classes x bins) histogram cnt.
+
+    Each step runs on one contiguous row per class, never on a (candidates x
+    classes) matrix; _class_sum adds the class terms in the order such a
+    matrix's row sum would, so the gains keep their bits
+    (tests/helpers.py::reference_best_in_group is that matrix form).
+    """
     n = int(parent_counts.sum())
 
-    # the pivots are the codes present in the node, in (column, code) order
+    # the pivots are the codes present in the node, in (column, code) order;
+    # each member's pivots are the run of them from bounds[member] on
     present = np.flatnonzero(cnt.any(axis=0))
-    counts = cnt[:, present]
-    member = group.member[present]
-    # left of a pivot: its own code (nominal), or every present code of its
-    # column up to it (ordered), a cumulative sum restarted at each column
-    cum = np.zeros((n_classes, len(present) + 1), dtype=counts.dtype)
-    np.cumsum(counts, axis=1, out=cum[:, 1:])
-    first = np.searchsorted(present, group.starts)[member]
-    left = np.where(group.ordered[member], cum[:, 1:] - cum[:, first], counts)
-    n_left = left.sum(axis=0)
+    bounds = np.searchsorted(present, group.starts)
+    runs = np.diff(bounds, append=len(present))
+    ordered = np.repeat(group.ordered, runs)
+
+    def left_of(row):
+        # left of a pivot: its own code (nominal), or every present code of
+        # its column up to it (ordered), a cumulative sum restarted at each column
+        counts = row[present]
+        cum = np.zeros(len(present) + 1, dtype=counts.dtype)
+        np.cumsum(counts, out=cum[1:])
+        return np.where(ordered, cum[1:] - np.repeat(cum[bounds], runs), counts)
+
+    left = [left_of(row) for row in cnt]
+    n_left = sum(left)
     msl = params.min_samples_leaf
     valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
     if valid.size == 0:
         return None
 
-    left_counts = np.ascontiguousarray(left[:, valid].T, dtype=np.float64)
-    right_counts = parent_counts[None, :] - left_counts
+    left_counts = [row[valid].astype(np.float64) for row in left]
+    right_counts = [parent - side for parent, side in zip(parent_counts, left_counts)]
     n_left = n_left[valid].astype(np.float64)
     n_right = n - n_left
-    imp_left = _impurity_matrix(left_counts, n_left, params.impurity_metric)
-    imp_right = _impurity_matrix(right_counts, n_right, params.impurity_metric)
+    imp_left = _side_impurity(left_counts, n_left, params.impurity_metric)
+    imp_right = _side_impurity(right_counts, n_right, params.impurity_metric)
     gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
 
     best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
-    i = valid[best]
-    j = member[i]
-    return float(gains[best]), int(group.columns[j]), int(present[i] - group.starts[j])
+    code = present[valid[best]]
+    j = group.member[code]
+    return float(gains[best]), int(group.columns[j]), int(code - group.starts[j])
 
 
 # ---------------------------------------------------------------------------

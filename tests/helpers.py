@@ -94,6 +94,60 @@ def assert_tree_matches_oracle(tree, ds, params, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
+# Reference group scorer: the (candidates x classes) matrix kernel
+# ---------------------------------------------------------------------------
+
+def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.ndarray:
+    """Row-wise impurity for a (candidates x classes) count matrix."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        p = counts / totals[:, None]
+    if metric == "gini":
+        return 1.0 - (p ** 2).sum(axis=1)
+    logs = np.log2(p, out=np.zeros_like(p), where=p > 0)
+    return -(p * logs).sum(axis=1)
+
+
+def reference_best_in_group(group, cnt, parent_counts, parent_imp, params):
+    """(gain, column, pivot) of the group's first best valid candidate, or None,
+    from the node's (classes x bins) histogram cnt.
+
+    The matrix form of tree._best_in_group, kept to pin the bits of its gains:
+    the oracle's tolerance cannot see a last-bit change, report.json can.
+    """
+    n_classes = len(parent_counts)
+    n = int(parent_counts.sum())
+
+    # the pivots are the codes present in the node, in (column, code) order
+    present = np.flatnonzero(cnt.any(axis=0))
+    counts = cnt[:, present]
+    member = group.member[present]
+    # left of a pivot: its own code (nominal), or every present code of its
+    # column up to it (ordered), a cumulative sum restarted at each column
+    cum = np.zeros((n_classes, len(present) + 1), dtype=counts.dtype)
+    np.cumsum(counts, axis=1, out=cum[:, 1:])
+    first = np.searchsorted(present, group.starts)[member]
+    left = np.where(group.ordered[member], cum[:, 1:] - cum[:, first], counts)
+    n_left = left.sum(axis=0)
+    msl = params.min_samples_leaf
+    valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
+    if valid.size == 0:
+        return None
+
+    left_counts = np.ascontiguousarray(left[:, valid].T, dtype=np.float64)
+    right_counts = parent_counts[None, :] - left_counts
+    n_left = n_left[valid].astype(np.float64)
+    n_right = n - n_left
+    imp_left = _impurity_matrix(left_counts, n_left, params.impurity_metric)
+    imp_right = _impurity_matrix(right_counts, n_right, params.impurity_metric)
+    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
+
+    best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
+    i = valid[best]
+    j = member[i]
+    return float(gains[best]), int(group.columns[j]), int(present[i] - group.starts[j])
+
+
+# ---------------------------------------------------------------------------
 # Per-cell reference encoder and uncapped reference profile
 # ---------------------------------------------------------------------------
 

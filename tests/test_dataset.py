@@ -295,9 +295,16 @@ class TestEncoderEquivalence:
         (["1.0", " 1", "1", "2"], None, {}),
         ([" 1", "?", "1.0", "1"], None, {}),
         ([" 1", "1", "1.0"], "numeric", {}),
+        # a first cell that does not parse ends the raw parse: the column is
+        # interned, symbolic or an error under a numeric hint
+        (["x", "1", "2", "3"], None, {}),
+        (["x", "1", "2"], "numeric", {}),
+        # a first cell that parses but is not finite: interned as well
+        (["nan", "1", "2", "1"], None, {}),
     ], ids=["missing-number", "missing-number-hinted", "missing-last", "ordinal-hint",
             "datetime-hint-no-pattern", "datetime-hint", "merge-stripped-first",
-            "merge-decimal-first", "merge-with-missing", "merge-hinted"])
+            "merge-decimal-first", "merge-with-missing", "merge-hinted", "first-text",
+            "first-text-hinted", "first-nan"])
     def test_case_matches_reference(self, csv_path, cells, hint, options):
         _assert_loader_matches_reference(csv_path, cells, hint, **options)
 

@@ -23,6 +23,7 @@ from helpers import (
     city_dataset,
     oracle_best_split,
     random_dataset,
+    reference_best_in_group,
 )
 
 
@@ -252,6 +253,82 @@ def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
         assert all(size <= ds.row_count for size, _ in counted), f"seed {seed}"
         level_counts += sum(sets > 1 for _, sets in counted)
     assert level_counts > 0
+
+
+def kernel_case(seed, n_classes):
+    """A random table and node rows for one group scorer call per group: narrow
+    groups that mix ordered and nominal members, wide groups, codes absent from
+    the node and classes with no rows in it."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 150))
+    columns = []
+    for j in range(int(rng.integers(1, 6))):
+        wide = rng.random() < 0.25
+        u = n + int(rng.integers(1, 2 * n + 1)) if wide else int(rng.integers(1, 13))
+        codes = rng.integers(0, u + 1, size=n).astype(np.int32)
+        dictionary = tuple(f"v{i}" for i in range(u))
+        if rng.random() < 0.5:
+            columns.append(Column(f"col{j}", ColumnKind.NUMERIC, codes, dictionary,
+                                  values=np.arange(u, dtype=np.float64)))
+        else:
+            columns.append(Column(f"col{j}", ColumnKind.SYMBOLIC_NOMINAL, codes, dictionary))
+    used = rng.choice(n_classes, size=int(rng.integers(1, n_classes + 1)), replace=False)
+    labels = rng.choice(used, size=n, p=rng.dirichlet(np.ones(len(used)))).astype(np.int32)
+    ds = Dataset(tuple(columns), labels, tuple(f"c{k}" for k in range(n_classes)))
+    rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    return ds, rows
+
+
+def gain_bits(found):
+    return None if found is None else (found[0].hex(), found[1], found[2])
+
+
+class TestGroupScorerBits:
+    """The class-by-class group scorer against the (candidates x classes)
+    matrix kernel it replaced, bit for bit. The oracle's tolerance cannot see
+    a last-bit change in a gain, and report.json prints every gain."""
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_samples_leaf=st.sampled_from([1, 3]),
+        metric=st.sampled_from(["gini", "entropy"]),
+    )
+    def test_equals_matrix_kernel(self, n_classes, seed, min_samples_leaf, metric):
+        ds, rows = kernel_case(seed, n_classes)
+        params = TrainParams(metric, min_samples_leaf=min_samples_leaf)
+        parent_counts = np.bincount(ds.labels[rows], minlength=n_classes).astype(np.float64)
+        parent_imp = impurity(parent_counts, metric)
+        for group in histogram_layout(ds):
+            cnt = tree_module._histograms(group, [rows], n_classes)[0]
+            got = tree_module._best_in_group(group, cnt, parent_counts, parent_imp, params)
+            want = reference_best_in_group(group, cnt, parent_counts, parent_imp, params)
+            assert gain_bits(got) == gain_bits(want), f"group of columns {group.columns.tolist()}"
+
+    def test_cases_reach_every_layout(self):
+        seen = set()
+        for seed in range(60):
+            ds, rows = kernel_case(seed, n_classes=8)
+            if len(np.unique(ds.labels[rows])) < ds.n_classes:
+                seen.add("class absent")
+            for group in histogram_layout(ds):
+                cnt = tree_module._histograms(group, [rows], ds.n_classes)[0]
+                if not cnt.any(axis=0).all():
+                    seen.add("code absent")
+                seen.add("wide" if group.max_nodes == 0 else "narrow")
+                if len(set(group.ordered.tolist())) == 2:
+                    seen.add("mixed members")
+        assert seen == {"class absent", "code absent", "wide", "narrow", "mixed members"}
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    def test_class_sum_is_numpy_row_sum(self, n_classes):
+        # numpy sums a short row in sequence and a longer one pairwise; a
+        # numpy that reorders either reduction fails here
+        rng = np.random.default_rng(n_classes)
+        terms = [rng.random(4000) * 10.0 ** rng.integers(-8, 8, 4000) for _ in range(n_classes)]
+        want = np.stack(terms, axis=1).sum(axis=1)
+        assert tree_module._class_sum(terms).tobytes() == want.tobytes()
 
 
 class TestTrain:
