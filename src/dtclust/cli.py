@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
+from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
 from .dataset import (
@@ -112,7 +113,7 @@ class RunReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json_text(self.to_dict()) + "\n"
 
     def to_text(self) -> str:
         lines = ["cluster extraction report", "=" * 60]
@@ -153,6 +154,71 @@ class RunReport:
         lines.append("")
         lines.append("timings: " + "  ".join(f"{k} {v:.2f}s" for k, v in self.timings.items()))
         return "\n".join(lines) + "\n"
+
+
+def json_text(obj, newline: str = "\n") -> str:
+    """Exactly json.dumps(obj, sort_keys=True, indent=2, allow_nan=False): the
+    same bytes, and the same exception type for a value it cannot encode.
+
+    json.dumps runs an indented dump in its pure-Python encoder, one generator
+    step per token. Here a list whose items are all str, or all exactly int
+    (bool prints otherwise), is joined in one C-level pass; everything else
+    recurses, with newline the line break and indent of obj's own level.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        else:
+            items = [json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [encode_basestring_ascii(_key_text(k)) + ": " + json_text(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if x != x or x == INFINITY or x == -INFINITY:
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as json.dumps turns it into a string before quoting it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
 
 
 def _profile_summary(ds: Dataset) -> dict:
@@ -410,8 +476,7 @@ def cmd_profile(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n"
-        (out / "profile.json").write_text(text, encoding="utf-8")
+        (out / "profile.json").write_text(json_text(summary) + "\n", encoding="utf-8")
     return 0
 
 

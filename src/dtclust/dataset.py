@@ -6,9 +6,11 @@ codes 1..m. For numeric and datetime columns the dictionary is sorted ascending
 by natural value, so code order coincides with value order and the tree can
 compare codes directly.
 
-Loading reads the raw cells and splits them into columns once. No Python-level
-loop then runs over a column's cells; the per-cell work is left to C (csv,
-dict, map, numpy):
+Loading reads the raw cells in one csv.reader pass that flattens the
+non-empty rows into a single list of cells; column j is the strided slice
+cells[j::width], so no list of rows is kept and no transposition runs. No
+Python-level loop then runs over a column's cells; the per-cell work is left
+to C (csv, dict, map, numpy):
 
 1. A column that may be numeric (no kind hint, or a numeric one) is parsed
    from its raw cells in one numpy conversion, with Python float() syntax. If
@@ -34,7 +36,7 @@ import logging
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -324,7 +326,7 @@ def _encode_cells(
         if vals is not None:
             # a stable sort: first[i] is the row where value i is first seen
             _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
-            dictionary = tuple(cells[i].strip() for i in first.tolist())
+            dictionary = tuple(map(str.strip, map(cells.__getitem__, first.tolist())))
             return Column(name, ColumnKind.NUMERIC, (inverse + 1).astype(np.int32), dictionary,
                           values=vals[first])
 
@@ -391,35 +393,55 @@ def _first_seen(items: Sequence[str]) -> tuple[list[str], np.ndarray]:
     return list(row_of), index[firsts]
 
 
-def _read_table(path: str, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
+def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
     """Parse a headered CSV into its stripped header names and its columns of
     raw cells, validating shape.
 
+    One csv.reader pass flattens the non-empty data rows into a single list of
+    cells, and column j is the strided slice cells[j::width]; no row list
+    outlives its row. The whole file is read before any shape check, so a
+    csv.Error anywhere wins, then an empty file, no data rows, duplicate
+    header names, and the first ragged row, named by its file line.
+
     A leading UTF-8 byte-order mark is read as encoding, not as header text.
     """
+    ragged: list[tuple[int, int]] = []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh, delimiter=delimiter)
+            rows = filter(None, reader)
             try:
-                rows = list(filter(None, reader))
+                header = next(rows, None)
+                cells = [] if header is None else list(
+                    chain.from_iterable(_note_ragged(rows, len(header), reader, ragged)))
             except csv.Error as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
-    if not rows:
+    if header is None:
         raise DataError(f"{path}: empty file")
-    header, data = [h.strip() for h in rows[0]], rows[1:]
-    if not data:
+    header = [h.strip() for h in header]
+    if not cells:
         raise DataError(f"{path}: no data rows")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header names {dupes}")
-    if set(map(len, data)) != {len(header)}:
-        i, row = next((i, row) for i, row in enumerate(data) if len(row) != len(header))
-        raise DataError(f"{path}: row {i + 2} has {len(row)} cells, header has {len(header)}")
-    return header, list(zip(*data))
+    width = len(header)
+    if ragged:
+        line, n = ragged[0]
+        raise DataError(f"{path}, line {line}: {n} cells, header has {width}")
+    return header, [cells[j::width] for j in range(width)]
+
+
+def _note_ragged(rows, width: int, reader, ragged: list[tuple[int, int]]):
+    """The rows unchanged; the file line and width of the first row whose
+    width is not the header's is appended to ragged."""
+    for row in rows:
+        if len(row) != width and not ragged:
+            ragged.append((reader.line_num, len(row)))
+        yield row
 
 
 def _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns) -> list[Column]:

@@ -4,11 +4,13 @@ The split oracle re-derives the best split by brute force (explicit partition
 per pivot, scalar impurity formulas) so the trainer's vectorized search can be
 checked against an independent computation. The reference encoder and the
 reference profile do the same for ingest: one Python float()/strptime call per
-cell per step, and every category of every column.
+cell per step, and every category of every column. The reference CSV reader
+keeps every row as a list and transposes them, as the loader no longer does.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from datetime import datetime, timezone
 
@@ -148,7 +150,7 @@ def reference_best_in_group(group, cnt, parent_counts, parent_imp, params):
 
 
 # ---------------------------------------------------------------------------
-# Per-cell reference encoder and uncapped reference profile
+# Per-cell reference encoder, uncapped reference profile, row-list CSV reader
 # ---------------------------------------------------------------------------
 
 def _ref_number(text):
@@ -253,6 +255,40 @@ def reference_profile(ds: Dataset) -> dict[str, list[tuple[str, int, tuple[float
                 cats.append((col.decode(code), count, tuple(float(v) for v in dist / count)))
         out[col.name] = cats
     return out
+
+
+def reference_read_table(path: str, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
+    """The row-list CSV reader the strided one replaced: every non-empty row
+    kept as a list, then transposed with zip(*rows). The file line of each row
+    is kept beside it for the ragged-row message; nothing else differs.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            try:
+                rows, lines = [], []
+                for row in reader:
+                    if row:
+                        rows.append(row)
+                        lines.append(reader.line_num)
+            except csv.Error as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path} is not UTF-8 text: {exc.reason}") from exc
+    if not rows:
+        raise DataError(f"{path}: empty file")
+    header, data = [h.strip() for h in rows[0]], rows[1:]
+    if not data:
+        raise DataError(f"{path}: no data rows")
+    if len(set(header)) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise DataError(f"{path}: duplicate header names {dupes}")
+    if set(map(len, data)) != {len(header)}:
+        i, row = next((i, row) for i, row in enumerate(data) if len(row) != len(header))
+        raise DataError(f"{path}, line {lines[i + 1]}: {len(row)} cells, header has {len(header)}")
+    return header, list(zip(*data))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dtclust.cli import main
+from dtclust.cli import json_text, main
 from dtclust.dataset import load_csv
 from dtclust.errors import InternalError
 from dtclust.rules import MISSING, Bound, RangeTest, Rule, SetTest, render_rule_text, rule_from_dict
@@ -555,3 +558,83 @@ class TestExportDot:
             main(["export-dot", "--input", liner_csv, "--label", "survived", "--clusters", "7"])
         assert exc.value.code == 2
         assert "--clusters" in capsys.readouterr().err
+
+
+# every leaf kind json.dumps encodes, with the edges of its number and string formatting
+_TEXT = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr),
+                          st.sampled_from('\x00\x1f\x7f"\\/\u2028\U0001f600')), max_size=6)
+_NUMBER = st.one_of(
+    st.integers(),
+    st.integers(-2 ** 70, 2 ** 70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e16, 2 ** 64, -(2 ** 64) - 1)),
+)
+_LEAF = st.one_of(st.none(), st.booleans(), _NUMBER, _TEXT)
+_BAD_LEAF = st.sampled_from((float("nan"), float("inf"), float("-inf"), np.int64(1), set()))
+# the keys of one dict are drawn from one family; across families they may not sort
+_KEY_FAMILIES = (_TEXT, _NUMBER | st.booleans(), st.none())
+
+
+def _json_trees(leaf, key_families=_KEY_FAMILIES):
+    return st.recursive(
+        st.one_of(leaf, st.lists(st.booleans(), min_size=1), st.lists(st.integers(), min_size=1),
+                  st.lists(_TEXT, min_size=1), st.sampled_from(([True, 1], [1, True], [0, False, "0"]))),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.sampled_from(key_families).flatmap(lambda k: st.dictionaries(k, children, max_size=4)),
+        ),
+        max_leaves=20,
+    )
+
+
+def _dumps_or_error(dump, obj):
+    try:
+        return dump(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def _reference_dumps(obj):
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+
+
+class TestJsonText:
+    """json_text returns what json.dumps(sort_keys=True, indent=2, allow_nan=False) does."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(obj=_json_trees(_LEAF))
+    def test_equals_json_dumps(self, obj):
+        assert json_text(obj) == _reference_dumps(obj)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(obj=_json_trees(_LEAF | _BAD_LEAF, (*_KEY_FAMILIES, st.one_of(*_KEY_FAMILIES))))
+    def test_raises_as_json_dumps(self, obj):
+        assert _dumps_or_error(json_text, obj) == _dumps_or_error(_reference_dumps, obj)
+
+    @pytest.mark.parametrize("obj, error", [
+        (float("nan"), ValueError),
+        ([1, float("inf")], ValueError),
+        ({"a": [float("-inf")]}, ValueError),
+        ({float("nan"): 1}, ValueError),
+        (np.int64(1), TypeError),
+        ([np.int64(1)], TypeError),
+        (set(), TypeError),
+        ({(1, 2): 1}, TypeError),
+        ({1: 0, "a": 1}, TypeError),
+        ({None: 0, True: 1}, TypeError),
+    ], ids=["nan", "inf-in-list", "neg-inf-in-dict", "nan-key", "np-int64", "np-int64-in-list",
+            "set", "tuple-key", "unorderable-keys", "null-and-bool-keys"])
+    def test_error_type(self, obj, error):
+        with pytest.raises(error):
+            _reference_dumps(obj)
+        with pytest.raises(error):
+            json_text(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [True, False], [True, 1], [1, 2 ** 70, -3], ["a", "\u00e9", "\udc80"], {1.5: [], 0: {}, True: ()},
+        {"": [[], {}, ()]}, [-0.0, 5e-324, 1e16],
+    ], ids=["all-bool", "bool-and-int", "ints", "strs", "number-keys", "empty-containers",
+            "float-edges"])
+    def test_cases(self, obj):
+        assert json_text(obj) == _reference_dumps(obj)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from dtclust.cli import main
 from dtclust.dataset import (
+    _read_table,
     DEFAULT_DATETIME_PATTERNS,
     DEFAULT_MISSING_TOKENS,
     Column,
@@ -25,7 +26,7 @@ from dtclust.dataset import (
 from dtclust.errors import ConfigError, DataError
 from dtclust.synth import titanic_like, write_csv
 
-from helpers import assert_columns_equal, reference_encode, reference_profile
+from helpers import assert_columns_equal, reference_encode, reference_profile, reference_read_table
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -109,8 +110,19 @@ class TestLoadCsv:
             load_csv(str(tmp_path / "nope.csv"))
 
     def test_arity_mismatch(self, tmp_path):
-        with pytest.raises(DataError, match="row 3"):
+        with pytest.raises(DataError, match="line 3"):
             load_csv(write(tmp_path, "a,y\n1,0\n1,0,extra\n"))
+
+    @pytest.mark.parametrize("text, line", [
+        ("a,b,label\n1,2,x\n\n\n3,4\n", 5),
+        ('a,b,label\n"1\n2",2,x\n3,4\n', 4),
+        ('a,b,label\n1,2,x\n3,"4\n5"\n', 4),
+    ], ids=["blank-lines", "quoted-newline-before", "quoted-newline-in-row"])
+    def test_arity_mismatch_names_file_line(self, tmp_path, text, line):
+        path = write(tmp_path, text)
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}, line {line}: 2 cells, header has 3"
 
     def test_duplicate_headers(self, tmp_path):
         with pytest.raises(DataError, match="duplicate"):
@@ -316,6 +328,92 @@ class TestEncoderEquivalence:
         assert ds.column_names == tuple(header[j] for j in features)
         for col, j in zip(ds.columns, features):
             assert_columns_equal(col, reference_encode(header[j], [row[j] for row in rows]))
+
+
+# raw cells hold no delimiter, quote or line break; quoted cells may hold any of them
+_RAW_CELL = st.text(alphabet="ab1.? ", max_size=4)
+_QUOTED_TEXT = st.text(alphabet=',;\t\n\r"ab ', max_size=6)
+_LONG_FIELD = "x" * (csv.field_size_limit() + 1)
+
+
+@st.composite
+def _csv_line(draw, delimiter, width):
+    """One written line: blank, whitespace only, or cells (quoted or raw) of about the header's width."""
+    shape = draw(st.sampled_from(("cells", "cells", "cells", "blank", "space")))
+    if shape == "blank":
+        return ""
+    if shape == "space":
+        return draw(st.sampled_from((" ", "  ", " \t ")))
+    n = width if draw(st.integers(0, 19)) < 19 else draw(st.sampled_from((width - 1, width + 1)))
+    cells = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            cells.append('"' + draw(_QUOTED_TEXT).replace('"', '""') + '"')
+        else:
+            cells.append(draw(_RAW_CELL))
+    return delimiter.join(cells)
+
+
+@st.composite
+def _csv_text(draw):
+    """(text, delimiter) of a small CSV that may be malformed in every way the reader checks."""
+    delimiter = draw(st.sampled_from((",", ";", "\t")))
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    lines = []
+    if draw(st.integers(0, 19)) < 19:
+        names = ("a", "b", "c", "label") if draw(st.integers(0, 4)) < 4 else ("a", " a", "label")
+        header = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+        lines.append(delimiter.join(header))
+        lines += draw(st.lists(_csv_line(delimiter, len(header)), max_size=8))
+    if lines and draw(st.integers(0, 19)) == 19:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] += delimiter + draw(st.sampled_from((_LONG_FIELD, f'"{_LONG_FIELD}"')))
+    text = eol.join(lines) + (eol if draw(st.booleans()) else "")
+    return ("\ufeff" if draw(st.booleans()) else "") + text, delimiter
+
+
+def _read_or_error(read, path, delimiter):
+    try:
+        header, columns = read(path, delimiter)
+    except DataError as exc:
+        return str(exc)
+    return header, [tuple(c) for c in columns]
+
+
+def _write_raw(path, text):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(text)
+    return str(path)
+
+
+class TestReaderEquivalence:
+    """_read_table agrees with the row-list reference reader in tests/helpers.py."""
+
+    @pytest.fixture(scope="class")
+    def csv_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("reader") / "table.csv"
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(case=_csv_text())
+    def test_matches_reference(self, csv_path, case):
+        path = _write_raw(csv_path, case[0])
+        assert _read_or_error(_read_table, path, case[1]) == \
+            _read_or_error(reference_read_table, path, case[1])
+
+    @pytest.mark.parametrize("text, message", [
+        (f"a,label\n1,2,3\n1,{_LONG_FIELD}\n",
+         ", line 3: field larger than field limit (131072)"),
+        ("a,a,label\n1,2\n", ": duplicate header names ['a']"),
+        ("a,label\n1,2,3\n\n", ", line 2: 3 cells, header has 2"),
+        ("", ": empty file"),
+        ("\ufeff\r\n\r\n", ": empty file"),
+        ("a,label\r\n\r\n", ": no data rows"),
+    ], ids=["csv-error-after-ragged-row", "duplicate-header-before-ragged-row", "ragged-row",
+            "empty", "blank-lines-only", "header-only"])
+    def test_error_precedence(self, csv_path, text, message):
+        path = _write_raw(csv_path, text)
+        expected = _read_or_error(reference_read_table, path, ",")
+        assert _read_or_error(_read_table, path, ",") == expected == path + message
 
 
 class TestDataset:

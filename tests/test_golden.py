@@ -1,12 +1,16 @@
-"""Golden digests: the artifact bytes of five fixed CLI runs through every binning method.
+"""Golden digests: the artifact bytes of six fixed CLI runs through every binning method.
 
 The table is generated in-repo (census-style features, planted groups, and two
-datetime columns derived from the row index, one with missing cells). Each run
+datetime columns derived from the row index, one with missing cells). Five runs
+read it as written; the sixth reads a copy with a byte-order mark, CRLF line
+endings, blank lines and a text column whose quoted cells hold the delimiter,
+a doubled quote or a newline. Each run
 starts in a fresh directory with relative paths, so the config echo inside
 report.json does not depend on where the tests run. A digest moves only when
 the artifact itself changes; re-record it on purpose, never to make a run pass.
 """
 
+import csv
 import hashlib
 import json
 from datetime import date, timedelta
@@ -37,7 +41,11 @@ GOLDEN = {
     "profile": "37caa177bfdde7a8eb0fdd63881707f699246f2f546e12d56a54e57460003120",
     "export-dot": "8c238302e38607d26e8232dcacc6b833cec98d963455f2aca6c9295c34e60220",
     "extract-deep": "e813cfc0d86bb16bd9c00d4d039aaf82d00164cc295cb80c07463161e94da3be",
+    "extract-messy": "0dd39363384de08c6945c76ec76cefc35f896811fd4ce3c67c27d41a1ecb698b",
 }
+
+# the text column of the messy copy: cells that need quoting, and one missing
+NOTES = ("plain", "comma, inside", "two\nlines", 'say "hi"', "", "three\r\nline\nbreaks")
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +65,20 @@ def workdir(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
     write_csv(table, str(root / "data.csv"))
     (root / "plan.json").write_text(json.dumps(PLAN))
+    _write_messy_copy(root / "data.csv", root / "messy.csv")
     return root
+
+
+def _write_messy_copy(src, dst):
+    """data.csv with a note column after the first, a BOM, CRLF endings and a blank line every 97 rows."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(dst, "w", newline="", encoding="utf-8-sig") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        for i, row in enumerate(rows):
+            writer.writerow([row[0], "note" if i == 0 else NOTES[i * 7 % len(NOTES)], *row[1:]])
+            if i % 97 == 96:
+                fh.write("\r\n")
 
 
 @pytest.mark.parametrize("name, argv, artifact", [
@@ -80,3 +101,12 @@ def test_report_digest(workdir, monkeypatch, name, argv, artifact):
     assert main([*argv, "--input", "data.csv", "--label", "label", "--out", out]) == 0
     data = (workdir / out / artifact).read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+def test_messy_copy_digest(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    argv = ["extract", "--config", "plan.json", "--class", "yes",
+            "--input", "messy.csv", "--label", "label", "--out", "run-extract-messy"]
+    assert main(argv) == 0
+    data = (workdir / "run-extract-messy" / "report.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN["extract-messy"]
