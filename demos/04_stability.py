@@ -12,7 +12,7 @@ import numpy as np
 from dtclust.dataset import Dataset
 from dtclust.extract import linearize_rule
 from dtclust.pipeline import PipelineConfig, run_extraction
-from dtclust.stability import stability_report
+from dtclust.stability import StabilityParams, stability_report
 from dtclust.synth import census_group_specs, census_like_features, plant_groups, titanic_like
 from dtclust.tree import TrainParams
 
@@ -34,7 +34,7 @@ print("passenger table, top cluster:")
 print(f"  {top_rule_text(liner_result)}")
 
 report = stability_report(liner, liner_result.clusters, liner_config,
-                          n_samples=20, fraction=0.8, seed=3)
+                          StabilityParams(n_samples=20, fraction=0.8, seed=3))
 print(f"  stability: mean {report.score(0):.3f} "
       f"(min {report.clusters[0].min:.3f}, max {report.clusters[0].max:.3f})\n")
 
@@ -52,7 +52,7 @@ print("census table, top high-income cluster:")
 print(f"  {top_rule_text(income_result)[:110]} ...")
 
 income_report = stability_report(income_ds, income_result.clusters, income_config,
-                                 n_samples=20, fraction=0.8, seed=3)
+                                 StabilityParams(n_samples=20, fraction=0.8, seed=3))
 print(f"  stability: mean {income_report.score(0):.3f} "
       f"(min {income_report.clusters[0].min:.3f}, max {income_report.clusters[0].max:.3f})")
 

@@ -36,7 +36,7 @@ from .preprocess import (
     jaro_winkler,
 )
 from .rules import MISSING, Predicate, RangeTest, Rule, SetTest, apply_rule, render_rule_text
-from .stability import StabilityReport, draw_sample, pairwise_score, stability_report
+from .stability import StabilityParams, StabilityReport, draw_sample, pairwise_score, stability_report
 from .synth import (
     HiddenGroupSpec,
     RecoveryReport,
@@ -62,7 +62,7 @@ __all__ = [
     "TransformLog", "apply_plan", "bin_column", "build_contingency",
     "encode_by_class_frequency", "jaro_winkler",
     "MISSING", "Predicate", "RangeTest", "Rule", "SetTest", "apply_rule", "render_rule_text",
-    "StabilityReport", "draw_sample", "pairwise_score", "stability_report",
+    "StabilityParams", "StabilityReport", "draw_sample", "pairwise_score", "stability_report",
     "HiddenGroupSpec", "RecoveryReport", "census_group_specs", "census_like_features",
     "evaluate_recovery", "plant_groups", "titanic_like", "write_csv",
     "DecisionTree", "Split", "TrainParams", "TreeNode", "best_split", "impurity",

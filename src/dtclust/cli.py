@@ -28,7 +28,7 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .pipeline import ExtractionResult, PipelineConfig, cluster_record, run_extraction
 from .preprocess import PreprocessPlan
-from .stability import StabilityReport, stability_report
+from .stability import StabilityParams, StabilityReport, stability_report
 from .synth import (
     HiddenGroupSpec,
     census_group_specs,
@@ -37,26 +37,11 @@ from .synth import (
     titanic_like,
     write_csv,
 )
-from .tree import TrainParams, to_dot
+from .tree import _METRICS, TrainParams, to_dot
 
 log = logging.getLogger(__name__)
 
 SCHEMA_VERSION = 2
-
-
-@dataclass(frozen=True)
-class StabilityParams:
-    """The stability flags, checked when built, so a bad value fails before any table is read."""
-
-    n_samples: int = 20
-    fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ConfigError(f"--samples must be >= 1, got {self.n_samples}")
-        if not 0 < self.fraction <= 1:
-            raise ConfigError(f"--fraction must be in (0, 1], got {self.fraction}")
 
 
 @dataclass
@@ -146,8 +131,9 @@ class RunReport:
                 lines.append("no clusters extracted")
         if self.stability is not None:
             lines.append("")
-            lines.append(f"stability over {self.stability.n_samples} samples "
-                         f"(fraction {self.stability.fraction}, seed {self.stability.seed}):")
+            params = self.stability.params
+            lines.append(f"stability over {params.n_samples} samples "
+                         f"(fraction {params.fraction}, seed {params.seed}):")
             for c in self.stability.clusters:
                 lines.append(f"  cluster {c.cluster_index + 1}: mean {c.mean:.4f} "
                              f"min {c.min:.4f} max {c.max:.4f}")
@@ -269,12 +255,7 @@ def run(config: RunConfig) -> RunReport:
     stab = None
     if config.stability is not None and result is not None and result.clusters:
         t = time.perf_counter()
-        stab = stability_report(
-            ds, result.clusters, pipeline,
-            n_samples=config.stability.n_samples,
-            fraction=config.stability.fraction,
-            seed=config.stability.seed,
-        )
+        stab = stability_report(ds, result.clusters, pipeline, config.stability)
         timings["stability"] = time.perf_counter() - t
 
     return RunReport(config, ds, summary, result, records, stab, timings)
@@ -335,19 +316,17 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="target_class", default=None,
                    help="target class name or code (default: code 1 of a binary label)")
-    p.add_argument("--beta", type=float, default=0.33, help="F-measure beta (default 0.33)")
-    p.add_argument("--depth", type=int, default=5, help="max tree depth (default 5)")
+    p.add_argument("--beta", type=float, default=PipelineConfig.beta,
+                   help="F-measure beta (default %(default)s)")
+    p.add_argument("--depth", type=int, default=TrainParams.max_depth,
+                   help="max tree depth (default %(default)s)")
     p.add_argument("--bins", type=int, default=None,
                    help="percentile-bin all numeric columns into this many bins")
     p.add_argument("--reorder-symbolic", choices=("on", "off"), default=None,
                    help="class-frequency reordering of symbolic columns (default: config, else on)")
-    p.add_argument("--metric", choices=("gini", "entropy"), default="gini")
-    p.add_argument("--min-gain", type=float, default=0.0)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-
-
-def _add_clusters_arg(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--clusters", type=int, default=3, help="clusters to extract (default 3)")
+    p.add_argument("--metric", choices=_METRICS, default=TrainParams.impurity_metric)
+    p.add_argument("--min-gain", type=float, default=TrainParams.min_gain)
+    p.add_argument("--min-samples-leaf", type=int, default=TrainParams.min_samples_leaf)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -361,18 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="per-column class-rate profile")
     _add_io_args(p)
 
-    p = sub.add_parser("extract", help="run the full extraction pipeline")
-    _add_io_args(p)
-    _add_model_args(p)
-    _add_clusters_arg(p)
-
-    p = sub.add_parser("stability", help="extraction plus bagged stability scores")
-    _add_io_args(p)
-    _add_model_args(p)
-    _add_clusters_arg(p)
-    p.add_argument("--samples", type=int, default=20, help="number of bagged samples (default 20)")
-    p.add_argument("--fraction", type=float, default=0.8, help="sample fraction (default 0.8)")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed (default 0)")
+    for name, text in (("extract", "run the full extraction pipeline"),
+                       ("stability", "extraction plus bagged stability scores")):
+        p = sub.add_parser(name, help=text)
+        _add_io_args(p)
+        _add_model_args(p)
+        p.add_argument("--clusters", type=int, default=PipelineConfig.n_clusters,
+                       help="clusters to extract (default %(default)s)")
+    # the loop ends on the stability parser, which adds the bagging flags
+    p.add_argument("--samples", type=int, default=StabilityParams.n_samples,
+                   help="number of bagged samples (default %(default)s)")
+    p.add_argument("--fraction", type=float, default=StabilityParams.fraction,
+                   help="sample fraction (default %(default)s)")
+    p.add_argument("--seed", type=int, default=StabilityParams.seed,
+                   help="sampling seed (default %(default)s)")
 
     p = sub.add_parser("synth", help="generate a labelled dataset with planted groups")
     p.add_argument("--generate", choices=("census", "liner"), default=None,
@@ -384,9 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rows", type=int, default=None,
                    help="row count (default: 32561 for census, 887 for liner)")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--p-in", type=float, default=0.95)
-    p.add_argument("--p-out", type=float, default=0.05)
-    p.add_argument("--label-name", default="label")
+    # None tells cmd_synth the flag was not given; it fills in the defaults
+    p.add_argument("--p-in", type=float, default=None)
+    p.add_argument("--p-out", type=float, default=None)
+    p.add_argument("--label-name", default=None)
     p.add_argument("--missing-token", action="append", default=None)
     p.add_argument("--out", required=True, help="output directory")
 
@@ -402,20 +384,25 @@ def build_parser() -> argparse.ArgumentParser:
 _LOADER_KEYS = ("missing_tokens", "datetime_patterns", "ordinal_hints")
 
 
-def _read_config_file(args) -> dict:
-    """The optional JSON pipeline config: PreprocessPlan fields plus _LOADER_KEYS.
-
-    Any other top-level key is a ConfigError.
-    """
-    if not args.config:
-        return {}
+def _read_json(path: str, what: str):
+    """The parsed JSON of a settings file (what names it in errors); every failure is a ConfigError."""
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed config {args.config}: {exc}") from exc
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    # ValueError: bad JSON, bad UTF-8, or an integer literal too long to convert;
+    # RecursionError: arrays or objects nested too deeply to parse
+    except (ValueError, RecursionError) as exc:
+        raise ConfigError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _read_config_file(args) -> tuple[dict, PreprocessPlan]:
+    """The optional JSON pipeline config and its plan: PreprocessPlan fields plus _LOADER_KEYS.
+
+    Any other top-level key, or a value of the wrong type, is a ConfigError.
+    """
+    raw = _read_json(args.config, "config") if args.config else {}
     if not isinstance(raw, dict):
         raise ConfigError(f"malformed config {args.config}: the top level must be a JSON object")
     accepted = [f.name for f in fields(PreprocessPlan)] + list(_LOADER_KEYS)
@@ -427,13 +414,8 @@ def _read_config_file(args) -> dict:
         value = raw.get(key, [])
         if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
             raise ConfigError(f"malformed config {args.config}: {key!r} must be a list of strings")
-    return raw
-
-
-def _plan_from_config(args, raw: dict) -> PreprocessPlan:
-    """The config's plan fields, type-checked for every subcommand."""
     try:
-        return PreprocessPlan.from_dict(raw)
+        return raw, PreprocessPlan.from_dict(raw)
     except TypeError as exc:
         raise ConfigError(f"malformed config {args.config}: {exc}") from exc
 
@@ -451,11 +433,6 @@ def _pipeline_from_args(args, plan: PreprocessPlan) -> PipelineConfig:
         params=TrainParams(args.metric, args.depth, args.min_gain, args.min_samples_leaf),
         plan=plan,
     )
-
-
-def _missing_tokens(args, raw: dict) -> tuple[str, ...]:
-    """--missing-token when given, else the config's missing_tokens, else the defaults."""
-    return tuple(args.missing_token or raw.get("missing_tokens", DEFAULT_MISSING_TOKENS))
 
 
 # ---------------------------------------------------------------------------
@@ -483,16 +460,13 @@ def cmd_profile(args) -> int:
 def _run_config_from_args(args) -> RunConfig:
     if len(args.delimiter) != 1:
         raise ConfigError(f"--delimiter must be one character, got {args.delimiter!r}")
-    if getattr(args, "clusters", 0) < 0:
-        raise ConfigError(f"--clusters must be >= 0, got {args.clusters}")
-    raw = _read_config_file(args)
-    plan = _plan_from_config(args, raw)
+    raw, plan = _read_config_file(args)
     hints = {name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())}
     patterns = DEFAULT_DATETIME_PATTERNS + tuple(raw.get("datetime_patterns", ()))
     return RunConfig(
         input=args.input,
         label=args.label,
-        missing_tokens=_missing_tokens(args, raw),
+        missing_tokens=tuple(args.missing_token or raw.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
         delimiter=args.delimiter,
         kind_hints=hints,
         datetime_patterns=patterns,
@@ -512,14 +486,35 @@ def cmd_run(args) -> int:
     return 0
 
 
-def cmd_synth(args) -> int:
-    """Check the group specs, then build and write the labelled table; --out is made last."""
+def _check_synth_flags(args) -> None:
+    """Refuse each flag that the chosen table source would ignore."""
     if args.rows is not None and args.rows < 1:
         raise ConfigError(f"--rows must be >= 1, got {args.rows}")
+    planting = [flag for flag, value in (
+        ("--spec", args.spec), ("--default-groups", args.default_groups or None),
+        ("--features", args.features), ("--p-in", args.p_in), ("--p-out", args.p_out),
+        ("--label-name", args.label_name)) if value is not None]
+    if args.generate == "liner" and planting:
+        raise ConfigError(f"{planting[0]} does not apply to --generate liner, which plants no groups")
+    if args.features and (args.generate or args.rows is not None):
+        flag = "--generate" if args.generate else "--rows"
+        raise ConfigError(f"--features does not go with {flag}: the feature file is the table")
+    if args.missing_token and not args.features:
+        raise ConfigError("--missing-token applies only to a --features file")
+    built_in = [flag for flag in planting if flag in ("--default-groups", "--p-in", "--p-out")]
+    if args.spec and built_in:
+        raise ConfigError(f"{built_in[0]} does not go with --spec: "
+                          "the spec file gives the groups and their rates")
+
+
+def cmd_synth(args) -> int:
+    """Check the flags and group specs, then build and write the labelled table; --out is made last."""
+    _check_synth_flags(args)
     out = Path(args.out)
+    size = {} if args.rows is None else {"n_rows": args.rows}
 
     if args.generate == "liner":
-        ds = titanic_like(887 if args.rows is None else args.rows, args.seed)
+        ds = titanic_like(seed=args.seed, **size)
         out.mkdir(parents=True, exist_ok=True)
         write_csv(ds, str(out / "data.csv"), label_column="survived")
         print(f"wrote {out / 'data.csv'} ({ds.row_count} rows)")
@@ -528,21 +523,21 @@ def cmd_synth(args) -> int:
     if args.generate != "census" and not args.features:
         raise ConfigError("synth needs --generate or --features")
     if args.spec:
+        raw = _read_json(args.spec, "spec")
         try:
-            with open(args.spec, encoding="utf-8") as fh:
-                raw = json.load(fh)
             specs = [HiddenGroupSpec.from_dict(g) for g in raw["groups"]]
-        except OSError as exc:
-            raise ConfigError(f"cannot read spec {args.spec}: {exc}") from exc
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed spec {args.spec}: {exc}") from exc
     elif args.default_groups or args.generate == "census":
-        specs = census_group_specs(p_in=args.p_in, p_out=args.p_out)
+        specs = census_group_specs(
+            p_in=HiddenGroupSpec.p_in if args.p_in is None else args.p_in,
+            p_out=HiddenGroupSpec.p_out if args.p_out is None else args.p_out,
+        )
     else:
         raise ConfigError("synth needs --spec or --default-groups")
 
     if args.generate == "census":
-        features = census_like_features(32561 if args.rows is None else args.rows, args.seed)
+        features = census_like_features(seed=args.seed, **size)
     else:
         features = load_features_csv(
             args.features,
@@ -558,7 +553,8 @@ def cmd_synth(args) -> int:
     }
     truth_text = json.dumps(truth_doc, sort_keys=True, allow_nan=False) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(labelled, str(out / "data.csv"), label_column=args.label_name)
+    label_name = "label" if args.label_name is None else args.label_name
+    write_csv(labelled, str(out / "data.csv"), label_column=label_name)
     (out / "truth.json").write_text(truth_text, encoding="utf-8")
     shares = ", ".join(f"{len(rows) / features.row_count:.3f}" for rows in truth)
     print(f"wrote {out / 'data.csv'} ({features.row_count} rows); group shares: {shares}")

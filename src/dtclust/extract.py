@@ -123,8 +123,8 @@ def extract_iterative(
     ds: Dataset,
     params: TrainParams,
     target_class: int,
-    beta: float = 0.33,
-    n_clusters: int = 3,
+    beta: float,
+    n_clusters: int,
 ) -> ExtractionOutcome:
     """Extract up to n_clusters clusters by best-node removal and retraining.
 
@@ -156,7 +156,7 @@ def extract_iterative(
         cand = rank_nodes(tree, target_class, beta, tree_index)[0]
         if cand.f_beta <= 0:
             break
-        cand.recall_overall = cand.tp / total_overall if total_overall else 0.0
+        cand.recall_overall = cand.tp / total_overall
         clusters.append(cand)
         remaining = np.setdiff1d(remaining, cand.row_ids, assume_unique=True)
     return ExtractionOutcome(clusters, trees)

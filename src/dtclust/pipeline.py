@@ -18,11 +18,14 @@ from .tree import DecisionTree, TrainParams, impurity
 class PipelineConfig:
     """Everything extraction needs beyond the dataset itself.
 
-    target_class is resolved by Dataset.class_code; beta is checked when the
-    config is built, so a caller fails before it reads any table.
+    target_class is resolved by Dataset.class_code: None, the default, means
+    code 1 of a binary label and is a ConfigError with more classes, as on the
+    command line. beta and n_clusters are checked when the config is built, so
+    a caller fails before it reads any table; n_clusters 0 makes cli.run
+    profile only, and run_extraction refuses it.
     """
 
-    target_class: int | str | None = 1
+    target_class: int | str | None = None
     beta: float = 0.33
     n_clusters: int = 3
     params: TrainParams = field(default_factory=TrainParams)
@@ -31,6 +34,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if not 0 < self.beta < math.inf:
             raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
+        if self.n_clusters < 0:
+            raise ConfigError(f"--clusters must be >= 0, got {self.n_clusters}")
 
     def to_dict(self) -> dict:
         return {
@@ -76,7 +81,7 @@ def cluster_record(cand: ClusterCandidate, result: ExtractionResult) -> dict:
     return {
         "tree_index": cand.tree_index,
         "node_id": cand.node_id,
-        "gini_impurity": impurity([cand.fp, cand.tp], "gini") if cand.size else 0.0,
+        "gini_impurity": impurity([cand.fp, cand.tp], "gini"),
         "size": cand.size,
         "tp": cand.tp,
         "fp": cand.fp,

@@ -354,12 +354,7 @@ class PreprocessPlan:
                               f"got {self.high_cardinality_threshold}")
 
     def to_dict(self) -> dict:
-        return {
-            "numeric_bins": self.numeric_bins,
-            "per_column": {name: asdict(d) for name, d in self.per_column.items()},
-            "reorder_symbolic": self.reorder_symbolic,
-            "high_cardinality_threshold": self.high_cardinality_threshold,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PreprocessPlan":
@@ -367,10 +362,10 @@ class PreprocessPlan:
 
         A boolean is not an integer here: type(True) is bool, not int.
         """
-        numeric_bins = raw.get("numeric_bins")
+        numeric_bins = raw.get("numeric_bins", cls.numeric_bins)
         per_column = raw.get("per_column", {})
-        reorder_symbolic = raw.get("reorder_symbolic", True)
-        threshold = raw.get("high_cardinality_threshold", 100)
+        reorder_symbolic = raw.get("reorder_symbolic", cls.reorder_symbolic)
+        threshold = raw.get("high_cardinality_threshold", cls.high_cardinality_threshold)
         if numeric_bins is not None and type(numeric_bins) is not int:
             raise TypeError("'numeric_bins' must be an integer or null")
         if not isinstance(per_column, dict) or not all(

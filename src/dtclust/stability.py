@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +22,21 @@ from .errors import ConfigError, DataError
 from .extract import ClusterCandidate
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class StabilityParams:
+    """Bagging settings, checked when built, so a bad value fails before any table is read."""
+
+    n_samples: int = 20
+    fraction: float = 0.8
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.n_samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {self.n_samples}")
+        if not 0 < self.fraction <= 1:
+            raise ConfigError(f"--fraction must be in (0, 1], got {self.fraction}")
 
 
 def draw_sample(ds: Dataset, fraction: float, seed: int, k: int) -> tuple[Dataset, np.ndarray]:
@@ -84,18 +99,14 @@ class ClusterStability:
 @dataclass(frozen=True)
 class StabilityReport:
     clusters: tuple[ClusterStability, ...]
-    n_samples: int
-    fraction: float
-    seed: int
+    params: StabilityParams
 
     def score(self, cluster_index: int) -> float:
         return self.clusters[cluster_index].mean
 
     def to_dict(self) -> dict:
         return {
-            "n_samples": self.n_samples,
-            "fraction": self.fraction,
-            "seed": self.seed,
+            **asdict(self.params),
             "clusters": [
                 {
                     "cluster": c.cluster_index,
@@ -109,29 +120,21 @@ class StabilityReport:
         }
 
 
-def stability_report(
-    ds: Dataset,
-    clusters: Sequence[ClusterCandidate],
-    config,
-    n_samples: int = 20,
-    fraction: float = 0.8,
-    seed: int = 0,
-) -> StabilityReport:
+def stability_report(ds: Dataset, clusters: Sequence[ClusterCandidate], config,
+                     params: StabilityParams) -> StabilityReport:
     """Bagged stability of already-extracted clusters.
 
     config is the PipelineConfig the clusters came from; each sample refits the
     preprocessing (bin edges, frequency orders) and extracts the same number of
     clusters. A sample yielding no clusters contributes a score of 0.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be >= 1")
     if not clusters:
         raise ConfigError("stability_report needs at least one extracted cluster")
 
     sample_config = replace(config, n_clusters=len(clusters))
-    scores = np.zeros((len(clusters), n_samples))
-    for k in range(n_samples):
-        view, ids = draw_sample(ds, fraction, seed, k)
+    scores = np.zeros((len(clusters), params.n_samples))
+    for k in range(params.n_samples):
+        view, ids = draw_sample(ds, params.fraction, params.seed, k)
         # looked up on the module at call time, so a wrapper installed there sees every fit
         result = pipeline.run_extraction(view, sample_config)
         sample_clusters = [ids[c.row_ids] for c in result.clusters]
@@ -142,12 +145,5 @@ def stability_report(
             scores[i, k] = max(
                 pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters
             )
-    return StabilityReport(
-        tuple(
-            ClusterStability(i, tuple(float(s) for s in scores[i]))
-            for i in range(len(clusters))
-        ),
-        n_samples,
-        fraction,
-        seed,
-    )
+    per_cluster = tuple(ClusterStability(i, tuple(map(float, row))) for i, row in enumerate(scores))
+    return StabilityReport(per_cluster, params)

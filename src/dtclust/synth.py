@@ -53,7 +53,7 @@ class HiddenGroupSpec:
     def from_dict(cls, raw: dict) -> "HiddenGroupSpec":
         """A group record of a spec file; share, p_in and p_out must be JSON numbers."""
         rule = rule_from_dict(raw["rule"])
-        share, p_in, p_out = raw.get("share"), raw.get("p_in", 0.95), raw.get("p_out", 0.05)
+        share, p_in, p_out = raw.get("share"), raw.get("p_in", cls.p_in), raw.get("p_out", cls.p_out)
         for key, value in (("share", share), ("p_in", p_in), ("p_out", p_out)):
             if type(value) not in (int, float) and not (key == "share" and value is None):
                 raise ConfigError(f"a group's {key} must be a number, got {value!r}")
@@ -317,7 +317,8 @@ def census_like_features(n_rows: int = 32561, seed: int = 7) -> Dataset:
     return Dataset(tuple(columns), None, ())
 
 
-def census_group_specs(p_in: float = 0.95, p_out: float = 0.05) -> list[HiddenGroupSpec]:
+def census_group_specs(p_in: float = HiddenGroupSpec.p_in,
+                       p_out: float = HiddenGroupSpec.p_out) -> list[HiddenGroupSpec]:
     """The four benchmark hidden groups over the census-style features."""
     def le(attr, value):
         return RangeTest(attr, None, Bound(value, format_value(value, ColumnKind.NUMERIC)))

@@ -17,7 +17,7 @@ from dtclust.extract import (
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import PreprocessPlan, build_contingency, encode_by_class_frequency
 from dtclust.rules import apply_rule
-from dtclust.stability import stability_report
+from dtclust.stability import StabilityParams, stability_report
 from dtclust.synth import census_group_specs, census_like_features, evaluate_recovery, plant_groups, titanic_like
 from dtclust.tree import TrainParams, best_split, train
 
@@ -204,12 +204,12 @@ def test_c7_stability(census):
 
     # exactness at f=1: the sample is the dataset, so every score is exactly 1
     exact = stability_report(liner, liner_result.clusters, liner_config,
-                             n_samples=3, fraction=1.0, seed=0)
+                             StabilityParams(n_samples=3, fraction=1.0, seed=0))
     for cluster in exact.clusters:
         assert cluster.per_sample == (1.0,) * 3
 
     liner_stab = stability_report(liner, liner_result.clusters[:1], liner_config,
-                                  n_samples=20, fraction=0.8, seed=3)
+                                  StabilityParams(n_samples=20, fraction=0.8, seed=3))
     liner_score = liner_stab.score(0)
     assert 0.80 <= liner_score <= 1.0
 
@@ -219,7 +219,7 @@ def test_c7_stability(census):
     income_config = PipelineConfig(target_class=">50K", beta=0.33, n_clusters=1, params=DEPTH3)
     income_result = run_extraction(income, income_config)
     income_stab = stability_report(income, income_result.clusters, income_config,
-                                   n_samples=20, fraction=0.8, seed=3)
+                                   StabilityParams(n_samples=20, fraction=0.8, seed=3))
     income_score = income_stab.score(0)
     assert liner_score > income_score
 

@@ -1,17 +1,21 @@
 """End-to-end command-line runs: subcommands, artifacts, exit codes."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust.cli import json_text, main
+from dtclust.cli import _run_config_from_args, build_parser, json_text, main
 from dtclust.dataset import load_csv
-from dtclust.errors import InternalError
+from dtclust.errors import ConfigError, InternalError
+from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.rules import MISSING, Bound, RangeTest, Rule, SetTest, render_rule_text, rule_from_dict
-from dtclust.synth import titanic_like, write_csv
+from dtclust.stability import StabilityParams
+from dtclust.synth import HiddenGroupSpec, titanic_like, write_csv
+from dtclust.tree import _METRICS, TrainParams
 
 
 # a census table of 50 rows labelled by the spec file {tmp}/spec.json
@@ -24,6 +28,14 @@ def one_group(predicate, **fields):
 
 
 AGE_30 = {"attribute": "age", "op": "<=", "value": 30}
+
+# settings-file contents that are not JSON the parser can read: a byte that is
+# not UTF-8, nesting deeper than the parser recurses, an integer too long to convert
+UNREADABLE_JSON = {
+    "not-utf8": b'{"numeric_bins": 4}\xff',
+    "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+    "long-integer": b'{"numeric_bins": ' + b"9" * 5000 + b"}",
+}
 
 
 @pytest.fixture(scope="module")
@@ -190,11 +202,23 @@ class TestExtractCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["transform_log"]["columns"]["when"]["kind"] == "datetime"
 
-    def test_malformed_config_file(self, liner_csv, tmp_path):
+    @pytest.mark.parametrize("content", [b"{not json", *UNREADABLE_JSON.values()],
+                             ids=["not-json", *UNREADABLE_JSON])
+    def test_malformed_config_file(self, liner_csv, tmp_path, capsys, content):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
+        bad.write_bytes(content)
         assert main(["extract", "--input", liner_csv, "--label", "survived",
                      "--config", str(bad)]) == 2
+        assert f"malformed config {bad}: " in capsys.readouterr().err
+
+    def test_three_classes_need_a_class_in_library_and_cli(self, tmp_path, capsys):
+        path = tmp_path / "three.csv"
+        path.write_text("x,y\n" + "".join(f"{i},{'pqr'[i % 3]}\n" for i in range(12)))
+        message = "--class is required with 3 classes: ['p', 'q', 'r']"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_extraction(load_csv(str(path)), PipelineConfig(n_clusters=1))
+        assert main(["extract", "--input", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_zero_clusters_profile_only(self, liner_csv, tmp_path):
         out = tmp_path / "p0"
@@ -510,6 +534,42 @@ class TestSynthCommand:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("content", UNREADABLE_JSON.values(), ids=UNREADABLE_JSON)
+    def test_unreadable_spec_file(self, tmp_path, capsys, content):
+        bad = tmp_path / "spec.json"
+        bad.write_bytes(content)
+        out = tmp_path / "D"
+        assert main(["synth", *[f.format(tmp=tmp_path) for f in SPEC_FLAGS], "--out", str(out)]) == 2
+        assert f"malformed spec {bad}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, flag", [
+        (["--generate", "liner", "--spec", "{tmp}/spec.json"], "--spec"),
+        (["--generate", "liner", "--default-groups"], "--default-groups"),
+        (["--generate", "liner", "--features", "{tmp}/missing.csv"], "--features"),
+        (["--generate", "liner", "--p-in", "0.9"], "--p-in"),
+        (["--generate", "liner", "--p-out", "0.0"], "--p-out"),
+        (["--generate", "liner", "--label-name", "y"], "--label-name"),
+        (["--generate", "census", "--features", "{tmp}/missing.csv"], "--features"),
+        (["--features", "{tmp}/missing.csv", "--default-groups", "--rows", "10"], "--rows"),
+        (["--generate", "census", "--missing-token", "NA"], "--missing-token"),
+        ([*SPEC_FLAGS, "--p-out", "0.0"], "--p-out"),
+        ([*SPEC_FLAGS, "--default-groups"], "--default-groups"),
+    ], ids=["liner-spec", "liner-default-groups", "liner-features", "liner-p-in",
+            "liner-p-out", "liner-label-name", "census-features", "features-rows",
+            "missing-token-without-features", "spec-p-out", "spec-default-groups"])
+    def test_ignored_flag_is_config_error(self, tmp_path, capsys, flags, flag):
+        (tmp_path / "spec.json").write_text(json.dumps(one_group(AGE_30)))
+        out = tmp_path / "D"
+        assert main(["synth", *[f.format(tmp=tmp_path) for f in flags], "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_generator_default_row_count(self, tmp_path):
+        out = tmp_path / "liner"
+        assert main(["synth", "--generate", "liner", "--out", str(out)]) == 0
+        assert load_csv(str(out / "data.csv"), label="survived").row_count == 887
+
     def test_half_open_spec_interval_echoes_one_sided_test(self, tmp_path):
         spec = one_group({"attribute": "age", "op": "in", "lo": {"value": 30}})
         (tmp_path / "spec.json").write_text(json.dumps(spec))
@@ -558,6 +618,47 @@ class TestExportDot:
             main(["export-dot", "--input", liner_csv, "--label", "survived", "--clusters", "7"])
         assert exc.value.code == 2
         assert "--clusters" in capsys.readouterr().err
+
+
+class TestDefaults:
+    """Each flag default is read from the dataclass that owns the setting."""
+
+    @pytest.mark.parametrize("command", ["profile", "extract", "stability", "synth", "export-dot"])
+    def test_help_shows_dataclass_defaults(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        shown = []
+        if command in ("extract", "stability", "export-dot"):
+            shown += [f"F-measure beta (default {PipelineConfig.beta})",
+                      f"max tree depth (default {TrainParams.max_depth})",
+                      "--metric {" + ",".join(_METRICS) + "}"]
+        if command in ("extract", "stability"):
+            shown.append(f"clusters to extract (default {PipelineConfig.n_clusters})")
+        if command == "stability":
+            shown += [f"number of bagged samples (default {StabilityParams.n_samples})",
+                      f"sample fraction (default {StabilityParams.fraction})",
+                      f"sampling seed (default {StabilityParams.seed})"]
+        for text in shown:
+            assert text in out
+
+    @pytest.mark.parametrize("command", ["extract", "stability"])
+    def test_minimal_argv_gives_dataclass_defaults(self, command):
+        config = _run_config_from_args(build_parser().parse_args([command, "--input", "t.csv"]))
+        assert config.pipeline.params == TrainParams()
+        assert config.pipeline.beta == PipelineConfig.beta
+        assert config.pipeline.n_clusters == PipelineConfig.n_clusters
+        assert config.pipeline == PipelineConfig()
+        assert config.stability == (StabilityParams() if command == "stability" else None)
+
+    def test_synth_rates_default_to_group_spec(self, tmp_path):
+        out = tmp_path / "synth"
+        assert main(["synth", "--generate", "census", "--rows", "200", "--out", str(out)]) == 0
+        groups = json.loads((out / "truth.json").read_text())["groups"]
+        assert {(g["spec"]["p_in"], g["spec"]["p_out"]) for g in groups} == {
+            (HiddenGroupSpec.p_in, HiddenGroupSpec.p_out)}
 
 
 # every leaf kind json.dumps encodes, with the edges of its number and string formatting

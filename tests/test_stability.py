@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dtclust import pipeline
 from dtclust.errors import ConfigError, DataError
 from dtclust.pipeline import PipelineConfig, run_extraction
-from dtclust.stability import draw_sample, pairwise_score, stability_report
+from dtclust.stability import StabilityParams, draw_sample, pairwise_score, stability_report
 from dtclust.synth import titanic_like
 from dtclust.tree import TrainParams
 
@@ -120,7 +120,7 @@ class TestStabilityReport:
         config = self.make_config()
         result = run_extraction(liner, config)
         report = stability_report(liner, result.clusters, config,
-                                  n_samples=3, fraction=1.0, seed=0)
+                                  StabilityParams(n_samples=3, fraction=1.0, seed=0))
         for cluster in report.clusters:
             assert cluster.per_sample == (1.0,) * 3
             assert cluster.mean == 1.0
@@ -139,8 +139,8 @@ class TestStabilityReport:
         result = run_extraction(ds, config)
         if not result.clusters:
             return
-        report = stability_report(ds, result.clusters, config, n_samples=2, fraction=1.0,
-                                  seed=int(rng.integers(0, 100)))
+        params = StabilityParams(n_samples=2, fraction=1.0, seed=int(rng.integers(0, 100)))
+        report = stability_report(ds, result.clusters, config, params)
         for cluster in report.clusters:
             assert cluster.per_sample == (1.0, 1.0)
 
@@ -156,21 +156,23 @@ class TestStabilityReport:
             return run_extraction(*args, **kwargs)
 
         monkeypatch.setattr(pipeline, "run_extraction", counting)
-        stability_report(liner, result.clusters, config, n_samples=3, fraction=0.8, seed=0)
+        stability_report(liner, result.clusters, config,
+                         StabilityParams(n_samples=3, fraction=0.8, seed=0))
         assert len(calls) == 3
 
     def test_reproducible(self, liner):
         config = self.make_config()
         result = run_extraction(liner, config)
-        a = stability_report(liner, result.clusters, config, n_samples=5, fraction=0.8, seed=7)
-        b = stability_report(liner, result.clusters, config, n_samples=5, fraction=0.8, seed=7)
+        params = StabilityParams(n_samples=5, fraction=0.8, seed=7)
+        a = stability_report(liner, result.clusters, config, params)
+        b = stability_report(liner, result.clusters, config, params)
         assert a.to_dict() == b.to_dict()
 
     def test_scores_in_range_and_max_property(self, liner):
         config = self.make_config()
         result = run_extraction(liner, config)
         report = stability_report(liner, result.clusters, config,
-                                  n_samples=6, fraction=0.7, seed=1)
+                                  StabilityParams(n_samples=6, fraction=0.7, seed=1))
         for cluster in report.clusters:
             assert all(0.0 <= s <= 1.0 for s in cluster.per_sample)
             assert cluster.min <= cluster.mean <= cluster.max
@@ -184,10 +186,8 @@ class TestStabilityReport:
 
     def test_needs_clusters(self, liner):
         with pytest.raises(ConfigError):
-            stability_report(liner, [], self.make_config(), n_samples=2, fraction=0.8, seed=0)
+            stability_report(liner, [], self.make_config(), StabilityParams(n_samples=2))
 
-    def test_needs_positive_samples(self, liner):
-        config = self.make_config()
-        result = run_extraction(liner, config)
-        with pytest.raises(ConfigError):
-            stability_report(liner, result.clusters, config, n_samples=0, fraction=0.8, seed=0)
+    def test_needs_positive_samples(self):
+        with pytest.raises(ConfigError, match="--samples must be >= 1, got 0"):
+            StabilityParams(n_samples=0)
