@@ -8,6 +8,7 @@ from .dataset import (
     Column,
     ColumnKind,
     Dataset,
+    LoadSettings,
     ProfileReport,
     load_csv,
     load_features_csv,
@@ -52,8 +53,8 @@ from .tree import DecisionTree, Split, TrainParams, TreeNode, best_split, impuri
 __version__ = "0.1.0"
 
 __all__ = [
-    "Column", "ColumnKind", "Dataset", "ProfileReport", "load_csv", "load_features_csv",
-    "profile",
+    "Column", "ColumnKind", "Dataset", "LoadSettings", "ProfileReport", "load_csv",
+    "load_features_csv", "profile",
     "ConfigError", "DataError", "DtclustError", "InternalError",
     "ClusterCandidate", "extract_iterative", "fbeta_score", "linearize_rule",
     "rank_nodes", "select_from_single_tree",

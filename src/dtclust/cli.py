@@ -1,7 +1,8 @@
 """Command-line interface: profile, extract, stability, synth, export-dot.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 internal error.
-Set DTCLUST_LOG=DEBUG|INFO|WARNING to control log verbosity.
+Set DTCLUST_LOG to a logging level name (DEBUG, INFO, WARNING, ERROR, CRITICAL;
+any case) to control log verbosity; any other value is a configuration error.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
 
 from .dataset import (
-    DEFAULT_DATETIME_PATTERNS,
-    DEFAULT_MISSING_TOKENS,
     PROFILE_CATEGORY_CAP,
     Dataset,
+    LoadSettings,
     load_csv,
     load_features_csv,
     profile,
@@ -30,6 +30,7 @@ from .pipeline import ExtractionResult, PipelineConfig, cluster_record, run_extr
 from .preprocess import PreprocessPlan
 from .stability import StabilityParams, StabilityReport, stability_report
 from .synth import (
+    WRITTEN_MISSING_TOKENS,
     HiddenGroupSpec,
     census_group_specs,
     census_like_features,
@@ -50,10 +51,7 @@ class RunConfig:
 
     input: str
     label: str | None = None
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
-    delimiter: str = ","
-    kind_hints: dict[str, str] = field(default_factory=dict)
-    datetime_patterns: tuple[str, ...] = DEFAULT_DATETIME_PATTERNS
+    load: LoadSettings = field(default_factory=LoadSettings)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     stability: StabilityParams | None = None
 
@@ -62,10 +60,10 @@ class RunConfig:
             "schema_version": SCHEMA_VERSION,
             "input": self.input,
             "label": self.label,
-            "missing_tokens": list(self.missing_tokens),
-            "delimiter": self.delimiter,
-            "kind_hints": dict(self.kind_hints),
-            "datetime_patterns": list(self.datetime_patterns),
+            "missing_tokens": list(self.load.missing_tokens),
+            "delimiter": self.load.delimiter,
+            "kind_hints": dict(self.load.kind_hints),
+            "datetime_patterns": list(self.load.datetime_patterns),
             **self.pipeline.to_dict(),
         }
         if self.stability is not None:
@@ -262,14 +260,12 @@ def run(config: RunConfig) -> RunReport:
 
 
 def _load(config: RunConfig) -> Dataset:
-    """The one place the CLI reads its input table, with the config's loader hints.
+    """The one place the CLI reads its input table, with the config's loader settings.
 
     The plan is checked against the table right away, so a directive that
     cannot bin its column fails every subcommand before any other work.
     """
-    ds = load_csv(config.input, label=config.label, kind_hints=config.kind_hints or None,
-                  missing_tokens=config.missing_tokens,
-                  datetime_patterns=config.datetime_patterns, delimiter=config.delimiter)
+    ds = load_csv(config.input, label=config.label, settings=config.load)
     config.pipeline.plan.check(ds)
     return ds
 
@@ -306,8 +302,9 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--label", default=None, help="label column name (default: last column)")
     p.add_argument("--missing-token", action="append", default=None,
-                   help="missing-value token (repeatable; default: '', '?', 'NA')")
-    p.add_argument("--delimiter", default=",")
+                   help="missing-value token (repeatable; default: "
+                        f"{', '.join(map(repr, LoadSettings.missing_tokens))})")
+    p.add_argument("--delimiter", default=LoadSettings.delimiter)
     p.add_argument("--config", default=None,
                    help="JSON config file: preprocessing plan and loader hints")
     p.add_argument("--out", default=None, help="output directory for artifacts")
@@ -458,18 +455,16 @@ def cmd_profile(args) -> int:
 
 
 def _run_config_from_args(args) -> RunConfig:
-    if len(args.delimiter) != 1:
-        raise ConfigError(f"--delimiter must be one character, got {args.delimiter!r}")
     raw, plan = _read_config_file(args)
-    hints = {name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())}
-    patterns = DEFAULT_DATETIME_PATTERNS + tuple(raw.get("datetime_patterns", ()))
     return RunConfig(
         input=args.input,
         label=args.label,
-        missing_tokens=tuple(args.missing_token or raw.get("missing_tokens", DEFAULT_MISSING_TOKENS)),
-        delimiter=args.delimiter,
-        kind_hints=hints,
-        datetime_patterns=patterns,
+        load=LoadSettings(
+            missing_tokens=args.missing_token or raw.get("missing_tokens", LoadSettings.missing_tokens),
+            delimiter=args.delimiter,
+            kind_hints={name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())},
+            datetime_patterns=LoadSettings.datetime_patterns + tuple(raw.get("datetime_patterns", ())),
+        ),
         pipeline=(_pipeline_from_args(args, plan) if args.command != "profile"
                   else PipelineConfig(plan=plan)),
         stability=(StabilityParams(args.samples, args.fraction, args.seed)
@@ -540,9 +535,11 @@ def cmd_synth(args) -> int:
         features = census_like_features(seed=args.seed, **size)
     else:
         features = load_features_csv(
-            args.features,
-            missing_tokens=tuple(args.missing_token) if args.missing_token else ("",),
-        )
+            args.features, LoadSettings(missing_tokens=args.missing_token or WRITTEN_MISSING_TOKENS))
+    label_name = "label" if args.label_name is None else args.label_name
+    if label_name in features.column_names:
+        raise ConfigError(f"label name {label_name!r} is already a feature column; "
+                          "pick another with --label-name")
     labelled, truth = plant_groups(features, specs, args.seed)
     truth_doc = {
         "seed": args.seed,
@@ -553,7 +550,6 @@ def cmd_synth(args) -> int:
     }
     truth_text = json.dumps(truth_doc, sort_keys=True, allow_nan=False) + "\n"
     out.mkdir(parents=True, exist_ok=True)
-    label_name = "label" if args.label_name is None else args.label_name
     write_csv(labelled, str(out / "data.csv"), label_column=label_name)
     (out / "truth.json").write_text(truth_text, encoding="utf-8")
     shares = ", ".join(f"{len(rows) / features.row_count:.3f}" for rows in truth)
@@ -585,13 +581,21 @@ _COMMANDS = {
 }
 
 
+def _configure_logging() -> None:
+    """Log at the DTCLUST_LOG level (default WARNING); a name logging does not know is a ConfigError."""
+    name = os.environ.get("DTCLUST_LOG", "WARNING")
+    level = logging.getLevelName(name.upper())
+    if not isinstance(level, int):
+        raise ConfigError(f"DTCLUST_LOG={name!r} is not a log level; "
+                          "use DEBUG, INFO, WARNING, ERROR or CRITICAL")
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
 def main(argv: list[str] | None = None) -> int:
-    level = os.environ.get("DTCLUST_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _configure_logging()
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

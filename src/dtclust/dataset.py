@@ -33,11 +33,12 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from itertools import chain, compress, count
-from typing import Mapping, Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,6 +73,40 @@ class ColumnKind(Enum):
     def is_ordered(self) -> bool:
         """True for kinds whose codes carry a meaningful total order (split with <=/>)."""
         return self in (ColumnKind.NUMERIC, ColumnKind.SYMBOLIC_ORDINAL, ColumnKind.DATETIME)
+
+
+@dataclass(frozen=True)
+class LoadSettings:
+    """How a CSV is read, checked when built, so a bad value fails before any table is read.
+
+    datetime_patterns are tried on a column in turn. A kind hint may be a
+    ColumnKind or its value text; it is stored, read-only, as the text.
+    """
+
+    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
+    delimiter: str = ","
+    kind_hints: Mapping[str, str] = field(default_factory=dict)
+    datetime_patterns: tuple[str, ...] = DEFAULT_DATETIME_PATTERNS
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise ConfigError(f"--delimiter must be one character, got {self.delimiter!r}")
+        for key in ("missing_tokens", "datetime_patterns"):
+            value = getattr(self, key)
+            if (isinstance(value, str) or not isinstance(value, Sequence)
+                    or not all(isinstance(v, str) for v in value)):
+                raise ConfigError(f"{key} must be a sequence of strings, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        if not isinstance(self.kind_hints, Mapping):
+            raise ConfigError(f"kind_hints must map column names to kinds, got {self.kind_hints!r}")
+        hints = {}
+        for name, hint in self.kind_hints.items():
+            try:
+                hints[name] = ColumnKind(hint).value
+            except ValueError:
+                raise ConfigError(f"kind hint {hint!r} for column {name!r} is not one of: "
+                                  f"{', '.join(k.value for k in ColumnKind)}") from None
+        object.__setattr__(self, "kind_hints", MappingProxyType(hints))
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,38 +479,26 @@ def _note_ragged(rows, width: int, reader, ragged: list[tuple[int, int]]):
         yield row
 
 
-def _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns) -> list[Column]:
+def _encode_features(names, columns, settings: LoadSettings) -> list[Column]:
     """Encode each feature's raw cells (columns, in the order of names) with
-    its hinted kind, or else the kind it infers."""
-    hints = dict(kind_hints or {})
-    missing = frozenset(missing_tokens)
-    encoded = []
-    for name, cells in zip(names, columns):
-        kind = None
-        if name in hints:
-            hint = hints.pop(name)
-            kind = ColumnKind(hint) if isinstance(hint, str) else hint
-        encoded.append(_encode_cells(name, cells, kind, missing, datetime_patterns))
-    if hints:
-        raise ConfigError(f"kind hints for unknown columns: {sorted(hints)}")
-    return encoded
+    its hinted kind, or else the kind it infers; a hint for no feature fails first."""
+    hints = settings.kind_hints
+    unknown = sorted(set(hints) - set(names))
+    if unknown:
+        raise ConfigError(f"kind hints for unknown columns: {unknown}")
+    missing = frozenset(settings.missing_tokens)
+    return [_encode_cells(name, cells, ColumnKind(hints[name]) if name in hints else None, missing,
+                          settings.datetime_patterns)
+            for name, cells in zip(names, columns)]
 
 
-def load_csv(
-    path: str,
-    label: str | int | None = None,
-    kind_hints: Mapping[str, ColumnKind | str] | None = None,
-    missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    datetime_patterns: Sequence[str] = DEFAULT_DATETIME_PATTERNS,
-    delimiter: str = ",",
-) -> Dataset:
-    """Load a headered CSV into an encoded Dataset.
+def load_csv(path: str, label: str | int | None = None, settings: LoadSettings = LoadSettings()) -> Dataset:
+    """Load a headered CSV into an encoded Dataset, read as settings say.
 
     label selects the class column by name or position (default: last column).
     Cells are stripped of surrounding whitespace before matching missing tokens.
-    kind_hints overrides inference per column name, e.g. {"grade": "symbolic-ordinal"}.
     """
-    header, columns = _read_table(path, delimiter)
+    header, columns = _read_table(path, settings.delimiter)
 
     if label is None:
         label_idx = len(header) - 1
@@ -490,14 +513,14 @@ def load_csv(
 
     # class codes run from 0: the label is encoded as a symbolic column, less one
     label_col = _encode_cells(header[label_idx], columns.pop(label_idx), ColumnKind.SYMBOLIC_NOMINAL,
-                              frozenset(missing_tokens), datetime_patterns)
+                              frozenset(settings.missing_tokens), settings.datetime_patterns)
     if not label_col.n_values:
         raise DataError(f"label column {header[label_idx]!r} is entirely missing")
     if label_col.has_missing:
         raise DataError(f"label column {header[label_idx]!r} has missing cells")
 
     names = header[:label_idx] + header[label_idx + 1:]
-    features = _encode_features(names, columns, kind_hints, missing_tokens, datetime_patterns)
+    features = _encode_features(names, columns, settings)
 
     ds = Dataset(tuple(features), label_col.codes - 1, label_col.dictionary)
     log.info("loaded %s: %d rows, %d feature columns, %d classes",
@@ -505,17 +528,10 @@ def load_csv(
     return ds
 
 
-def load_features_csv(
-    path: str,
-    kind_hints: Mapping[str, ColumnKind | str] | None = None,
-    missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    datetime_patterns: Sequence[str] = DEFAULT_DATETIME_PATTERNS,
-    delimiter: str = ",",
-) -> Dataset:
+def load_features_csv(path: str, settings: LoadSettings = LoadSettings()) -> Dataset:
     """Load a headered CSV that has no class column (all columns become features)."""
-    header, columns = _read_table(path, delimiter)
-    columns = _encode_features(header, columns, kind_hints, missing_tokens, datetime_patterns)
-    return Dataset(tuple(columns), None, ())
+    header, columns = _read_table(path, settings.delimiter)
+    return Dataset(tuple(_encode_features(header, columns, settings)), None, ())
 
 
 @dataclass(frozen=True)

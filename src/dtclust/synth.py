@@ -20,7 +20,6 @@ from .dataset import (
     Column,
     ColumnKind,
     Dataset,
-    MISSING_CODE,
     encode_column,
     format_value,
 )
@@ -28,6 +27,10 @@ from .errors import ConfigError
 from .rules import Bound, RangeTest, Rule, SetTest, apply_rule, rule_from_dict, rule_to_dict
 
 log = logging.getLogger(__name__)
+
+# write_csv writes a missing cell as "", so the tables synth builds and reads
+# take "" as their one missing token
+WRITTEN_MISSING_TOKENS = ("",)
 
 
 @dataclass(frozen=True)
@@ -251,7 +254,7 @@ def _categorical(rng, table: dict[str, float], n: int) -> list[str]:
 
 def _column_from_texts(name: str, cells: list[str], kind: ColumnKind) -> Column:
     # generated values never collide with missing tokens on purpose
-    return encode_column(name, cells, kind, missing_tokens=("",))
+    return encode_column(name, cells, kind, missing_tokens=WRITTEN_MISSING_TOKENS)
 
 
 def census_like_features(n_rows: int = 32561, seed: int = 7) -> Dataset:
@@ -390,18 +393,17 @@ def titanic_like(n_rows: int = 887, seed: int = 11) -> Dataset:
 
 
 def write_csv(ds: Dataset, path: str, label_column: str = "label") -> None:
-    """Dump a dataset back to CSV with original display values."""
+    """Dump a dataset back to CSV with original display values; a missing cell is written as "".
+
+    Each column's texts come from one gather of its codes through the missing
+    text and its dictionary (code 0 is missing), the label's through the class names.
+    """
+    header = list(ds.column_names)
+    columns = [(WRITTEN_MISSING_TOKENS + col.dictionary, col.codes) for col in ds.columns]
+    if ds.labels is not None:
+        header.append(label_column)
+        columns.append((ds.class_names, ds.labels))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        header = list(ds.column_names)
-        if ds.labels is not None:
-            header.append(label_column)
         writer.writerow(header)
-        for i in range(ds.row_count):
-            row = [
-                "" if col.codes[i] == MISSING_CODE else col.dictionary[col.codes[i] - 1]
-                for col in ds.columns
-            ]
-            if ds.labels is not None:
-                row.append(ds.class_names[ds.labels[i]])
-            writer.writerow(row)
+        writer.writerows(zip(*(np.array(texts, dtype=object)[codes].tolist() for texts, codes in columns)))

@@ -1,21 +1,29 @@
 """End-to-end command-line runs: subcommands, artifacts, exit codes."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust.cli import _run_config_from_args, build_parser, json_text, main
-from dtclust.dataset import load_csv
+from dtclust.cli import _load, _run_config_from_args, build_parser, json_text, main
+from dtclust.dataset import LoadSettings, load_csv
 from dtclust.errors import ConfigError, InternalError
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.rules import MISSING, Bound, RangeTest, Rule, SetTest, render_rule_text, rule_from_dict
 from dtclust.stability import StabilityParams
 from dtclust.synth import HiddenGroupSpec, titanic_like, write_csv
 from dtclust.tree import _METRICS, TrainParams
+
+from helpers import assert_columns_equal
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # a census table of 50 rows labelled by the spec file {tmp}/spec.json
@@ -361,6 +369,18 @@ class TestExtractCommand:
                      "--delimiter", delimiter]) == 2
         assert "--delimiter must be one character" in capsys.readouterr().err
 
+    def test_delimiter_flag_and_library_agree(self, tmp_path):
+        path = tmp_path / "semicolon.csv"
+        path.write_text("city;size;y\nParis, FR;1;no\nOslo;2;yes\nParis, FR;3;yes\nRome;4;no\n")
+        argv = ["extract", "--input", str(path), "--label", "y", "--delimiter", ";"]
+        from_flags = _load(_run_config_from_args(build_parser().parse_args(argv)))
+        from_library = load_csv(str(path), label="y", settings=LoadSettings(delimiter=";"))
+        assert from_flags.column_names == from_library.column_names == ("city", "size")
+        for got, expected in zip(from_flags.columns, from_library.columns):
+            assert_columns_equal(got, expected)
+        assert list(from_flags.labels) == list(from_library.labels)
+        assert main([*argv, "--clusters", "1"]) == 0
+
     @pytest.mark.parametrize("flags, config", [
         (["--bins", "1"], None), (["--bins", "-2"], None), (["--bins", "0"], None),
         ([], {"numeric_bins": 0}),
@@ -455,7 +475,7 @@ class TestSynthCommand:
         assert (out / "data.csv").exists()
         truth = json.loads((out / "truth.json").read_text())
         assert len(truth["groups"]) == 4
-        ds = load_csv(str(out / "data.csv"), label="label", missing_tokens=("",))
+        ds = load_csv(str(out / "data.csv"), label="label", settings=LoadSettings(missing_tokens=("",)))
         assert ds.row_count == 800
         assert ds.class_names == ("no", "yes")
 
@@ -565,6 +585,40 @@ class TestSynthCommand:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    def test_features_missing_token_overrides_empty_default(self, tmp_path):
+        features = tmp_path / "features.csv"
+        features.write_text("color,size\n" + "".join(
+            f"{'red' if i % 2 else 'X'},{'' if i % 3 == 0 else i}\n" for i in range(30)))
+        spec = one_group({"attribute": "color", "op": "==", "value": "red"}, p_in=1.0, p_out=0.0)
+        (tmp_path / "spec.json").write_text(json.dumps(spec))
+
+        def synth(name, *flags):
+            out = tmp_path / name
+            assert main(["synth", "--features", str(features), "--spec", str(tmp_path / "spec.json"),
+                         *flags, "--out", str(out)]) == 0
+            return (out / "data.csv").read_text().splitlines()
+
+        default, with_x = synth("default"), synth("x", "--missing-token", "X")
+        # "" is missing by default, so size stays numeric and X stays a color
+        assert default[1:3] == ["X,,no", "red,1,yes"]
+        # with --missing-token X only, X is missing and "" is a size value
+        assert with_x[1:3] == [",,no", "red,1,yes"]
+
+    @pytest.mark.parametrize("source, label", [
+        (["--generate", "census", "--rows", "50"], "age"),
+        (["--features", "{tmp}/features.csv", "--spec", "{tmp}/spec.json"], "age"),
+        (["--features", "{tmp}/features.csv", "--spec", "{tmp}/spec.json"], None),
+    ], ids=["census", "features", "features-default-name"])
+    def test_label_name_of_a_feature_column_is_config_error(self, tmp_path, capsys, source, label):
+        # the written table would repeat a header name, which no loader reads
+        (tmp_path / "features.csv").write_text("age,label\n" + "".join(f"{20 + i},x\n" for i in range(30)))
+        (tmp_path / "spec.json").write_text(json.dumps(one_group(AGE_30)))
+        out = tmp_path / "D"
+        flags = [f.format(tmp=tmp_path) for f in source] + (["--label-name", label] if label else [])
+        assert main(["synth", *flags, "--out", str(out)]) == 2
+        assert f"label name {label or 'label'!r} is already a feature column" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_generator_default_row_count(self, tmp_path):
         out = tmp_path / "liner"
         assert main(["synth", "--generate", "liner", "--out", str(out)]) == 0
@@ -653,6 +707,21 @@ class TestDefaults:
         assert config.pipeline == PipelineConfig()
         assert config.stability == (StabilityParams() if command == "stability" else None)
 
+    def test_minimal_argv_echoes_the_same_config(self):
+        # report.json's config echo keeps its keys and values for the minimal argv
+        config = _run_config_from_args(build_parser().parse_args(["extract", "--input", "t.csv"]))
+        assert config.to_dict() == {
+            "schema_version": 2, "input": "t.csv", "label": None,
+            "missing_tokens": ["", "?", "NA"], "delimiter": ",", "kind_hints": {},
+            "datetime_patterns": ["%Y-%m-%d", "%Y-%m-%dT%H:%M:%S", "%Y-%m-%d %H:%M:%S", "%H:%M:%S"],
+            "target_class": None, "beta": 0.33, "n_clusters": 3,
+            "train_params": {"impurity_metric": "gini", "max_depth": 5, "min_gain": 0.0,
+                             "min_samples_leaf": 1},
+            "plan": {"high_cardinality_threshold": 100, "numeric_bins": None, "per_column": {},
+                     "reorder_symbolic": True},
+        }
+        assert config.load == LoadSettings()
+
     def test_synth_rates_default_to_group_spec(self, tmp_path):
         out = tmp_path / "synth"
         assert main(["synth", "--generate", "census", "--rows", "200", "--out", str(out)]) == 0
@@ -739,3 +808,43 @@ class TestJsonText:
             "float-edges"])
     def test_cases(self, obj):
         assert json_text(obj) == _reference_dumps(obj)
+
+
+def _dtclust(args, cwd, env=None, python_flags=()):
+    """Run the dtclust command line in a fresh interpreter."""
+    env = dict(os.environ if env is None else env, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, *python_flags, "-m", "dtclust", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestLogLevel:
+    """DTCLUST_LOG is read in a fresh interpreter: under pytest the root logger
+    already has handlers, so logging.basicConfig would do nothing."""
+
+    @pytest.mark.parametrize("value", ["basic_format", "verbose", ""])
+    def test_unknown_level_is_config_error(self, liner_csv, tmp_path, value):
+        env = dict(os.environ, DTCLUST_LOG=value)
+        done = _dtclust(["profile", "--input", liner_csv, "--label", "survived"], tmp_path, env)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == (f"config error: DTCLUST_LOG={value!r} is not a log level; "
+                               "use DEBUG, INFO, WARNING, ERROR or CRITICAL\n")
+
+    @pytest.mark.parametrize("value, logs", [("info", True), ("Error", False)])
+    def test_known_level_in_any_case(self, liner_csv, tmp_path, value, logs):
+        env = dict(os.environ, DTCLUST_LOG=value)
+        done = _dtclust(["profile", "--input", liner_csv, "--label", "survived"], tmp_path, env)
+        assert done.returncode == 0, done.stderr
+        assert ("INFO dtclust.dataset: loaded" in done.stderr) is logs
+
+
+def test_every_file_opened_names_its_encoding(tmp_path):
+    # an open() without encoding= is an EncodingWarning here, and the warning an error
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    table = ["--input", "liner/data.csv", "--label", "survived"]
+    for args in (["synth", "--generate", "liner", "--out", "liner"],
+                 ["profile", *table, "--out", "profile"],
+                 ["extract", *table, "--out", "extract"],
+                 ["stability", *table, "--samples", "2", "--out", "stability"],
+                 ["export-dot", *table, "--out", "dot"]):
+        done = _dtclust(args, tmp_path, python_flags=flags)
+        assert done.returncode == 0, (args, done.stderr)

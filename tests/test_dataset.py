@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dtclust.dataset import (
     Column,
     ColumnKind,
     Dataset,
+    LoadSettings,
     MISSING_CODE,
     PROFILE_CATEGORY_CAP,
     encode_column,
@@ -151,19 +153,25 @@ class TestLoadCsv:
         assert ds.column("b").codes[1] == MISSING_CODE
 
     def test_custom_missing_tokens(self, tmp_path):
-        ds = load_csv(write(tmp_path, "a,y\n?,0\nx,1\n"), missing_tokens=("",))
+        ds = load_csv(write(tmp_path, "a,y\n?,0\nx,1\n"), settings=LoadSettings(missing_tokens=("",)))
         col = ds.column("a")
         assert col.has_missing is False
         assert "?" in col.dictionary
 
     def test_kind_hint_ordinal(self, tmp_path):
         ds = load_csv(write(tmp_path, "grade,y\nlow,0\nhigh,1\nmid,0\n"),
-                      kind_hints={"grade": "symbolic-ordinal"})
+                      settings=LoadSettings(kind_hints={"grade": "symbolic-ordinal"}))
         assert ds.column("grade").kind is ColumnKind.SYMBOLIC_ORDINAL
 
     def test_hint_for_unknown_column(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown columns"):
-            load_csv(write(tmp_path, "a,y\n1,0\n"), kind_hints={"zzz": "numeric"})
+            load_csv(write(tmp_path, "a,y\n1,0\n"), settings=LoadSettings(kind_hints={"zzz": "numeric"}))
+
+    def test_hint_for_unknown_column_fails_before_encoding(self, tmp_path):
+        # "a" cannot be a datetime, but the unknown name is reported before any column is encoded
+        hints = {"a": "datetime", "zzz": "numeric"}
+        with pytest.raises(ConfigError, match=r"unknown columns: \['zzz'\]"):
+            load_csv(write(tmp_path, "a,y\nx,0\n"), settings=LoadSettings(kind_hints=hints))
 
     def test_quoted_cells(self, tmp_path):
         ds = load_csv(write(tmp_path, 'a,y\n"hello, world",0\nplain,1\n'))
@@ -173,6 +181,30 @@ class TestLoadCsv:
         ds = load_features_csv(write(tmp_path, "a,b\n1,x\n2,y\n"))
         assert ds.labels is None
         assert ds.column_names == ("a", "b")
+
+
+class TestLoadSettings:
+    @pytest.mark.parametrize("field, value, message", [
+        ("delimiter", "ab", "--delimiter must be one character, got 'ab'"),
+        ("missing_tokens", "NA", "missing_tokens must be a sequence of strings, got 'NA'"),
+        ("missing_tokens", ("", None), "missing_tokens must be a sequence of strings"),
+        ("kind_hints", {"a": "bogus"}, "kind hint 'bogus' for column 'a' is not one of: numeric, "),
+        ("kind_hints", ["a"], "kind_hints must map column names to kinds"),
+        ("datetime_patterns", "%Y", "datetime_patterns must be a sequence of strings, got '%Y'"),
+    ], ids=["delimiter", "missing-string", "missing-non-string", "hint-kind", "hints-not-mapping",
+            "patterns-string"])
+    def test_bad_value_is_config_error(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            LoadSettings(**{field: value})
+
+    def test_values_are_stored_as_tuples_and_kind_texts(self):
+        load = LoadSettings(missing_tokens=["?"], datetime_patterns=["%Y"],
+                            kind_hints={"a": ColumnKind.SYMBOLIC_ORDINAL, "b": "numeric"})
+        assert load.missing_tokens == ("?",)
+        assert load.datetime_patterns == ("%Y",)
+        assert dict(load.kind_hints) == {"a": "symbolic-ordinal", "b": "numeric"}
+        with pytest.raises(TypeError):
+            load.kind_hints["c"] = "numeric"
 
 
 class TestEncoding:
@@ -266,12 +298,11 @@ def _assert_loader_matches_reference(csv_path, cells, hint, missing_tokens=DEFAU
     """One column of cells, written to csv_path and loaded, encodes as the reference does."""
     with open(csv_path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows([["c"], *([c] for c in cells)])
-    hints = {"c": hint} if hint else None
+    loader = LoadSettings(missing_tokens=missing_tokens, kind_hints={"c": hint} if hint else {},
+                          datetime_patterns=datetime_patterns)
     expected = _encode_or_error(lambda: reference_encode("c", cells, hint, missing_tokens,
                                                          datetime_patterns))
-    got = _encode_or_error(lambda: load_features_csv(str(csv_path), kind_hints=hints,
-                                                     missing_tokens=missing_tokens,
-                                                     datetime_patterns=datetime_patterns).columns[0])
+    got = _encode_or_error(lambda: load_features_csv(str(csv_path), loader).columns[0])
     if isinstance(expected, str):
         assert got == expected
         return
@@ -562,7 +593,7 @@ class TestWriteCsv:
 
         path = tmp_path / "census.csv"
         write_csv(census_like_features(32561, seed=7), str(path))
-        ds = load_csv(str(path), label="income", missing_tokens=("",))
+        ds = load_csv(str(path), label="income", settings=LoadSettings(missing_tokens=("",)))
         assert ds.row_count == 32561
         assert len(ds.columns) == 14  # 15 columns = 14 features + the label
         assert ds.class_names == ("<=50K", ">50K")
