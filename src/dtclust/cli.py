@@ -30,6 +30,7 @@ from .pipeline import ExtractionResult, PipelineConfig, cluster_record, run_extr
 from .preprocess import PreprocessPlan
 from .stability import StabilityParams, StabilityReport, stability_report
 from .synth import (
+    CENSUS_COLUMNS,
     WRITTEN_MISSING_TOKENS,
     HiddenGroupSpec,
     census_group_specs,
@@ -407,10 +408,10 @@ def _read_config_file(args) -> tuple[dict, PreprocessPlan]:
     if unknown:
         raise ConfigError(f"malformed config {args.config}: unknown keys {unknown}; "
                           f"accepted keys: {', '.join(accepted)}")
-    for key in _LOADER_KEYS:
-        value = raw.get(key, [])
-        if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-            raise ConfigError(f"malformed config {args.config}: {key!r} must be a list of strings")
+    # LoadSettings checks the other loader keys; ordinal_hints becomes its kind_hints
+    hints = raw.get("ordinal_hints", [])
+    if not isinstance(hints, list) or not all(isinstance(v, str) for v in hints):
+        raise ConfigError(f"malformed config {args.config}: 'ordinal_hints' must be a list of strings")
     try:
         return raw, PreprocessPlan.from_dict(raw)
     except TypeError as exc:
@@ -454,17 +455,30 @@ def cmd_profile(args) -> int:
     return 0
 
 
+def _load_settings(args, raw: dict) -> LoadSettings:
+    """The loader flags over the config file's loader keys. LoadSettings checks
+    the file's values, and its error names the file; the file's datetime
+    patterns are tried after the built-in ones."""
+    try:
+        from_file = LoadSettings(missing_tokens=raw.get("missing_tokens", LoadSettings.missing_tokens),
+                                 datetime_patterns=raw.get("datetime_patterns", ()))
+    except ConfigError as exc:
+        raise ConfigError(f"malformed config {args.config}: {exc}") from exc
+    return replace(
+        from_file,
+        missing_tokens=args.missing_token or from_file.missing_tokens,
+        delimiter=args.delimiter,
+        kind_hints={name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())},
+        datetime_patterns=LoadSettings.datetime_patterns + from_file.datetime_patterns,
+    )
+
+
 def _run_config_from_args(args) -> RunConfig:
     raw, plan = _read_config_file(args)
     return RunConfig(
         input=args.input,
         label=args.label,
-        load=LoadSettings(
-            missing_tokens=args.missing_token or raw.get("missing_tokens", LoadSettings.missing_tokens),
-            delimiter=args.delimiter,
-            kind_hints={name: "symbolic-ordinal" for name in raw.get("ordinal_hints", ())},
-            datetime_patterns=LoadSettings.datetime_patterns + tuple(raw.get("datetime_patterns", ())),
-        ),
+        load=_load_settings(args, raw),
         pipeline=(_pipeline_from_args(args, plan) if args.command != "profile"
                   else PipelineConfig(plan=plan)),
         stability=(StabilityParams(args.samples, args.fraction, args.seed)
@@ -502,6 +516,12 @@ def _check_synth_flags(args) -> None:
                           "the spec file gives the groups and their rates")
 
 
+def _check_label_name(label_name: str, feature_names) -> None:
+    if label_name in feature_names:
+        raise ConfigError(f"label name {label_name!r} is already a feature column; "
+                          "pick another with --label-name")
+
+
 def cmd_synth(args) -> int:
     """Check the flags and group specs, then build and write the labelled table; --out is made last."""
     _check_synth_flags(args)
@@ -531,15 +551,14 @@ def cmd_synth(args) -> int:
     else:
         raise ConfigError("synth needs --spec or --default-groups")
 
+    label_name = "label" if args.label_name is None else args.label_name
     if args.generate == "census":
+        _check_label_name(label_name, CENSUS_COLUMNS)
         features = census_like_features(seed=args.seed, **size)
     else:
         features = load_features_csv(
             args.features, LoadSettings(missing_tokens=args.missing_token or WRITTEN_MISSING_TOKENS))
-    label_name = "label" if args.label_name is None else args.label_name
-    if label_name in features.column_names:
-        raise ConfigError(f"label name {label_name!r} is already a feature column; "
-                          "pick another with --label-name")
+        _check_label_name(label_name, features.column_names)
     labelled, truth = plant_groups(features, specs, args.seed)
     truth_doc = {
         "seed": args.seed,

@@ -6,23 +6,20 @@ codes 1..m. For numeric and datetime columns the dictionary is sorted ascending
 by natural value, so code order coincides with value order and the tree can
 compare codes directly.
 
-Loading reads the raw cells in one csv.reader pass that flattens the
-non-empty rows into a single list of cells; column j is the strided slice
-cells[j::width], so no list of rows is kept and no transposition runs. No
-Python-level loop then runs over a column's cells; the per-cell work is left
-to C (csv, dict, map, numpy):
+Loading interns each column while the CSV is read, so only a column's
+distinct texts stay alive, never a list of all its cells. No Python-level
+loop runs over the cells; the per-cell work is left to C (csv, dict, map,
+numpy):
 
-1. A column that may be numeric (no kind hint, or a numeric one) is parsed
-   from its raw cells in one numpy conversion, with Python float() syntax. If
-   every cell is a finite number, it is a numeric column with no missing cell
-   and np.unique gives its codes; only the display text of each value is
-   stripped. The step is skipped when a missing token itself parses as a
-   number, since such cells must still read as missing.
-2. Any other column, and the label, is interned: its distinct texts in
-   first-seen order and each cell's index into them. Stripping (texts that
-   strip alike merge), missing-token tests, kind inference, datetime parsing
-   and the dictionary then work on the distinct texts, and one gather maps
-   every cell to its code.
+1. csv.reader rows are taken _CHUNK_ROWS at a time and flattened, and the
+   strided slice j::width of a chunk is column j's part of it. Each part is
+   interned into the column's first-seen dict, so a column ends as its
+   distinct raw texts in first-seen order and each row's int32 index into
+   them. A chunk's cells are dropped once it is interned.
+2. Each column then runs one path, once per distinct text: stripping (raw
+   texts that strip alike merge), missing-token tests, kind inference,
+   numeric or datetime parsing and the dictionary. One gather maps every row
+   to its code.
 
 A profile keeps the PROFILE_CATEGORY_CAP most frequent categories of each
 column and counts the rest.
@@ -33,11 +30,12 @@ from __future__ import annotations
 import csv
 import heapq
 import logging
+from collections import defaultdict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from itertools import chain, compress, count
+from itertools import chain, compress, count, islice, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -51,6 +49,12 @@ MISSING_DISPLAY = "(missing)"
 
 # categories per column that a profile keeps, the most frequent first
 PROFILE_CATEGORY_CAP = 30
+
+# rows the reader flattens and interns at a time. Small, so that a chunk's
+# freshly parsed cells are still in cache when they are hashed, and their
+# memory is reused by the next chunk; at 4,096 rows the census table read ~20%
+# slower. Large enough that the per-chunk numpy calls cost little.
+_CHUNK_ROWS = 256
 
 DEFAULT_MISSING_TOKENS = ("", "?", "NA")
 
@@ -280,7 +284,7 @@ def _infer_one(
     match = _match_datetime(present, datetime_patterns)
     if match is not None:
         return ColumnKind.DATETIME, *match
-    if all(c.lower() in _BOOL_TOKENS for c in present):
+    if _BOOL_TOKENS.issuperset(map(str.lower, present)):
         return ColumnKind.BOOLEAN, None, None
     return ColumnKind.SYMBOLIC_NOMINAL, None, None
 
@@ -336,38 +340,36 @@ def encode_column(
     lexicographically. A datetime column without a pattern takes the first
     default pattern that parses every present cell.
     """
-    return _encode_cells(name, cells, kind, frozenset(missing_tokens), DEFAULT_DATETIME_PATTERNS, pattern)
+    return _encode_cells(name, *_first_seen(cells), kind, frozenset(missing_tokens),
+                         DEFAULT_DATETIME_PATTERNS, pattern)
 
 
 def _encode_cells(
     name: str,
-    cells: Sequence[str],
+    raw: list[str],
+    ids: np.ndarray,
     kind: ColumnKind | None,
     missing: frozenset[str],
     datetime_patterns: Sequence[str],
     pattern: str | None = None,
 ) -> Column:
-    """Encode one column of raw cells; kind None infers it.
+    """Encode one interned column, its distinct raw texts in first-seen order
+    and each row's index into them; kind None infers it.
 
-    A column that may be numeric is first parsed from its raw cells in one
-    numpy call. A cell that parses reads as its stripped text would: float()
-    ignores surrounding whitespace, all of which str.strip removes. So when
-    every cell is a finite number and no missing token is one, no cell is
-    missing. Any other column is interned, and the rest of the work is per
-    distinct text.
+    Each step runs once per distinct text, through C-level map and filter:
+    stripping (raw texts that strip alike merge, in first-seen order),
+    missing-token tests, kind inference, parsing and the dictionary. One
+    gather through a per-text code table then gives every row its code.
     """
-    if kind in (None, ColumnKind.NUMERIC) and not any(_parse_numbers([t]) is not None for t in missing):
-        vals = _parse_numbers(cells)
-        if vals is not None:
-            # a stable sort: first[i] is the row where value i is first seen
-            _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
-            dictionary = tuple(map(str.strip, map(cells.__getitem__, first.tolist())))
-            return Column(name, ColumnKind.NUMERIC, (inverse + 1).astype(np.int32), dictionary,
-                          values=vals[first])
-
-    texts, ids = _intern(cells)
-    is_present = [t not in missing for t in texts]
-    present = list(compress(texts, is_present))
+    texts = list(map(str.strip, raw))
+    if texts != raw:
+        texts, of_raw = _first_seen(texts)
+        ids = of_raw[ids]
+    # texts are distinct, so each missing token is at most one of them
+    absent = list(map(texts.index, missing.intersection(texts)))
+    is_present = np.ones(len(texts), dtype=bool)
+    is_present[absent] = False
+    present = list(compress(texts, is_present.tolist())) if absent else texts
     vals = None
     if kind is None:
         kind, pattern, vals = _infer_one(present, datetime_patterns)
@@ -379,8 +381,8 @@ def _encode_cells(
 
     if kind is not ColumnKind.NUMERIC and kind is not ColumnKind.DATETIME:
         ordered = sorted(present)
-        code_of_text = dict(zip(ordered, range(1, len(ordered) + 1)))
-        table = np.array([code_of_text.get(t, MISSING_CODE) for t in texts], dtype=np.int32)
+        code_of_text = dict(zip(ordered, count(1)))
+        table = np.fromiter(map(code_of_text.get, texts, repeat(MISSING_CODE)), np.int32, len(texts))
         return Column(name, kind, table[ids], tuple(ordered))
 
     if vals is None:
@@ -392,51 +394,42 @@ def _encode_cells(
     # texts are in first-seen order, so first[i] is the earliest text of value i
     _, first, inverse = np.unique(vals, return_index=True, return_inverse=True)
     table = np.zeros(len(texts), dtype=np.int32)
-    table[np.array(is_present, dtype=bool)] = inverse + 1
+    table[is_present] = inverse + 1
     return Column(
         name,
         kind,
         table[ids],
-        tuple(present[i] for i in first.tolist()),
+        tuple(map(present.__getitem__, first.tolist())),
         values=vals[first],
         pattern=pattern,
     )
 
 
-def _intern(cells: Sequence[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct stripped texts of the cells, in first-seen order, and each
-    cell's index into them.
-
-    Only the distinct raw texts are stripped; raw texts that strip alike merge.
-    """
-    raw, ids = _first_seen(cells)
-    stripped = [t.strip() for t in raw]
-    if stripped == raw:
-        return raw, ids
-    texts, of_raw = _first_seen(stripped)
-    return texts, of_raw[ids]
-
-
 def _first_seen(items: Sequence[str]) -> tuple[list[str], np.ndarray]:
     """The distinct items in first-seen order and each item's index into them,
     with no Python-level loop over the items."""
-    row_of: dict[str, int] = {}
-    # setdefault hands back, per item, the row where its text was first seen
-    firsts = np.fromiter(map(row_of.setdefault, items, count()), np.int32, len(items))
-    index = np.empty(len(items), dtype=np.int32)
-    index[np.fromiter(row_of.values(), np.int32, len(row_of))] = np.arange(len(row_of), dtype=np.int32)
-    return list(row_of), index[firsts]
+    seen = _first_seen_dict()
+    ids = np.fromiter(map(seen.__getitem__, items), np.int32, len(items))
+    return list(seen), ids
 
 
-def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
-    """Parse a headered CSV into its stripped header names and its columns of
-    raw cells, validating shape.
+def _first_seen_dict() -> defaultdict[str, int]:
+    """A dict that, looked up with a text it lacks, adds it with the next index
+    (0, 1, ...); its keys stay in first-seen order."""
+    return defaultdict(count().__next__)
 
-    One csv.reader pass flattens the non-empty data rows into a single list of
-    cells, and column j is the strided slice cells[j::width]; no row list
-    outlives its row. The whole file is read before any shape check, so a
-    csv.Error anywhere wins, then an empty file, no data rows, duplicate
-    header names, and the first ragged row, named by its file line.
+
+def _read_table(path: str, delimiter: str) -> tuple[list[str], list[tuple[list[str], np.ndarray]]]:
+    """Parse a headered CSV into its stripped header names and, per column,
+    its distinct raw texts in first-seen order with each row's int32 index
+    into them, validating shape.
+
+    One csv.reader pass takes the non-empty data rows _CHUNK_ROWS at a time
+    and interns each column's part of a chunk into the column's first-seen
+    dict, so no list of all cells is ever built. The whole file is read before
+    any shape check, so a csv.Error anywhere wins, then an empty file, no data
+    rows, duplicate header names, and the first ragged row, named by its file
+    line.
 
     A leading UTF-8 byte-order mark is read as encoding, not as header text.
     """
@@ -447,8 +440,8 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
             rows = filter(None, reader)
             try:
                 header = next(rows, None)
-                cells = [] if header is None else list(
-                    chain.from_iterable(_note_ragged(rows, len(header), reader, ragged)))
+                columns = [] if header is None else _intern_columns(
+                    _note_ragged(rows, len(header), reader, ragged), len(header), ragged)
             except csv.Error as exc:
                 raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
     except OSError as exc:
@@ -458,16 +451,35 @@ def _read_table(path: str, delimiter: str) -> tuple[list[str], list[list[str]]]:
     if header is None:
         raise DataError(f"{path}: empty file")
     header = [h.strip() for h in header]
-    if not cells:
+    if not (columns or ragged):
         raise DataError(f"{path}: no data rows")
     if len(set(header)) != len(header):
         dupes = sorted({h for h in header if header.count(h) > 1})
         raise DataError(f"{path}: duplicate header names {dupes}")
-    width = len(header)
     if ragged:
         line, n = ragged[0]
-        raise DataError(f"{path}, line {line}: {n} cells, header has {width}")
-    return header, [cells[j::width] for j in range(width)]
+        raise DataError(f"{path}, line {line}: {n} cells, header has {len(header)}")
+    return header, columns
+
+
+def _intern_columns(rows, width: int, ragged: list[tuple[int, int]]) -> list[tuple[list[str], np.ndarray]]:
+    """Per column, its distinct texts in first-seen order and each row's index
+    into them; empty when there are no rows or a row is ragged.
+
+    Rows are flattened _CHUNK_ROWS at a time, and column j's part of a chunk is
+    its strided slice j::width, interned into the column's first-seen dict.
+    A ragged row misaligns the parts, so nothing is returned then; the rest of
+    the file is still read, so that a later csv.Error wins.
+    """
+    seen = [_first_seen_dict() for _ in range(width)]
+    ids: list[list[np.ndarray]] = [[] for _ in range(width)]
+    for cells in iter(lambda: list(chain.from_iterable(islice(rows, _CHUNK_ROWS))), []):
+        for j, (index_of, parts) in enumerate(zip(seen, ids)):
+            column = cells[j::width]
+            parts.append(np.fromiter(map(index_of.__getitem__, column), np.int32, len(column)))
+    if ragged or not ids[0]:
+        return []
+    return [(list(index_of), np.concatenate(parts)) for index_of, parts in zip(seen, ids)]
 
 
 def _note_ragged(rows, width: int, reader, ragged: list[tuple[int, int]]):
@@ -480,16 +492,16 @@ def _note_ragged(rows, width: int, reader, ragged: list[tuple[int, int]]):
 
 
 def _encode_features(names, columns, settings: LoadSettings) -> list[Column]:
-    """Encode each feature's raw cells (columns, in the order of names) with
-    its hinted kind, or else the kind it infers; a hint for no feature fails first."""
+    """Encode each feature's interned cells (columns, in the order of names)
+    with its hinted kind, or else the kind it infers; a hint for no feature fails first."""
     hints = settings.kind_hints
     unknown = sorted(set(hints) - set(names))
     if unknown:
         raise ConfigError(f"kind hints for unknown columns: {unknown}")
     missing = frozenset(settings.missing_tokens)
-    return [_encode_cells(name, cells, ColumnKind(hints[name]) if name in hints else None, missing,
+    return [_encode_cells(name, texts, ids, ColumnKind(hints[name]) if name in hints else None, missing,
                           settings.datetime_patterns)
-            for name, cells in zip(names, columns)]
+            for name, (texts, ids) in zip(names, columns)]
 
 
 def load_csv(path: str, label: str | int | None = None, settings: LoadSettings = LoadSettings()) -> Dataset:
@@ -512,7 +524,7 @@ def load_csv(path: str, label: str | int | None = None, settings: LoadSettings =
         label_idx = header.index(label)
 
     # class codes run from 0: the label is encoded as a symbolic column, less one
-    label_col = _encode_cells(header[label_idx], columns.pop(label_idx), ColumnKind.SYMBOLIC_NOMINAL,
+    label_col = _encode_cells(header[label_idx], *columns.pop(label_idx), ColumnKind.SYMBOLIC_NOMINAL,
                               frozenset(settings.missing_tokens), settings.datetime_patterns)
     if not label_col.n_values:
         raise DataError(f"label column {header[label_idx]!r} is entirely missing")

@@ -257,8 +257,16 @@ def _column_from_texts(name: str, cells: list[str], kind: ColumnKind) -> Column:
     return encode_column(name, cells, kind, missing_tokens=WRITTEN_MISSING_TOKENS)
 
 
+# the census-style feature columns, in table order
+CENSUS_COLUMNS = (
+    "age", "workclass", "fnlwgt", "education", "education-num", "marital-status", "occupation",
+    "relationship", "race", "sex", "capital-gain", "capital-loss", "hours-per-week",
+    "native-country", "income",
+)
+
+
 def census_like_features(n_rows: int = 32561, seed: int = 7) -> Dataset:
-    """A census-style feature table (15 columns, no labels) for planting groups.
+    """A census-style feature table (CENSUS_COLUMNS, no labels) for planting groups.
 
     Columns are drawn independently, so the population share of any conjunction
     is the product of its marginal probabilities. capital-gain and capital-loss
@@ -300,24 +308,27 @@ def census_like_features(n_rows: int = 32561, seed: int = 7) -> Dataset:
     occupation = _categorical(rng, _OCCUPATION, n)
     income = _categorical(rng, _INCOME, n)
 
-    columns = [
-        _column_from_texts("age", [str(int(v)) for v in age], ColumnKind.NUMERIC),
-        _column_from_texts("workclass", _categorical(rng, _WORKCLASS, n), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("fnlwgt", [repr(float(v)) for v in fnlwgt], ColumnKind.NUMERIC),
-        _column_from_texts("education", [_EDUCATION[i][0] for i in edu_idx], ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("education-num", [str(_EDUCATION[i][1]) for i in edu_idx], ColumnKind.NUMERIC),
-        _column_from_texts("marital-status", _categorical(rng, _MARITAL, n), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("occupation", occupation, ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("relationship", _categorical(rng, _RELATIONSHIP, n), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("race", _categorical(rng, _RACE, n), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("sex", _categorical(rng, _SEX, n), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("capital-gain", [repr(float(v)) for v in capital_gain], ColumnKind.NUMERIC),
-        _column_from_texts("capital-loss", [repr(float(v)) for v in capital_loss], ColumnKind.NUMERIC),
-        _column_from_texts("hours-per-week", [str(int(v)) for v in hours], ColumnKind.NUMERIC),
-        _column_from_texts("native-country", list(country), ColumnKind.SYMBOLIC_NOMINAL),
-        _column_from_texts("income", income, ColumnKind.SYMBOLIC_NOMINAL),
-    ]
-    return Dataset(tuple(columns), None, ())
+    def kinds_and_texts():
+        """Each column's kind and texts in table order, drawn as the column is encoded."""
+        yield ColumnKind.NUMERIC, [str(int(v)) for v in age]
+        yield ColumnKind.SYMBOLIC_NOMINAL, _categorical(rng, _WORKCLASS, n)
+        yield ColumnKind.NUMERIC, [repr(float(v)) for v in fnlwgt]
+        yield ColumnKind.SYMBOLIC_NOMINAL, [_EDUCATION[i][0] for i in edu_idx]
+        yield ColumnKind.NUMERIC, [str(_EDUCATION[i][1]) for i in edu_idx]
+        yield ColumnKind.SYMBOLIC_NOMINAL, _categorical(rng, _MARITAL, n)
+        yield ColumnKind.SYMBOLIC_NOMINAL, occupation
+        yield ColumnKind.SYMBOLIC_NOMINAL, _categorical(rng, _RELATIONSHIP, n)
+        yield ColumnKind.SYMBOLIC_NOMINAL, _categorical(rng, _RACE, n)
+        yield ColumnKind.SYMBOLIC_NOMINAL, _categorical(rng, _SEX, n)
+        yield ColumnKind.NUMERIC, [repr(float(v)) for v in capital_gain]
+        yield ColumnKind.NUMERIC, [repr(float(v)) for v in capital_loss]
+        yield ColumnKind.NUMERIC, [str(int(v)) for v in hours]
+        yield ColumnKind.SYMBOLIC_NOMINAL, list(country)
+        yield ColumnKind.SYMBOLIC_NOMINAL, income
+
+    return Dataset(tuple(_column_from_texts(name, texts, kind)
+                         for name, (kind, texts) in zip(CENSUS_COLUMNS, kinds_and_texts(), strict=True)),
+                   None, ())
 
 
 def census_group_specs(p_in: float = HiddenGroupSpec.p_in,

@@ -258,9 +258,9 @@ def reference_profile(ds: Dataset) -> dict[str, list[tuple[str, int, tuple[float
 
 
 def reference_read_table(path: str, delimiter: str) -> tuple[list[str], list[tuple[str, ...]]]:
-    """The row-list CSV reader the strided one replaced: every non-empty row
-    kept as a list, then transposed with zip(*rows). The file line of each row
-    is kept beside it for the ragged-row message; nothing else differs.
+    """A row-list CSV reader, the reference for dataset._read_table: every
+    non-empty row kept as a list, then transposed with zip(*rows). The file
+    line of each row is kept beside it for the ragged-row message.
     """
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:

@@ -275,17 +275,20 @@ class TestExtractCommand:
         assert set(report["transform_log"]["columns"]) == {"b", "y"}
 
     @pytest.mark.parametrize("config, message", [
-        ({"missing_tokens": 5}, "'missing_tokens' must be a list of strings"),
+        ({"missing_tokens": 5}, "missing_tokens must be a sequence of strings, got 5"),
         ([1, 2], "the top level must be a JSON object"),
-        ({"datetime_patterns": "%Y"}, "'datetime_patterns' must be a list of strings"),
+        ({"datetime_patterns": "%Y"}, "datetime_patterns must be a sequence of strings, got '%Y'"),
         ({"ordinal_hints": ["grade", 3]}, "'ordinal_hints' must be a list of strings"),
+        ({"missing_tokens": ["", 3]}, "missing_tokens must be a sequence of strings, got ['', 3]"),
+        ({"datetime_patterns": ["%Y", None]},
+         "datetime_patterns must be a sequence of strings, got ['%Y', None]"),
     ])
     def test_malformed_loader_hints(self, liner_csv, tmp_path, capsys, config, message):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["profile", "--input", liner_csv, "--label", "survived",
                      "--config", str(cfg_path)]) == 2
-        assert message in capsys.readouterr().err
+        assert f"malformed config {cfg_path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, message", [
         ({"per_column": [1]}, "'per_column' must map column names"),
@@ -634,6 +637,16 @@ class TestSynthCommand:
         assert rule["predicates"] == [{"attribute": "age", "op": ">", "value": 30.0, "text": "30",
                                        "include_missing": False}]
         assert rule["text"] == "age > 30"
+
+    def test_census_label_name_checked_before_features_are_built(self, tmp_path, monkeypatch, capsys):
+        def build_features(*args, **kwargs):
+            pytest.fail("the feature table was built before the label name was checked")
+
+        monkeypatch.setattr("dtclust.cli.census_like_features", build_features)
+        out = tmp_path / "D"
+        assert main(["synth", "--generate", "census", "--label-name", "age", "--out", str(out)]) == 2
+        assert "label name 'age' is already a feature column" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_group_specs_checked_before_features_are_built(self, tmp_path, monkeypatch):
         def build_features(*args, **kwargs):

@@ -3,12 +3,14 @@
 import csv
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtclust import dataset
 from dtclust.cli import main
 from dtclust.dataset import (
     _read_table,
@@ -338,11 +340,10 @@ class TestEncoderEquivalence:
         (["1.0", " 1", "1", "2"], None, {}),
         ([" 1", "?", "1.0", "1"], None, {}),
         ([" 1", "1", "1.0"], "numeric", {}),
-        # a first cell that does not parse ends the raw parse: the column is
-        # interned, symbolic or an error under a numeric hint
+        # a first cell that does not parse: symbolic, or an error under a numeric hint
         (["x", "1", "2", "3"], None, {}),
         (["x", "1", "2"], "numeric", {}),
-        # a first cell that parses but is not finite: interned as well
+        # a first cell that parses but is not finite
         (["nan", "1", "2", "1"], None, {}),
     ], ids=["missing-number", "missing-number-hinted", "missing-last", "ordinal-hint",
             "datetime-hint-no-pattern", "datetime-hint", "merge-stripped-first",
@@ -404,10 +405,22 @@ def _csv_text(draw):
 
 
 def _read_or_error(read, path, delimiter):
+    """The header and every column's cells, or the DataError message.
+
+    _read_table gives each column as its distinct texts and each row's index
+    into them; the cells are rebuilt from that pair, which loses nothing, after
+    checking that the texts are distinct, in first-seen order, with int32 ids.
+    """
     try:
         header, columns = read(path, delimiter)
     except DataError as exc:
         return str(exc)
+    if read is _read_table:
+        interned = columns
+        columns = [[texts[i] for i in ids.tolist()] for texts, ids in interned]
+        for (texts, ids), cells in zip(interned, columns):
+            assert ids.dtype == np.int32
+            assert texts == list(dict.fromkeys(cells))
     return header, [tuple(c) for c in columns]
 
 
@@ -415,6 +428,36 @@ def _write_raw(path, text):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(text)
     return str(path)
+
+
+def _assert_reader_matches_reference(csv_path, text, delimiter):
+    path = _write_raw(csv_path, text)
+    assert _read_or_error(_read_table, path, delimiter) == _read_or_error(reference_read_table, path, delimiter)
+
+
+def _assert_error_precedence(csv_path, text, message):
+    path = _write_raw(csv_path, text)
+    expected = _read_or_error(reference_read_table, path, ",")
+    assert _read_or_error(_read_table, path, ",") == expected == path + message
+
+
+# (text, message after the path) of files that break a reader check; the last
+# two put the failing row past the first chunk of one or two rows
+_ERROR_CASES = [
+    (f"a,label\n1,2,3\n1,{_LONG_FIELD}\n",
+     ", line 3: field larger than field limit (131072)"),
+    ("a,a,label\n1,2\n", ": duplicate header names ['a']"),
+    ("a,label\n1,2,3\n\n", ", line 2: 3 cells, header has 2"),
+    ("", ": empty file"),
+    ("\ufeff\r\n\r\n", ": empty file"),
+    ("a,label\r\n\r\n", ": no data rows"),
+    (f"\ufeffa,label\n1,2\n\n1,2\n1,2,3\n1,2\n1,{_LONG_FIELD}\n",
+     ", line 7: field larger than field limit (131072)"),
+    ("a,label\n1,2\n1,2\n\n1,2\n1\n1,2,3\n", ", line 6: 1 cells, header has 2"),
+]
+_ERROR_IDS = ["csv-error-after-ragged-row", "duplicate-header-before-ragged-row", "ragged-row",
+              "empty", "blank-lines-only", "header-only", "late-csv-error-after-ragged-row",
+              "late-ragged-row"]
 
 
 class TestReaderEquivalence:
@@ -427,24 +470,57 @@ class TestReaderEquivalence:
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(case=_csv_text())
     def test_matches_reference(self, csv_path, case):
-        path = _write_raw(csv_path, case[0])
-        assert _read_or_error(_read_table, path, case[1]) == \
-            _read_or_error(reference_read_table, path, case[1])
+        _assert_reader_matches_reference(csv_path, *case)
 
-    @pytest.mark.parametrize("text, message", [
-        (f"a,label\n1,2,3\n1,{_LONG_FIELD}\n",
-         ", line 3: field larger than field limit (131072)"),
-        ("a,a,label\n1,2\n", ": duplicate header names ['a']"),
-        ("a,label\n1,2,3\n\n", ", line 2: 3 cells, header has 2"),
-        ("", ": empty file"),
-        ("\ufeff\r\n\r\n", ": empty file"),
-        ("a,label\r\n\r\n", ": no data rows"),
-    ], ids=["csv-error-after-ragged-row", "duplicate-header-before-ragged-row", "ragged-row",
-            "empty", "blank-lines-only", "header-only"])
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=_csv_text())
+    def test_matches_reference_in_small_chunks(self, csv_path, chunk_rows, case):
+        # ragged rows, blank lines, csv errors and a byte-order mark land in later chunks
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+            _assert_reader_matches_reference(csv_path, *case)
+
+    @pytest.mark.parametrize("text, message", _ERROR_CASES, ids=_ERROR_IDS)
     def test_error_precedence(self, csv_path, text, message):
-        path = _write_raw(csv_path, text)
-        expected = _read_or_error(reference_read_table, path, ",")
-        assert _read_or_error(_read_table, path, ",") == expected == path + message
+        _assert_error_precedence(csv_path, text, message)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2])
+    @pytest.mark.parametrize("text, message", _ERROR_CASES, ids=_ERROR_IDS)
+    def test_error_precedence_in_small_chunks(self, csv_path, monkeypatch, chunk_rows, text, message):
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", chunk_rows)
+        _assert_error_precedence(csv_path, text, message)
+
+
+def _traced_peak(read):
+    """The tracemalloc peak, in bytes, while read() runs."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestReaderMemory:
+    # load_csv keeps only each column's distinct texts and int32 row ids, so on
+    # a table of few distinct texts its peak is a small share of a reader that
+    # holds every cell (~0.13 of it); a loader that holds every cell until it
+    # encodes reads ~0.74 of it
+    PEAK_SHARE = 0.5
+
+    def test_peak_is_a_fraction_of_a_reader_holding_every_cell(self, tmp_path):
+        path = tmp_path / "few.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["count", "rate", "color", "code", "bucket", "day", "flag", "label"])
+            writer.writerows([i % 37, i % 11 * 2.5, f"red{i % 5}", f"x{i % 13}", i % 97,
+                              f"2020-01-{i % 28 + 1:02d}", "yes" if i % 3 else "no", i % 2]
+                             for i in range(20_000))
+        path = str(path)
+        loaded = _traced_peak(lambda: load_csv(path, label="label"))
+        held = _traced_peak(lambda: reference_read_table(path, ","))
+        assert loaded < self.PEAK_SHARE * held, (loaded, held)
 
 
 class TestDataset:

@@ -9,6 +9,7 @@ from dtclust.dataset import ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError
 from dtclust.rules import Rule, SetTest, rule_from_dict
 from dtclust.synth import (
+    CENSUS_COLUMNS,
     GROUP1_COUNTRIES,
     HiddenGroupSpec,
     census_group_specs,
@@ -150,6 +151,7 @@ class TestGenerators:
     def test_census_shape(self):
         ds = census_like_features(n_rows=2000, seed=1)
         assert ds.row_count == 2000
+        assert ds.column_names == CENSUS_COLUMNS
         assert len(ds.columns) == 15
         assert ds.labels is None
         kinds = {c.name: c.kind for c in ds.columns}
