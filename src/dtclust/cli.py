@@ -16,6 +16,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
+from typing import Callable
 
 from .dataset import (
     PROFILE_CATEGORY_CAP,
@@ -277,8 +278,16 @@ def _tree_dot(result: ExtractionResult, k: int) -> str:
     return to_dot(result.trees[k], result.prepared, highlight=chosen)
 
 
+def _write_out(out: Path, write: Callable[[], object]) -> None:
+    """Make the --out directory, then run write(); any OSError is a ConfigError naming --out."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        write()
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+
+
 def _write_artifacts(report: RunReport, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if report.result is None:
@@ -291,7 +300,8 @@ def _write_artifacts(report: RunReport, out: Path) -> None:
                     "recall", "f1", "f05", "f_beta", "gini_impurity", "population_share"):
             body.append(f"{key}: {rec[key]}")
         (out / f"cluster_{i + 1:02d}.rule.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
-        rows = "\n".join(str(r) for r in cand.row_ids)
+        # a cluster from an internal node holds its rows in the tree's partition order
+        rows = "\n".join(map(str, sorted(cand.row_ids.tolist())))
         (out / f"cluster_{i + 1:02d}.rows.txt").write_text(rows + "\n", encoding="utf-8")
 
 
@@ -450,8 +460,8 @@ def cmd_profile(args) -> int:
             print(f"  {cat['value']}: count={cat['count']} rates=[{rates}]")
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "profile.json").write_text(json_text(summary) + "\n", encoding="utf-8")
+        _write_out(out, lambda: (out / "profile.json").write_text(json_text(summary) + "\n",
+                                                                 encoding="utf-8"))
     return 0
 
 
@@ -490,7 +500,8 @@ def cmd_run(args) -> int:
     """extract and stability: one run, its artifacts written, its text report printed."""
     report = run(_run_config_from_args(args))
     if args.out:
-        _write_artifacts(report, Path(args.out))
+        out = Path(args.out)
+        _write_out(out, lambda: _write_artifacts(report, out))
     print(report.to_text(), end="")
     return 0
 
@@ -499,6 +510,8 @@ def _check_synth_flags(args) -> None:
     """Refuse each flag that the chosen table source would ignore."""
     if args.rows is not None and args.rows < 1:
         raise ConfigError(f"--rows must be >= 1, got {args.rows}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     planting = [flag for flag, value in (
         ("--spec", args.spec), ("--default-groups", args.default_groups or None),
         ("--features", args.features), ("--p-in", args.p_in), ("--p-out", args.p_out),
@@ -530,8 +543,7 @@ def cmd_synth(args) -> int:
 
     if args.generate == "liner":
         ds = titanic_like(seed=args.seed, **size)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(ds, str(out / "data.csv"), label_column="survived")
+        _write_out(out, lambda: write_csv(ds, str(out / "data.csv"), label_column="survived"))
         print(f"wrote {out / 'data.csv'} ({ds.row_count} rows)")
         return 0
 
@@ -568,9 +580,12 @@ def cmd_synth(args) -> int:
         ],
     }
     truth_text = json.dumps(truth_doc, sort_keys=True, allow_nan=False) + "\n"
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(labelled, str(out / "data.csv"), label_column=label_name)
-    (out / "truth.json").write_text(truth_text, encoding="utf-8")
+
+    def write() -> None:
+        write_csv(labelled, str(out / "data.csv"), label_column=label_name)
+        (out / "truth.json").write_text(truth_text, encoding="utf-8")
+
+    _write_out(out, write)
     shares = ", ".join(f"{len(rows) / features.row_count:.3f}" for rows in truth)
     print(f"wrote {out / 'data.csv'} ({features.row_count} rows); group shares: {shares}")
     return 0
@@ -583,8 +598,7 @@ def cmd_export_dot(args) -> int:
     dot = _tree_dot(result, 0)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "tree.dot").write_text(dot, encoding="utf-8")
+        _write_out(out, lambda: (out / "tree.dot").write_text(dot, encoding="utf-8"))
         print(f"wrote {out / 'tree.dot'}")
     else:
         print(dot, end="")

@@ -38,7 +38,11 @@ def fbeta_score(precision: float, recall: float, beta: float) -> float:
 
 @dataclass(eq=False)
 class ClusterCandidate:
-    """A tree node scored as a cluster of the target class; row_ids is the node's own array."""
+    """A tree node scored as a cluster of the target class.
+
+    row_ids is the node's rows, a view of its tree's one row order: ascending
+    for a leaf, in partition order for an internal node.
+    """
 
     node_id: int
     tree_index: int

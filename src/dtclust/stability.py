@@ -37,6 +37,8 @@ class StabilityParams:
             raise ConfigError(f"--samples must be >= 1, got {self.n_samples}")
         if not 0 < self.fraction <= 1:
             raise ConfigError(f"--fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {self.seed}")
 
 
 def draw_sample(ds: Dataset, fraction: float, seed: int, k: int) -> tuple[Dataset, np.ndarray]:

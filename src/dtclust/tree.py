@@ -32,6 +32,12 @@ below 8 classes and pairwise from 8 on, so the gains keep the bits of that
 matrix form and reports stay byte-identical. Node impurities go through
 impurity() as before.
 
+Row ids are stored once per tree. train copies the rows it is given into one
+array, the tree's row order, and the root's rows is that array. Splitting a
+node partitions its slice of the order in place, stably, left side first, so
+each child's rows is a view of its part of the parent's slice. A node's rows
+are ascending until its children are partitioned; only leaves stay so.
+
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
 lowest class code. Node ids are breadth-first.
@@ -91,6 +97,10 @@ class Split:
 
 @dataclass(eq=False)
 class TreeNode:
+    """One node of a tree. rows is a view of the tree's one row order: the node's
+    row ids into the full dataset, ascending for a leaf, and for a split node its
+    left child's rows followed by its right child's."""
+
     id: int
     depth: int
     rows: np.ndarray
@@ -385,12 +395,13 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     child of each split, and the larger child's histogram is its parent's minus
     the smaller one's. rows restricts training to a subset of the dataset (used
     by iterative extraction); node row ids always refer to the full dataset.
+    rows is copied, never changed: the copy is the tree's row order.
     layout is histogram_layout(ds), built here when not given.
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
-    if rows is None:
-        rows = np.arange(ds.row_count)
+    # the tree's one row order: the root's rows, and every node a slice of it
+    rows = np.arange(ds.row_count) if rows is None else np.array(rows)
     if len(rows) == 0:
         raise DataError("cannot train on an empty dataset")
 
@@ -435,8 +446,12 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
             if split is None:
                 continue
             node.split = split
+            # partition the node's slice in place, stably, left side first
             mask = split.goes_left(ds.columns[split.column_index].codes[node.rows])
             sides = (node.rows[mask], node.rows[~mask])
+            n_left = len(sides[0])
+            node.rows[:n_left], node.rows[n_left:] = sides
+            sides = (node.rows[:n_left], node.rows[n_left:])
             small = 0 if len(sides[0]) <= len(sides[1]) else 1
             small_counts = np.bincount(labels[sides[small]], minlength=n_classes)
             pair_counts = (small_counts, node.class_counts - small_counts)

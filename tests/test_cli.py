@@ -16,7 +16,16 @@ from dtclust.cli import _load, _run_config_from_args, build_parser, json_text, m
 from dtclust.dataset import LoadSettings, load_csv
 from dtclust.errors import ConfigError, InternalError
 from dtclust.pipeline import PipelineConfig, run_extraction
-from dtclust.rules import MISSING, Bound, RangeTest, Rule, SetTest, render_rule_text, rule_from_dict
+from dtclust.rules import (
+    MISSING,
+    Bound,
+    RangeTest,
+    Rule,
+    SetTest,
+    apply_rule,
+    render_rule_text,
+    rule_from_dict,
+)
 from dtclust.stability import StabilityParams
 from dtclust.synth import HiddenGroupSpec, titanic_like, write_csv
 from dtclust.tree import _METRICS, TrainParams
@@ -156,13 +165,17 @@ class TestExtractCommand:
     def test_row_lists_match_rules(self, liner_csv, tmp_path):
         out = tmp_path / "run"
         assert main(["extract", "--input", liner_csv, "--label", "survived",
-                     "--clusters", "1", "--depth", "3", "--out", str(out)]) == 0
+                     "--clusters", "3", "--depth", "3", "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
-        rows = [int(r) for r in (out / "cluster_01.rows.txt").read_text().split()]
+        row_lists = [[int(r) for r in (out / f"cluster_{i:02d}.rows.txt").read_text().split()]
+                     for i in range(1, len(report["clusters"]) + 1)]
+        assert len(row_lists) == 3
+        for rows in row_lists:
+            assert all(a < b for a, b in zip(rows, rows[1:]))
+        # the first tree trains on every row, so its cluster's rule selects exactly its rows
         ds = load_csv(liner_csv, label="survived")
-        from dtclust.rules import apply_rule
         rule = rule_from_dict(report["clusters"][0]["rule"])
-        assert sorted(apply_rule(rule, ds).tolist()) == sorted(rows)
+        assert apply_rule(rule, ds).tolist() == row_lists[0]
 
     def test_trees_serialized_in_report(self, liner_csv, tmp_path):
         out = tmp_path / "run"
@@ -462,6 +475,7 @@ class TestStabilityCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--samples", "0"), ("--samples", "-2"),
         ("--fraction", "0"), ("--fraction", "nan"), ("--fraction", "1.5"),
+        ("--seed", "-1"),
     ])
     def test_sampling_flag_checked_before_loading(self, tmp_path, capsys, flag, value):
         # the input does not exist: exit 3 would mean the check ran after loading
@@ -514,6 +528,14 @@ class TestSynthCommand:
         out = tmp_path / "synth"
         assert main(["synth", "--generate", generator, "--rows", rows, "--out", str(out)]) == 2
         assert f"--rows must be >= 1, got {rows}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("generator", ["census", "liner"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, generator):
+        out = tmp_path / "synth"
+        assert main(["synth", "--generate", generator, "--rows", "50", "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_synth_needs_source(self, tmp_path):
@@ -685,6 +707,29 @@ class TestExportDot:
             main(["export-dot", "--input", liner_csv, "--label", "survived", "--clusters", "7"])
         assert exc.value.code == 2
         assert "--clusters" in capsys.readouterr().err
+
+
+class TestOutPath:
+    """An --out that cannot be a directory is a config error of every subcommand that writes."""
+
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("argv", [
+        ["profile", "--input", "{csv}", "--label", "survived"],
+        ["extract", "--input", "{csv}", "--label", "survived", "--clusters", "1", "--depth", "2"],
+        ["stability", "--input", "{csv}", "--label", "survived", "--clusters", "1", "--depth", "2",
+         "--samples", "2"],
+        ["synth", "--generate", "liner", "--rows", "50"],
+        ["export-dot", "--input", "{csv}", "--label", "survived", "--depth", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_out_naming_a_file_is_config_error(self, liner_csv, tmp_path, capsys, argv, under_file):
+        taken = tmp_path / "taken"
+        taken.write_text("a file\n")
+        out = taken / "run" if under_file else taken
+        assert main([a.format(csv=liner_csv) for a in argv] + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: cannot write --out {out}" in err
+        assert "internal error" not in err
+        assert taken.read_text() == "a file\n"
 
 
 class TestDefaults:

@@ -4,7 +4,8 @@ The table is generated in-repo (census-style features, planted groups, and two
 datetime columns derived from the row index, one with missing cells). Five runs
 read it as written; the sixth reads a copy with a byte-order mark, CRLF line
 endings, blank lines and a text column whose quoted cells hold the delimiter,
-a doubled quote or a newline. Each run
+a doubled quote or a newline. One more digest pins the cluster_NN.rows.txt
+files of the extract and extract-deep runs. Each run
 starts in a fresh directory with relative paths, so the config echo inside
 report.json does not depend on where the tests run. A digest moves only when
 the artifact itself changes; re-record it on purpose, never to make a run pass.
@@ -42,7 +43,12 @@ GOLDEN = {
     "export-dot": "8c238302e38607d26e8232dcacc6b833cec98d963455f2aca6c9295c34e60220",
     "extract-deep": "e813cfc0d86bb16bd9c00d4d039aaf82d00164cc295cb80c07463161e94da3be",
     "extract-messy": "0dd39363384de08c6945c76ec76cefc35f896811fd4ce3c67c27d41a1ecb698b",
+    # every cluster_NN.rows.txt of the extract run, then of the extract-deep run
+    "rows": "c92d19f51e518afbe77e26157c38cdbcdd15b31b006129c99913526b4dfda8fd",
 }
+
+EXTRACT_ARGV = ["extract", "--config", "plan.json", "--class", "yes"]
+DEEP_ARGV = [*EXTRACT_ARGV, "--depth", "7", "--min-samples-leaf", "3"]
 
 # the text column of the messy copy: cells that need quoting, and one missing
 NOTES = ("plain", "comma, inside", "two\nlines", 'say "hi"', "", "three\r\nline\nbreaks")
@@ -82,8 +88,7 @@ def _write_messy_copy(src, dst):
 
 
 @pytest.mark.parametrize("name, argv, artifact", [
-    pytest.param("extract", ["extract", "--config", "plan.json", "--class", "yes"],
-                 "report.json", id="extract-argv0"),
+    pytest.param("extract", EXTRACT_ARGV, "report.json", id="extract-argv0"),
     pytest.param("stability", ["stability", "--config", "plan.json", "--class", "yes",
                                "--samples", "3", "--reorder-symbolic", "off"],
                  "report.json", id="stability-argv1"),
@@ -91,9 +96,7 @@ def _write_messy_copy(src, dst):
                  id="profile-argv2"),
     pytest.param("export-dot", ["export-dot", "--config", "plan.json", "--class", "yes"],
                  "tree.dot", id="export-dot-argv3"),
-    pytest.param("extract-deep", ["extract", "--config", "plan.json", "--class", "yes",
-                                  "--depth", "7", "--min-samples-leaf", "3"],
-                 "report.json", id="extract-deep-argv4"),
+    pytest.param("extract-deep", DEEP_ARGV, "report.json", id="extract-deep-argv4"),
 ])
 def test_report_digest(workdir, monkeypatch, name, argv, artifact):
     monkeypatch.chdir(workdir)
@@ -110,3 +113,21 @@ def test_messy_copy_digest(workdir, monkeypatch):
     assert main(argv) == 0
     data = (workdir / "run-extract-messy" / "report.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == GOLDEN["extract-messy"]
+
+
+def test_row_lists_digest(workdir, monkeypatch):
+    # a cluster taken from an internal node is the one whose row order the
+    # tree permutes, so the pinned runs must hold at least one
+    monkeypatch.chdir(workdir)
+    digest = hashlib.sha256()
+    internal = 0
+    for name, argv in (("extract", EXTRACT_ARGV), ("extract-deep", DEEP_ARGV)):
+        out = workdir / f"rows-{name}"
+        assert main([*argv, "--input", "data.csv", "--label", "label", "--out", out.name]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for i, cluster in enumerate(report["clusters"], start=1):
+            digest.update((out / f"cluster_{i:02d}.rows.txt").read_bytes())
+            node = report["trees"][cluster["tree_index"]]["nodes"][cluster["node_id"]]
+            internal += "split" in node
+    assert internal >= 1
+    assert digest.hexdigest() == GOLDEN["rows"]

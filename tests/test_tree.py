@@ -190,14 +190,26 @@ class TestTrainProperty:
     )
     def test_equals_oracle(self, seed, wide, subset, max_depth, min_samples_leaf, metric):
         ds, rows = tree_case(seed, wide, subset)
+        root_rows = np.arange(ds.row_count) if rows is None else rows.copy()
         params = TrainParams(metric, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
         tree = train(ds, params, rows=rows)
         assert_tree_matches_oracle(tree, ds, params)
-        root_rows = np.arange(ds.row_count) if rows is None else rows
-        assert tree.root.rows.tolist() == root_rows.tolist()
+        # the tree keeps one row order: the root holds the given rows, permuted
+        # by the splits, and the caller's array is left as it was
+        assert np.sort(tree.root.rows).tolist() == root_rows.tolist()
+        if rows is not None:
+            assert rows.tolist() == root_rows.tolist()
         for node in tree.nodes:
+            assert np.shares_memory(node.rows, tree.root.rows), f"node {node.id}"
             expected = np.bincount(ds.labels[node.rows], minlength=ds.n_classes)
             assert node.class_counts.tolist() == expected.tolist(), f"node {node.id}"
+            if node.is_leaf:
+                assert (np.diff(node.rows) > 0).all(), f"leaf {node.id} is not ascending"
+            else:
+                # the node's slice is its left child's rows, then its right child's
+                left, right = (tree.node(c).rows for c in node.children)
+                assert node.rows[:len(left)].tolist() == left.tolist(), f"node {node.id}"
+                assert node.rows[len(left):].tolist() == right.tolist(), f"node {node.id}"
 
     def test_cases_reach_every_path(self):
         # the property's tables hit both group kinds, narrow groups below the
