@@ -16,7 +16,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from json.encoder import INFINITY, encode_basestring_ascii
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from .dataset import (
     PROFILE_CATEGORY_CAP,
@@ -142,15 +142,52 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def json_text(obj, newline: str = "\n") -> str:
-    """Exactly json.dumps(obj, sort_keys=True, indent=2, allow_nan=False): the
-    same bytes, and the same exception type for a value it cannot encode.
+def json_chunks(obj, newline: str = "\n") -> Iterator[str]:
+    """The text of json.dumps(obj, sort_keys=True, indent=2, allow_nan=False),
+    in chunks: joined, the same bytes, and the same exception type for a value
+    it cannot encode, raised once the chunks before it are out.
 
     json.dumps runs an indented dump in its pure-Python encoder, one generator
     step per token. Here a list whose items are all str, or all exactly int
-    (bool prints otherwise), is joined in one C-level pass; everything else
-    recurses, with newline the line break and indent of obj's own level.
+    (bool prints otherwise), is one chunk joined in one C-level pass; a dict or
+    any other list yields its parts, with newline the line break and indent of
+    obj's own level. The largest chunk is the largest such flat list, so no
+    text of the whole document is built.
     """
+    if not isinstance(obj, (list, tuple, dict)):
+        yield _scalar_text(obj)
+    elif not obj:
+        yield "{}" if isinstance(obj, dict) else "[]"
+    elif isinstance(obj, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            yield sep + encode_basestring_ascii(_key_text(k)) + ": "
+            yield from json_chunks(v, inner)
+            sep = "," + inner
+        yield newline + "}"
+    else:
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str} or kinds == {int}:
+            text = encode_basestring_ascii if str in kinds else int.__repr__
+            yield "[" + inner + ("," + inner).join(map(text, obj)) + newline + "]"
+            return
+        sep = "[" + inner
+        for v in obj:
+            yield sep
+            yield from json_chunks(v, inner)
+            sep = "," + inner
+        yield newline + "]"
+
+
+def json_text(obj) -> str:
+    """Exactly json.dumps(obj, sort_keys=True, indent=2, allow_nan=False): json_chunks joined."""
+    return "".join(json_chunks(obj))
+
+
+def _scalar_text(obj) -> str:
+    """A value that is not a list, tuple or dict, as json.dumps prints it."""
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if obj is None:
@@ -163,24 +200,6 @@ def json_text(obj, newline: str = "\n") -> str:
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _float_text(obj)
-    inner = newline + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {str}:
-            items = map(encode_basestring_ascii, obj)
-        elif kinds == {int}:
-            items = map(int.__repr__, obj)
-        else:
-            items = [json_text(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [encode_basestring_ascii(_key_text(k)) + ": " + json_text(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
@@ -278,6 +297,20 @@ def _tree_dot(result: ExtractionResult, k: int) -> str:
     return to_dot(result.trees[k], result.prepared, highlight=chosen)
 
 
+def _out_dir(value: str) -> Path:
+    """--out as a Path, refused before any work if it cannot be a directory:
+    it names an existing non-directory, or lies under one. Nothing is created
+    here; _write_out makes the directory."""
+    out = Path(value)
+    try:
+        blocker = next((p for p in (out, *out.parents) if p.exists()), None)
+    except OSError as exc:
+        raise ConfigError(f"cannot write --out {out}: {exc}") from exc
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigError(f"cannot write --out {out}: {blocker} is not a directory")
+    return out
+
+
 def _write_out(out: Path, write: Callable[[], object]) -> None:
     """Make the --out directory, then run write(); any OSError is a ConfigError naming --out."""
     try:
@@ -287,8 +320,27 @@ def _write_out(out: Path, write: Callable[[], object]) -> None:
         raise ConfigError(f"cannot write --out {out}: {exc}") from exc
 
 
+def _write_json(path: Path, obj) -> None:
+    """Write json_text(obj) and a newline to path as json_chunks yields it, so
+    no text of the whole document is held; the file is opened as write_text
+    opens it. The chunks go to path.partial, which replaces path only after
+    the last one; on any error it is removed and path is left as it was."""
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh:
+            fh.writelines(json_chunks(obj))
+            fh.write("\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
+
+
 def _write_artifacts(report: RunReport, out: Path) -> None:
-    (out / "report.json").write_text(report.to_json(), encoding="utf-8")
+    """Every artifact of one run into out: report.json streamed by _write_json,
+    then report.txt, and with an extraction each tree's DOT graph and each
+    cluster's rule and sorted row list."""
+    _write_json(out / "report.json", report.to_dict())
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     if report.result is None:
         return
@@ -448,6 +500,7 @@ def _pipeline_from_args(args, plan: PreprocessPlan) -> PipelineConfig:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     summary = _profile_summary(_load(_run_config_from_args(args)))
     print(f"rows: {summary['row_count']}   classes: {', '.join(summary['class_names'])}")
     print("prevalence: " + ", ".join(
@@ -458,10 +511,8 @@ def cmd_profile(args) -> int:
         for cat in info["categories"]:
             rates = ", ".join(f"{r:.3f}" for r in cat["class_rates"])
             print(f"  {cat['value']}: count={cat['count']} rates=[{rates}]")
-    if args.out:
-        out = Path(args.out)
-        _write_out(out, lambda: (out / "profile.json").write_text(json_text(summary) + "\n",
-                                                                 encoding="utf-8"))
+    if out:
+        _write_out(out, lambda: _write_json(out / "profile.json", summary))
     return 0
 
 
@@ -498,9 +549,9 @@ def _run_config_from_args(args) -> RunConfig:
 
 def cmd_run(args) -> int:
     """extract and stability: one run, its artifacts written, its text report printed."""
+    out = _out_dir(args.out) if args.out else None
     report = run(_run_config_from_args(args))
-    if args.out:
-        out = Path(args.out)
+    if out:
         _write_out(out, lambda: _write_artifacts(report, out))
     print(report.to_text(), end="")
     return 0
@@ -538,7 +589,7 @@ def _check_label_name(label_name: str, feature_names) -> None:
 def cmd_synth(args) -> int:
     """Check the flags and group specs, then build and write the labelled table; --out is made last."""
     _check_synth_flags(args)
-    out = Path(args.out)
+    out = _out_dir(args.out)
     size = {} if args.rows is None else {"n_rows": args.rows}
 
     if args.generate == "liner":
@@ -592,12 +643,12 @@ def cmd_synth(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
+    out = _out_dir(args.out) if args.out else None
     result = run(_run_config_from_args(args)).result
     if not result.trees:
         raise DataError("no tree was trained (no target-class rows?)")
     dot = _tree_dot(result, 0)
-    if args.out:
-        out = Path(args.out)
+    if out:
         _write_out(out, lambda: (out / "tree.dot").write_text(dot, encoding="utf-8"))
         print(f"wrote {out / 'tree.dot'}")
     else:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust.cli import _load, _run_config_from_args, build_parser, json_text, main
+from dtclust import cli
+from dtclust.cli import (
+    _load,
+    _run_config_from_args,
+    _write_json,
+    build_parser,
+    json_chunks,
+    json_text,
+    main,
+)
 from dtclust.dataset import LoadSettings, load_csv
 from dtclust.errors import ConfigError, InternalError
 from dtclust.pipeline import PipelineConfig, run_extraction
@@ -721,15 +731,56 @@ class TestOutPath:
         ["synth", "--generate", "liner", "--rows", "50"],
         ["export-dot", "--input", "{csv}", "--label", "survived", "--depth", "2"],
     ], ids=lambda argv: argv[0])
-    def test_out_naming_a_file_is_config_error(self, liner_csv, tmp_path, capsys, argv, under_file):
+    def test_out_naming_a_file_is_config_error(self, liner_csv, tmp_path, capsys, monkeypatch,
+                                               argv, under_file):
+        # --out is refused before the run: neither the run nor a table read may start
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for name in ("run", "load_csv", "titanic_like"):
+            monkeypatch.setattr(cli, name, refuse)
         taken = tmp_path / "taken"
         taken.write_text("a file\n")
         out = taken / "run" if under_file else taken
         assert main([a.format(csv=liner_csv) for a in argv] + ["--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert f"config error: cannot write --out {out}" in err
-        assert "internal error" not in err
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write --out {out}: {taken} is not a directory\n"
+        assert captured.out == ""
         assert taken.read_text() == "a file\n"
+        assert sorted(tmp_path.iterdir()) == [taken]
+
+
+class TestPartialReport:
+    """A report that fails to encode partway through leaves no partial report.json."""
+
+    @staticmethod
+    def _put_nan_in_report(monkeypatch):
+        # the key sorts last, so most of the report is streamed before the error
+        to_dict = cli.RunReport.to_dict
+        monkeypatch.setattr(cli.RunReport, "to_dict",
+                            lambda self: {**to_dict(self), "~nan": float("nan")})
+
+    @staticmethod
+    def _extract(liner_csv, out):
+        return main(["extract", "--input", liner_csv, "--label", "survived", "--clusters", "1",
+                     "--depth", "2", "--out", str(out)])
+
+    def test_no_file_remains(self, liner_csv, tmp_path, capsys, monkeypatch):
+        self._put_nan_in_report(monkeypatch)
+        out = tmp_path / "run"
+        assert self._extract(liner_csv, out) == 4
+        assert "internal error: Out of range float values" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_earlier_report_is_kept(self, liner_csv, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "run"
+        assert self._extract(liner_csv, out) == 0
+        earlier = sorted(out.iterdir())
+        report = (out / "report.json").read_bytes()
+        self._put_nan_in_report(monkeypatch)
+        assert self._extract(liner_csv, out) == 4
+        assert (out / "report.json").read_bytes() == report
+        assert sorted(out.iterdir()) == earlier
 
 
 class TestDefaults:
@@ -827,18 +878,26 @@ def _reference_dumps(obj):
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
 
 
+def _joined_chunks(obj):
+    return "".join(json_chunks(obj))
+
+
 class TestJsonText:
-    """json_text returns what json.dumps(sort_keys=True, indent=2, allow_nan=False) does."""
+    """json_chunks, joined, and json_text return what json.dumps(sort_keys=True,
+    indent=2, allow_nan=False) does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(obj=_json_trees(_LEAF))
     def test_equals_json_dumps(self, obj):
+        assert _joined_chunks(obj) == _reference_dumps(obj)
         assert json_text(obj) == _reference_dumps(obj)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(obj=_json_trees(_LEAF | _BAD_LEAF, (*_KEY_FAMILIES, st.one_of(*_KEY_FAMILIES))))
     def test_raises_as_json_dumps(self, obj):
-        assert _dumps_or_error(json_text, obj) == _dumps_or_error(_reference_dumps, obj)
+        expected = _dumps_or_error(_reference_dumps, obj)
+        assert _dumps_or_error(_joined_chunks, obj) == expected
+        assert _dumps_or_error(json_text, obj) == expected
 
     @pytest.mark.parametrize("obj, error", [
         (float("nan"), ValueError),
@@ -857,6 +916,8 @@ class TestJsonText:
         with pytest.raises(error):
             _reference_dumps(obj)
         with pytest.raises(error):
+            _joined_chunks(obj)
+        with pytest.raises(error):
             json_text(obj)
 
     @pytest.mark.parametrize("obj", [
@@ -865,7 +926,25 @@ class TestJsonText:
     ], ids=["all-bool", "bool-and-int", "ints", "strs", "number-keys", "empty-containers",
             "float-edges"])
     def test_cases(self, obj):
+        assert _joined_chunks(obj) == _reference_dumps(obj)
         assert json_text(obj) == _reference_dumps(obj)
+
+    def test_write_holds_no_whole_text(self, tmp_path):
+        # 24 flat lists of 2,000 distinct strings: ~2.6 MB of JSON, no list over 4% of it
+        obj = {f"column-{i:02d}": {"dictionary": [f"{i:02d}-{j:06d}-" + "x" * 30 for j in range(2000)],
+                                   "codes": list(range(i, i + 50))}
+               for i in range(24)}
+        path = tmp_path / "report.json"
+        tracemalloc.start()
+        try:
+            _write_json(path, obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        assert data == (_reference_dumps(obj) + "\n").encode()
+        assert len(data) >= 2 * 2 ** 20
+        assert peak < len(data) / 4, (peak, len(data))
 
 
 def _dtclust(args, cwd, env=None, python_flags=()):

@@ -5,7 +5,8 @@ datetime columns derived from the row index, one with missing cells). Five runs
 read it as written; the sixth reads a copy with a byte-order mark, CRLF line
 endings, blank lines and a text column whose quoted cells hold the delimiter,
 a doubled quote or a newline. One more digest pins the cluster_NN.rows.txt
-files of the extract and extract-deep runs. Each run
+files of the extract and extract-deep runs, and another the tree_NN.dot and
+cluster_NN.rule.txt files of the extract run. Each run
 starts in a fresh directory with relative paths, so the config echo inside
 report.json does not depend on where the tests run. A digest moves only when
 the artifact itself changes; re-record it on purpose, never to make a run pass.
@@ -45,6 +46,8 @@ GOLDEN = {
     "extract-messy": "0dd39363384de08c6945c76ec76cefc35f896811fd4ce3c67c27d41a1ecb698b",
     # every cluster_NN.rows.txt of the extract run, then of the extract-deep run
     "rows": "c92d19f51e518afbe77e26157c38cdbcdd15b31b006129c99913526b4dfda8fd",
+    # every tree_NN.dot, then every cluster_NN.rule.txt, of the extract run
+    "dot-and-rules": "8c5044314d48ab984e35b5f0b5bbc7e2981c0d7d358715a588498b3e42756776",
 }
 
 EXTRACT_ARGV = ["extract", "--config", "plan.json", "--class", "yes"]
@@ -131,3 +134,16 @@ def test_row_lists_digest(workdir, monkeypatch):
             internal += "split" in node
     assert internal >= 1
     assert digest.hexdigest() == GOLDEN["rows"]
+
+
+def test_dot_and_rule_files_digest(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    out = workdir / "dot-and-rules"
+    assert main([*EXTRACT_ARGV, "--input", "data.csv", "--label", "label", "--out", out.name]) == 0
+    trees = sorted(out.glob("tree_*.dot"))
+    rules = sorted(out.glob("cluster_*.rule.txt"))
+    assert len(trees) == 3 and len(rules) == 3
+    digest = hashlib.sha256()
+    for path in trees + rules:
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == GOLDEN["dot-and-rules"]
