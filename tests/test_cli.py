@@ -20,7 +20,6 @@ from dtclust.cli import (
     _write_json,
     build_parser,
     json_chunks,
-    json_text,
     main,
 )
 from dtclust.dataset import LoadSettings, load_csv
@@ -883,21 +882,18 @@ def _joined_chunks(obj):
 
 
 class TestJsonText:
-    """json_chunks, joined, and json_text return what json.dumps(sort_keys=True,
-    indent=2, allow_nan=False) does."""
+    """json_chunks, joined as json_text joins them, returns what
+    json.dumps(sort_keys=True, indent=2, allow_nan=False) does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(obj=_json_trees(_LEAF))
     def test_equals_json_dumps(self, obj):
         assert _joined_chunks(obj) == _reference_dumps(obj)
-        assert json_text(obj) == _reference_dumps(obj)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(obj=_json_trees(_LEAF | _BAD_LEAF, (*_KEY_FAMILIES, st.one_of(*_KEY_FAMILIES))))
     def test_raises_as_json_dumps(self, obj):
-        expected = _dumps_or_error(_reference_dumps, obj)
-        assert _dumps_or_error(_joined_chunks, obj) == expected
-        assert _dumps_or_error(json_text, obj) == expected
+        assert _dumps_or_error(_joined_chunks, obj) == _dumps_or_error(_reference_dumps, obj)
 
     @pytest.mark.parametrize("obj, error", [
         (float("nan"), ValueError),
@@ -917,8 +913,6 @@ class TestJsonText:
             _reference_dumps(obj)
         with pytest.raises(error):
             _joined_chunks(obj)
-        with pytest.raises(error):
-            json_text(obj)
 
     @pytest.mark.parametrize("obj", [
         [True, False], [True, 1], [1, 2 ** 70, -3], ["a", "\u00e9", "\udc80"], {1.5: [], 0: {}, True: ()},
@@ -927,7 +921,6 @@ class TestJsonText:
             "float-edges"])
     def test_cases(self, obj):
         assert _joined_chunks(obj) == _reference_dumps(obj)
-        assert json_text(obj) == _reference_dumps(obj)
 
     def test_write_holds_no_whole_text(self, tmp_path):
         # 24 flat lists of 2,000 distinct strings: ~2.6 MB of JSON, no list over 4% of it
