@@ -12,25 +12,31 @@ codes at once, and a cumulative sum per column gives the ordered splits' left
 sides. Columns with more codes than the table has rows get a group of their
 own, which bounds a histogram's memory.
 
-Trees grow level by level, and best_split searches each open node. A group
-keeps the histograms of a level's nodes while they hold no more counts than
-the table has rows. For such a group, one bincount per level counts the
-smaller child of every split made on the level above, each larger child's
-histogram is its parent's minus its sibling's, and best_split is handed the
-node's histogram instead of counting it. A wide group, whose histogram for
-even one node would outsize the table, keeps none, nor does a group on a level
-with more nodes than it keeps histograms for: there best_split counts the
-node's own. Either way only the codes present in the node are scored.
+Trees grow level by level. A group keeps the histograms of a level's nodes
+while they hold no more counts than the table has rows. For such a kept
+group, one bincount per level counts the smaller child of every split made on
+the level above, each larger child's histogram is its parent's minus its
+sibling's, and _best_in_level scores all of the level's nodes in one pass over
+the stacked (nodes x classes x bins) histograms. It scores every bin, present
+in a node or not; a code absent from a node either fails the leaf-size test
+there or repeats, to the bit, the gain of the present code before it in its
+column, so the first maximum still picks a present code. A wide group, whose
+histogram for even one node would outsize the table, keeps none, nor does a
+group on a level with more nodes than it keeps histograms for: there the
+node's own histogram is counted and _best_in_group scores only the codes
+present in it. best_split still runs once per open node: it takes the level's
+results for the kept groups, searches the others, and merges them.
 
-Scoring runs class by class. Each step (gathering the present codes, the
+Scoring runs class by class. Each step (gathering the candidates, the
 cumulative sums, left and right counts, each side's impurity, the gain) works
 on one contiguous row of candidates per class, never on a (candidates x
 classes) matrix, whose strided gathers, cumsums and row sums cost several
 times more. The summation-order contract: _class_sum adds the class terms of
 an impurity in the order numpy sums a (candidates x classes) row, in sequence
 below 8 classes and pairwise from 8 on, so the gains keep the bits of that
-matrix form and reports stay byte-identical. Node impurities go through
-impurity() as before.
+matrix form and reports stay byte-identical. The level and the node scorer
+give a candidate the same bits. Node impurities go through impurity() as
+before.
 
 Row ids are stored once per tree. train copies the rows it is given into one
 array, the tree's row order, and the root's rows is that array. Splitting a
@@ -293,39 +299,43 @@ def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: i
 
 
 def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
-               layout: tuple[_HistogramGroup, ...] | None = None,
-               hists: list[np.ndarray | None] | None = None, *,
+               layout: tuple[_HistogramGroup, ...] | None = None, *,
                class_counts: np.ndarray | None = None,
-               node_impurity: float | None = None) -> Split | None:
+               node_impurity: float | None = None,
+               found: dict[int, tuple[float, int, int] | None] | None = None) -> Split | None:
     """Exhaustive best split of the given rows, or None when no gain beats min_gain.
 
     Scans every column and every code present in the rows as a pivot; keeps the
     strictly best gain, so equal-gain ties go to the earliest column and the
     lowest pivot. layout is histogram_layout(ds), built here when not given.
-    hists holds, per group of layout, the rows' (classes x bins) histogram when
-    the caller already has it (train derives them by subtraction) and
-    None for one to be counted here. class_counts and node_impurity are the
-    rows' class counts and impurity, counted here when not given. Each group
-    is scored class by class by _best_in_group, with gains bit-identical to a
-    (candidates x classes) matrix kernel. The result is the test alone;
-    Split.goes_left partitions rows by it.
+    class_counts and node_impurity are the rows' class counts and impurity,
+    counted here when not given. found maps the index in layout of a group
+    already scored for these rows (train's level scorer, _best_in_level) to its
+    (gain, column, pivot), or None when it has no valid candidate; every other
+    group is counted and scored here by _best_in_group, class by class, with
+    gains bit-identical to a (candidates x classes) matrix kernel. The groups'
+    results merge in layout order, which is column order: a higher gain wins,
+    and an equal one stays with the lower column. The result is the test
+    alone; Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
-    if hists is None:
-        hists = [None] * len(layout)
+    if found is None:
+        found = {}
     if class_counts is None:
         class_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes)
     parent_counts = class_counts.astype(np.float64)
     parent_imp = impurity(parent_counts, params.impurity_metric) if node_impurity is None else node_impurity
 
     best: tuple[float, int, int] | None = None  # gain, column index, pivot
-    for group, hist in zip(layout, hists):
-        if hist is None:
+    for g, group in enumerate(layout):
+        if g in found:
+            cand = found[g]
+        else:
             hist = _histograms(group, [rows], ds.n_classes)[0]
-        found = _best_in_group(group, hist, parent_counts, parent_imp, params)
-        if found is not None and found[0] > params.min_gain and (best is None or found[0] > best[0]):
-            best = found
+            cand = _best_in_group(group, hist, parent_counts, parent_imp, params)
+        if cand is not None and cand[0] > params.min_gain and (best is None or cand[0] > best[0]):
+            best = cand
 
     if best is None:
         return None
@@ -381,6 +391,64 @@ def _best_in_group(group, cnt, parent_counts, parent_imp, params):
     return float(gains[best]), int(group.columns[j]), int(code - group.starts[j])
 
 
+def _best_in_level(group, hists, class_counts, impurities, params):
+    """Per node of a level, the (gain, column, pivot) of the group's first best
+    valid candidate, or None, from the level's (nodes x classes x bins)
+    histograms hists; class_counts is (nodes x classes), impurities the
+    nodes' impurities.
+
+    One pass scores every node. Each step runs on one contiguous (nodes x
+    bins) row per class, with the arithmetic of _best_in_group, so each
+    candidate's gain has the bits _best_in_group gives it on the node alone.
+    Every bin is a candidate, yet a code absent from a node cannot win there:
+    its left side is that of the code before it in its column. Either that
+    leaves a side empty (a nominal code, or an ordered code below every
+    present one) and fails the leaf-size test, or it repeats, to the bit, the
+    gain of the present code before it, which the first maximum keeps.
+    """
+    n_nodes, _, n_bins = hists.shape
+    ordered = group.ordered[group.member]
+    first = group.starts[group.member]
+
+    def left_of(row):
+        # as in _best_in_group, on a (nodes x bins) row: the cumulative sum
+        # restarts at each member's first bin
+        cum = np.zeros((n_nodes, n_bins + 1), dtype=row.dtype)
+        np.cumsum(row, axis=1, out=cum[:, 1:])
+        return np.where(ordered, cum[:, 1:] - cum[:, first], row)
+
+    left = [left_of(row) for row in np.ascontiguousarray(hists.transpose(1, 0, 2))]
+    n_left = sum(left)
+    n = class_counts.sum(axis=1)
+    msl = params.min_samples_leaf
+    valid = np.flatnonzero((n_left >= msl) & (n[:, None] - n_left >= msl))
+    if valid.size == 0:
+        return [None] * n_nodes
+
+    node = valid // n_bins
+    left_counts = [side.ravel()[valid].astype(np.float64) for side in left]
+    right_counts = [parent[node] - side
+                    for parent, side in zip(class_counts.T.astype(np.float64), left_counts)]
+    n_left = n_left.ravel()[valid].astype(np.float64)
+    n = n[node]
+    n_right = n - n_left
+    imp_left = _side_impurity(left_counts, n_left, params.impurity_metric)
+    imp_right = _side_impurity(right_counts, n_right, params.impurity_metric)
+    gains = impurities[node] - (n_left * imp_left + n_right * imp_right) / n
+
+    # first maximum per node -> earliest column, lowest pivot; -inf marks a
+    # node with no valid candidate
+    scores = np.full(n_nodes * n_bins, -np.inf)
+    scores[valid] = gains
+    scores = scores.reshape(n_nodes, n_bins)
+    best = scores.argmax(axis=1)
+    j = group.member[best]
+    return [None if gain == -np.inf else (gain, column, pivot)
+            for gain, column, pivot in zip(scores[np.arange(n_nodes), best].tolist(),
+                                           group.columns[j].tolist(),
+                                           (best - group.starts[j]).tolist())]
+
+
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
@@ -389,13 +457,16 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
           layout: tuple[_HistogramGroup, ...] | None = None) -> DecisionTree:
     """Grow a tree level by level, breadth-first node ids.
 
-    Each open node is searched with best_split. A group keeps the histograms
-    of a level's nodes while they hold no more counts than the table has rows
-    (_HistogramGroup.max_nodes); then one bincount per level counts the smaller
-    child of each split, and the larger child's histogram is its parent's minus
-    the smaller one's. rows restricts training to a subset of the dataset (used
-    by iterative extraction); node row ids always refer to the full dataset.
-    rows is copied, never changed: the copy is the tree's row order.
+    Each open node is searched with one best_split call. A group keeps the
+    histograms of a level's nodes while they hold no more counts than the table
+    has rows (_HistogramGroup.max_nodes); then one bincount per level counts the
+    smaller child of each split, the larger child's histogram is its parent's
+    minus the smaller one's, and _best_in_level scores the whole level in the
+    group before its nodes are searched. best_split gets each node's results
+    for the kept groups and counts and scores only the other groups itself.
+    rows restricts training to a subset of the dataset (used by iterative
+    extraction); node row ids always refer to the full dataset. rows is
+    copied, never changed: the copy is the tree's row order.
     layout is histogram_layout(ds), built here when not given.
     """
     if ds.labels is None:
@@ -436,13 +507,19 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     # per group: the (nodes x classes x bins) histograms of the level, or None
     hists = [_histograms(g, [rows], n_classes) if g.max_nodes >= 1 else None for g in layout]
     while True:
+        # per kept group: each node's best candidate in it, scored for the
+        # whole level at once
+        counts = np.stack([node.class_counts for node in level])
+        impurities = np.array([node.impurity for node in level])
+        scored = {g: _best_in_level(group, hists[g], counts, impurities, params)
+                  for g, group in enumerate(layout) if hists[g] is not None}
         # per split whose children are not both closed: parent slot, smaller
         # child's rows, and each open child with whether it is the larger one
         slots, smaller, children = [], [], []
         for slot, node in enumerate(level):
             split = best_split(node.rows, ds, params, layout,
-                               [None if h is None else h[slot] for h in hists],
-                               class_counts=node.class_counts, node_impurity=node.impurity)
+                               class_counts=node.class_counts, node_impurity=node.impurity,
+                               found={g: level_best[slot] for g, level_best in scored.items()})
             if split is None:
                 continue
             node.split = split

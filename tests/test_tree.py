@@ -1,5 +1,7 @@
 """Impurity metrics, exhaustive split search, training, and DOT export."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,11 +175,17 @@ def tree_case(seed, wide, subset):
     return ds, rows
 
 
+def split_bits(split):
+    return None if split is None else (
+        split.gain.hex(), split.pivot, split.attribute, split.column_index, split.ordinal)
+
+
 class TestTrainProperty:
     """Whole trees against the brute-force oracle: every node of every level,
     through histograms counted on the smaller child and subtracted from the
-    parent on narrow groups, and counted per node on wide ones and on levels
-    that outgrow a narrow group's max_nodes."""
+    parent and scored a level at a time on narrow groups, and counted and
+    scored per node on wide ones and on levels that outgrow a narrow group's
+    max_nodes."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(
@@ -187,13 +195,32 @@ class TestTrainProperty:
         max_depth=st.integers(1, 4),
         min_samples_leaf=st.sampled_from([1, 3]),
         metric=st.sampled_from(["gini", "entropy"]),
+        min_gain=st.sampled_from([0.0, 0.02]),
     )
-    def test_equals_oracle(self, seed, wide, subset, max_depth, min_samples_leaf, metric):
+    def test_equals_oracle(self, seed, wide, subset, max_depth, min_samples_leaf, metric, min_gain):
         ds, rows = tree_case(seed, wide, subset)
         root_rows = np.arange(ds.row_count) if rows is None else rows.copy()
-        params = TrainParams(metric, max_depth=max_depth, min_samples_leaf=min_samples_leaf)
-        tree = train(ds, params, rows=rows)
+        params = TrainParams(metric, max_depth=max_depth, min_gain=min_gain,
+                             min_samples_leaf=min_samples_leaf)
+        searched_rows = []
+        real = tree_module.best_split
+
+        def spy(node_rows, *args, **kwargs):
+            searched_rows.append(node_rows)
+            return real(node_rows, *args, **kwargs)
+
+        with mock.patch.object(tree_module, "best_split", spy):
+            tree = train(ds, params, rows=rows)
         assert_tree_matches_oracle(tree, ds, params)
+        # best_split runs once per searched node, in node order, on its rows
+        searched = [node for node in tree.nodes if is_open(node, params)]
+        assert len(searched_rows) == len(searched)
+        assert all(got is node.rows for got, node in zip(searched_rows, searched))
+        # each searched node's split, or its lack of one, is the one best_split
+        # finds on the node's rows alone, to the bit
+        for node in searched:
+            assert split_bits(node.split) == split_bits(best_split(node.rows, ds, params)), (
+                f"node {node.id}")
         # the tree keeps one row order: the root holds the given rows, permuted
         # by the splits, and the caller's array is left as it was
         assert np.sort(tree.root.rows).tolist() == root_rows.tolist()
@@ -240,8 +267,15 @@ class TestTrainProperty:
                         seen.add("only smaller open")
                     elif opened == [False, True]:
                         seen.add("only larger open")
+                # a searched node whose best gain is positive but within
+                # min_gain = 0.02, so the filter alone leaves it a leaf
+                strict = TrainParams(max_depth=4, min_samples_leaf=3, min_gain=0.02)
+                for node in train(ds, strict, rows=rows, layout=layout).nodes:
+                    if node.is_leaf and is_open(node, strict) \
+                            and oracle_best_split(node.rows, ds, params) is not None:
+                        seen.add("min_gain rejects a split")
         assert seen == {"narrow", "wide", "narrow below root", "level outgrows narrow group",
-                        "only smaller open", "only larger open"}
+                        "only smaller open", "only larger open", "min_gain rejects a split"}
 
 
 def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
@@ -341,6 +375,69 @@ class TestGroupScorerBits:
         terms = [rng.random(4000) * 10.0 ** rng.integers(-8, 8, 4000) for _ in range(n_classes)]
         want = np.stack(terms, axis=1).sum(axis=1)
         assert tree_module._class_sum(terms).tobytes() == want.tobytes()
+
+
+def level_case(seed, n_classes):
+    """kernel_case's table and a level over it: 1-6 disjoint nodes drawn from
+    its node rows, each scored alone and as part of the level."""
+    ds, rows = kernel_case(seed, n_classes)
+    rng = np.random.default_rng([seed, n_classes])
+    n_nodes = int(rng.integers(1, min(6, len(rows)) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, len(rows)), size=n_nodes - 1, replace=False))
+    return ds, np.split(rng.permutation(rows), cuts)
+
+
+class TestLevelScorerBits:
+    """The level scorer against the node scorer on each node's own histogram,
+    bit for bit: every bin of every node is a candidate in the level, and only
+    the codes present in the node are in the node scorer."""
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_samples_leaf=st.sampled_from([1, 3]),
+        metric=st.sampled_from(["gini", "entropy"]),
+    )
+    def test_equals_node_scorer(self, n_classes, seed, min_samples_leaf, metric):
+        ds, level = level_case(seed, n_classes)
+        params = TrainParams(metric, min_samples_leaf=min_samples_leaf)
+        counts = np.stack([np.bincount(ds.labels[rows], minlength=n_classes) for rows in level])
+        impurities = np.array([impurity(c, metric) for c in counts])
+        for group in histogram_layout(ds):
+            got = tree_module._best_in_level(group, tree_module._histograms(group, level, n_classes),
+                                             counts, impurities, params)
+            assert len(got) == len(level)
+            for i, rows in enumerate(level):
+                cnt = tree_module._histograms(group, [rows], n_classes)[0]
+                want = tree_module._best_in_group(group, cnt, counts[i].astype(np.float64),
+                                                  impurities[i], params)
+                assert gain_bits(got[i]) == gain_bits(want), (
+                    f"node {i} of {len(level)}, group of columns {group.columns.tolist()}")
+
+    def test_cases_reach_every_layout(self):
+        # codes absent from some nodes, classes absent from some nodes, groups
+        # of ordered and nominal members, and levels where some nodes have a
+        # valid candidate in a group and others none
+        seen = set()
+        params = TrainParams(min_samples_leaf=3)
+        for seed in range(60):
+            ds, level = level_case(seed, n_classes=8)
+            counts = np.stack([np.bincount(ds.labels[rows], minlength=ds.n_classes) for rows in level])
+            impurities = np.array([impurity(c) for c in counts])
+            if not counts.all():
+                seen.add("class absent")
+            for group in histogram_layout(ds):
+                hists = tree_module._histograms(group, level, ds.n_classes)
+                if not hists.any(axis=1).all():
+                    seen.add("code absent")
+                if len(set(group.ordered.tolist())) == 2:
+                    seen.add("mixed members")
+                found = tree_module._best_in_level(group, hists, counts, impurities, params)
+                if None in found and any(f is not None for f in found):
+                    seen.add("some nodes without a candidate")
+        assert seen == {"class absent", "code absent", "mixed members",
+                        "some nodes without a candidate"}
 
 
 class TestTrain:
