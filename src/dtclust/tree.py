@@ -10,14 +10,20 @@ Search needs no sort: codes are dense integers 0..n_values, so one bincount
 over per-dataset keys gives a node's class histogram over a group of columns'
 codes at once, and a cumulative sum per column gives the ordered splits' left
 sides. Columns with more codes than the table has rows get a group of their
-own, which bounds a histogram's memory.
+own, which bounds a histogram's memory. Keys are int32 whenever the largest
+key a kept level can form fits (it is below max(rows, classes x bins)), so the
+per-dataset key matrix and every gather of it move half the bytes of intp.
 
 Trees grow level by level. A group keeps the histograms of a level's nodes
 while they hold no more counts than the table has rows. For such a kept
-group, one bincount per level counts the smaller child of every split made on
-the level above, each larger child's histogram is its parent's minus its
-sibling's, and _best_in_level scores all of the level's nodes in one pass over
-the stacked (nodes x classes x bins) histograms. It scores every bin, present
+group, the table's total histogram is counted once per layout, and a root over
+more than half the table is that total minus the histogram of the rows left
+out, so a tree over the whole table counts nothing at its root and a retrained
+one counts only the rows already removed. Below the root, one bincount per
+level counts the smaller child of every split made on the level above, each
+larger child's histogram is its parent's minus its sibling's, and
+_best_in_level scores all of the level's nodes in one pass over the stacked
+(nodes x classes x bins) histograms. It scores every bin, present
 in a node or not; a code absent from a node either fails the leaf-size test
 there or repeats, to the bit, the gain of the present code before it in its
 column, so the first maximum still picks a present code. A wide group, whose
@@ -41,8 +47,10 @@ before.
 Row ids are stored once per tree. train copies the rows it is given into one
 array, the tree's row order, and the root's rows is that array. Splitting a
 node partitions its slice of the order in place, stably, left side first, so
-each child's rows is a view of its part of the parent's slice. A node's rows
-are ascending until its children are partitioned; only leaves stay so.
+each child's rows is a view of its part of the parent's slice. Each side is
+taken with np.compress, which has no per-element branch for a boolean index
+to mispredict. A node's rows are ascending until its children are partitioned;
+only leaves stay so.
 
 Training is deterministic: ties between equal-gain splits resolve to the lower
 column index, then the lower pivot code; majority ties at leaves resolve to the
@@ -230,7 +238,10 @@ class _HistogramGroup:
     the bin of its code, so one bincount over a node's keys gives its
     (classes x bins) histogram.
 
-    keys:    rows x members, the key of each row in each member.
+    keys:    rows x members, the key of each row in each member; int32 when
+             every key of a level's max(1, max_nodes) slots of classes x bins
+             fits, which holds while max(rows, classes x bins) < 2**31, and
+             intp otherwise.
     columns: dataset column index of each member.
     starts:  first bin of each member.
     member:  member of each bin.
@@ -239,6 +250,8 @@ class _HistogramGroup:
     max_nodes: the most nodes whose histograms a level keeps, so that they
              hold no more counts than the table has rows; 0 when even one
              node's would hold more (a wide group).
+    total:   the (classes x bins) histogram of every row of the table, which
+             train takes a large root's histogram from; None in a wide group.
     """
 
     keys: np.ndarray
@@ -248,6 +261,7 @@ class _HistogramGroup:
     ordered: np.ndarray
     n_bins: int
     max_nodes: int
+    total: np.ndarray | None
 
 
 def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
@@ -255,7 +269,9 @@ def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
 
     Columns are packed in order into groups of at most max(largest column's
     code count, rows) bins, which bounds one node's histogram by the input's
-    own size whatever the number of columns.
+    own size whatever the number of columns. Each group's keys are int32
+    where they fit, and a kept group (max_nodes >= 1) counts the table's total
+    histogram here, once per layout.
     """
     widths = [col.n_values + 1 for col in ds.columns]
     cap = max(max(widths, default=0), ds.row_count)
@@ -278,22 +294,33 @@ def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
     widths = np.array([col.n_values + 1 for col in cols])
     starts = np.cumsum(widths) - widths
     n_bins = int(widths.sum())
-    keys = np.stack([col.codes for col in cols], axis=1).astype(np.intp)
-    keys += starts
-    keys += (ds.labels.astype(np.intp) * n_bins)[:, None]
+    size = ds.n_classes * n_bins
+    max_nodes = ds.row_count // size
+    # a level's keys stay below max(1, max_nodes) * size <= max(rows, size)
+    dtype = np.int32 if max(1, max_nodes) * size < 2**31 else np.intp
+    keys = np.stack([col.codes for col in cols], axis=1, dtype=dtype)
+    keys += starts.astype(dtype)
+    keys += (ds.labels.astype(dtype) * n_bins)[:, None]
     ordered = np.array([col.kind.is_ordered for col in cols])
     member = np.repeat(np.arange(len(cols)), widths)
-    max_nodes = ds.row_count // (ds.n_classes * n_bins)
-    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, max_nodes)
+    total = None
+    if max_nodes >= 1:
+        total = np.bincount(keys.ravel(), minlength=size).reshape(ds.n_classes, n_bins)
+    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, max_nodes,
+                           total)
 
 
 def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: int) -> np.ndarray:
     """(sets x classes x bins) class histograms of several row sets from one
-    bincount: each set's keys are offset by its slot."""
+    bincount: each set's keys are offset by its slot. The offsets are made in
+    the keys' dtype; an intp offset added in place to int32 keys would be cast
+    down unchecked. A kept group's level of at most max_nodes sets stays within
+    the bound its key dtype was chosen for."""
     size = n_classes * group.n_bins
     keys = np.take(group.keys, np.concatenate(row_sets), axis=0)
     if len(row_sets) > 1:
-        keys += np.repeat(np.arange(len(row_sets)) * size, [len(r) for r in row_sets])[:, None]
+        offsets = np.arange(len(row_sets), dtype=keys.dtype) * size
+        keys += np.repeat(offsets, [len(r) for r in row_sets])[:, None]
     cnt = np.bincount(keys.ravel(), minlength=len(row_sets) * size)
     return cnt.reshape(len(row_sets), n_classes, group.n_bins)
 
@@ -459,22 +486,37 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
 
     Each open node is searched with one best_split call. A group keeps the
     histograms of a level's nodes while they hold no more counts than the table
-    has rows (_HistogramGroup.max_nodes); then one bincount per level counts the
-    smaller child of each split, the larger child's histogram is its parent's
-    minus the smaller one's, and _best_in_level scores the whole level in the
-    group before its nodes are searched. best_split gets each node's results
-    for the kept groups and counts and scores only the other groups itself.
+    has rows (_HistogramGroup.max_nodes). A kept group's root histogram is
+    the group's total minus the histogram of the rows left out when rows hold
+    more than half the table, and is counted from rows otherwise. Below it,
+    one bincount per level counts the smaller child of each split, the larger
+    child's histogram is its parent's minus the smaller one's, and
+    _best_in_level scores the whole level in the group before its nodes are
+    searched. best_split gets each node's results for the kept groups and
+    counts and scores only the other groups itself. A split node's slice is
+    partitioned with np.compress, branch-free, stably, left side first.
     rows restricts training to a subset of the dataset (used by iterative
-    extraction); node row ids always refer to the full dataset. rows is
-    copied, never changed: the copy is the tree's row order.
-    layout is histogram_layout(ds), built here when not given.
+    extraction); node row ids always refer to the full dataset, and a
+    DataError is raised when rows repeats an id or holds one outside
+    0..row_count-1. rows is copied, never changed: the copy is the tree's row
+    order. layout is histogram_layout(ds), built here when not given.
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
     # the tree's one row order: the root's rows, and every node a slice of it
-    rows = np.arange(ds.row_count) if rows is None else np.array(rows)
-    if len(rows) == 0:
+    n_rows = ds.row_count
+    rows = np.arange(n_rows) if rows is None else np.array(rows)
+    if rows.size == 0:
         raise DataError("cannot train on an empty dataset")
+    if rows.ndim != 1 or rows.dtype.kind not in "iu":
+        raise DataError(f"rows must be a 1-d array of integer row ids, got {rows.dtype} "
+                        f"of shape {rows.shape}")
+    if rows.min() < 0 or rows.max() >= n_rows:
+        raise DataError(f"rows holds a row id outside 0..{n_rows - 1}")
+    left_out = np.ones(n_rows, dtype=bool)
+    left_out[rows] = False
+    if n_rows - np.count_nonzero(left_out) != len(rows):
+        raise DataError("rows repeats a row id")
 
     labels = ds.labels
     n_classes = ds.n_classes
@@ -504,8 +546,13 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     if not is_open(root):
         return DecisionTree(nodes, params)
     level = [root]
-    # per group: the (nodes x classes x bins) histograms of the level, or None
-    hists = [_histograms(g, [rows], n_classes) if g.max_nodes >= 1 else None for g in layout]
+    # per group: the (nodes x classes x bins) histograms of the level, or None;
+    # a root over more than half the table counts only the rows left out
+    out = np.flatnonzero(left_out) if 2 * len(rows) > n_rows else None
+    hists = [None if g.max_nodes < 1
+             else _histograms(g, [rows], n_classes) if out is None
+             else g.total - _histograms(g, [out], n_classes)
+             for g in layout]
     while True:
         # per kept group: each node's best candidate in it, scored for the
         # whole level at once
@@ -525,7 +572,7 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
             node.split = split
             # partition the node's slice in place, stably, left side first
             mask = split.goes_left(ds.columns[split.column_index].codes[node.rows])
-            sides = (node.rows[mask], node.rows[~mask])
+            sides = (node.rows.compress(mask), node.rows.compress(~mask))
             n_left = len(sides[0])
             node.rows[:n_left], node.rows[n_left:] = sides
             sides = (node.rows[:n_left], node.rows[n_left:])

@@ -251,6 +251,15 @@ class TestTrainProperty:
                 layout = histogram_layout(ds)
                 tree = train(ds, params, rows=rows, layout=layout)
                 seen.update("narrow" if g.max_nodes >= 1 else "wide" for g in layout)
+                if is_open(tree.root, params) and any(g.max_nodes >= 1 for g in layout):
+                    # a narrow group's root: its total, its total minus the
+                    # rows left out, or counted from the rows themselves
+                    if tree.root.samples == ds.row_count:
+                        seen.add("root over all rows")
+                    elif 2 * tree.root.samples > ds.row_count:
+                        seen.add("root from total")
+                    else:
+                        seen.add("root counted directly")
                 open_at = np.bincount([n.depth for n in tree.nodes if is_open(n, params)],
                                       minlength=params.max_depth)
                 for g in layout:
@@ -275,7 +284,8 @@ class TestTrainProperty:
                             and oracle_best_split(node.rows, ds, params) is not None:
                         seen.add("min_gain rejects a split")
         assert seen == {"narrow", "wide", "narrow below root", "level outgrows narrow group",
-                        "only smaller open", "only larger open", "min_gain rejects a split"}
+                        "only smaller open", "only larger open", "min_gain rejects a split",
+                        "root over all rows", "root from total", "root counted directly"}
 
 
 def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
@@ -299,6 +309,51 @@ def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
         assert all(size <= ds.row_count for size, _ in counted), f"seed {seed}"
         level_counts += sum(sets > 1 for _, sets in counted)
     assert level_counts > 0
+
+
+class TestHistogramLayout:
+    """The per-dataset keys and totals against plain per-row counting."""
+
+    @staticmethod
+    def reference_histograms(ds, group, row_sets):
+        # (sets x classes x bins), one row and one member at a time
+        ref = np.zeros((len(row_sets), ds.n_classes, group.n_bins), dtype=np.int64)
+        for i, rows in enumerate(row_sets):
+            for j, ci in enumerate(group.columns):
+                np.add.at(ref, (i, ds.labels[rows], group.starts[j] + ds.columns[ci].codes[rows]), 1)
+        return ref
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_keys_totals_and_widest_level(self, seed, wide):
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, max_rows=400, max_cols=5, wide_column=wide)
+        everything = np.arange(ds.row_count)
+        for group in histogram_layout(ds):
+            assert group.keys.dtype == np.int32
+            whole = tree_module._histograms(group, [everything], ds.n_classes)
+            assert whole.tolist() == self.reference_histograms(ds, group, [everything]).tolist()
+            if group.max_nodes < 1:
+                assert group.total is None
+                continue
+            assert group.total.tolist() == whole[0].tolist()
+            # a level of max_nodes sets: the last one's keys carry the largest
+            # slot offset a kept group ever adds
+            cuts = np.sort(rng.choice(np.arange(1, ds.row_count), size=group.max_nodes - 1,
+                                      replace=False))
+            level = np.split(rng.permutation(everything), cuts)
+            got = tree_module._histograms(group, level, ds.n_classes)
+            assert got.tolist() == self.reference_histograms(ds, group, level).tolist()
+
+    def test_cases_reach_every_layout(self):
+        seen = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            ds = random_dataset(rng, max_rows=400, max_cols=5, wide_column=seed % 2 == 1)
+            for group in histogram_layout(ds):
+                seen.add("wide" if group.max_nodes == 0 else
+                         "one node" if group.max_nodes == 1 else "several nodes")
+        assert seen == {"wide", "one node", "several nodes"}
 
 
 def kernel_case(seed, n_classes):
@@ -515,6 +570,24 @@ class TestTrain:
         ds = ordinal_dataset([1, 2], [0, 1])
         with pytest.raises(DataError):
             train(ds, TrainParams(), rows=np.array([], dtype=int))
+
+    @pytest.mark.parametrize("rows, message", [
+        ([-1, -2, 0, 5, 5, 5], "outside 0..7"),
+        ([0, 3, -1], "outside 0..7"),
+        ([0, 8], "outside 0..7"),
+        ([0, 5, 5, 5], "repeats a row id"),
+        ([7, 2, 7], "repeats a row id"),
+        (np.ones(8, dtype=bool), "integer row ids"),
+        ([0.0, 1.0], "integer row ids"),
+        ([[0, 1], [2, 3]], "integer row ids"),
+        (5, "integer row ids"),
+    ])
+    def test_refuses_bad_row_ids(self, rows, message):
+        # a negative id would wrap to a row from the end, a repeated one would
+        # be counted twice, and a mask would select rather than name rows
+        ds = ordinal_dataset([1, 2, 3, 4, 1, 2, 3, 4], [0, 1, 0, 1, 1, 0, 1, 0])
+        with pytest.raises(DataError, match=message):
+            train(ds, TrainParams(), rows=np.array(rows))
 
     def test_majority_tie_lowest_class(self):
         ds = ordinal_dataset([1, 1, 2, 2], [0, 1, 0, 1])
