@@ -16,14 +16,10 @@ per-dataset key matrix and every gather of it move half the bytes of intp.
 
 Trees grow level by level. A group keeps the histograms of a level's nodes
 while they hold no more counts than the table has rows. For such a kept
-group, the table's total histogram is counted once per layout, and a root over
-more than half the table is that total minus the histogram of the rows left
-out, so a tree over the whole table counts nothing at its root and a retrained
-one counts only the rows already removed. Below the root, one bincount per
-level counts the smaller child of every split made on the level above, each
-larger child's histogram is its parent's minus its sibling's, and
-_best_in_level scores all of the level's nodes in one pass over the stacked
-(nodes x classes x bins) histograms. It scores every bin, present
+group, one bincount per level counts the smaller child of every split made on
+the level above, each larger child's histogram is its parent's minus its
+sibling's, and _best_in_level scores all of the level's nodes in one pass over
+the stacked (nodes x classes x bins) histograms. It scores every bin, present
 in a node or not; a code absent from a node either fails the leaf-size test
 there or repeats, to the bit, the gain of the present code before it in its
 column, so the first maximum still picks a present code. A wide group, whose
@@ -250,8 +246,6 @@ class _HistogramGroup:
     max_nodes: the most nodes whose histograms a level keeps, so that they
              hold no more counts than the table has rows; 0 when even one
              node's would hold more (a wide group).
-    total:   the (classes x bins) histogram of every row of the table, which
-             train takes a large root's histogram from; None in a wide group.
     """
 
     keys: np.ndarray
@@ -261,7 +255,6 @@ class _HistogramGroup:
     ordered: np.ndarray
     n_bins: int
     max_nodes: int
-    total: np.ndarray | None
 
 
 def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
@@ -270,8 +263,7 @@ def histogram_layout(ds: Dataset) -> tuple[_HistogramGroup, ...]:
     Columns are packed in order into groups of at most max(largest column's
     code count, rows) bins, which bounds one node's histogram by the input's
     own size whatever the number of columns. Each group's keys are int32
-    where they fit, and a kept group (max_nodes >= 1) counts the table's total
-    histogram here, once per layout.
+    where they fit.
     """
     widths = [col.n_values + 1 for col in ds.columns]
     cap = max(max(widths, default=0), ds.row_count)
@@ -303,19 +295,15 @@ def _histogram_group(ds: Dataset, members: list[int]) -> _HistogramGroup:
     keys += (ds.labels.astype(dtype) * n_bins)[:, None]
     ordered = np.array([col.kind.is_ordered for col in cols])
     member = np.repeat(np.arange(len(cols)), widths)
-    total = None
-    if max_nodes >= 1:
-        total = np.bincount(keys.ravel(), minlength=size).reshape(ds.n_classes, n_bins)
-    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, max_nodes,
-                           total)
+    return _HistogramGroup(keys, np.array(members), starts, member, ordered, n_bins, max_nodes)
 
 
 def _histograms(group: _HistogramGroup, row_sets: list[np.ndarray], n_classes: int) -> np.ndarray:
     """(sets x classes x bins) class histograms of several row sets from one
     bincount: each set's keys are offset by its slot. The offsets are made in
-    the keys' dtype; an intp offset added in place to int32 keys would be cast
-    down unchecked. A kept group's level of at most max_nodes sets stays within
-    the bound its key dtype was chosen for."""
+    the keys' dtype, so the repeated offset array is as small as the keys; a
+    kept group's level of at most max_nodes sets stays within the bound that
+    dtype was chosen for, so every slot offset fits it."""
     size = n_classes * group.n_bins
     keys = np.take(group.keys, np.concatenate(row_sets), axis=0)
     if len(row_sets) > 1:
@@ -486,15 +474,13 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
 
     Each open node is searched with one best_split call. A group keeps the
     histograms of a level's nodes while they hold no more counts than the table
-    has rows (_HistogramGroup.max_nodes). A kept group's root histogram is
-    the group's total minus the histogram of the rows left out when rows hold
-    more than half the table, and is counted from rows otherwise. Below it,
-    one bincount per level counts the smaller child of each split, the larger
-    child's histogram is its parent's minus the smaller one's, and
-    _best_in_level scores the whole level in the group before its nodes are
-    searched. best_split gets each node's results for the kept groups and
-    counts and scores only the other groups itself. A split node's slice is
-    partitioned with np.compress, branch-free, stably, left side first.
+    has rows (_HistogramGroup.max_nodes); then one bincount per level counts the
+    smaller child of each split, the larger child's histogram is its parent's
+    minus the smaller one's, and _best_in_level scores the whole level in the
+    group before its nodes are searched. best_split gets each node's results
+    for the kept groups and counts and scores only the other groups itself.
+    A split node's slice is partitioned with np.compress, branch-free, stably,
+    left side first.
     rows restricts training to a subset of the dataset (used by iterative
     extraction); node row ids always refer to the full dataset, and a
     DataError is raised when rows repeats an id or holds one outside
@@ -513,9 +499,9 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
                         f"of shape {rows.shape}")
     if rows.min() < 0 or rows.max() >= n_rows:
         raise DataError(f"rows holds a row id outside 0..{n_rows - 1}")
-    left_out = np.ones(n_rows, dtype=bool)
-    left_out[rows] = False
-    if n_rows - np.count_nonzero(left_out) != len(rows):
+    taken = np.zeros(n_rows, dtype=bool)
+    taken[rows] = True
+    if np.count_nonzero(taken) != len(rows):
         raise DataError("rows repeats a row id")
 
     labels = ds.labels
@@ -546,13 +532,8 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     if not is_open(root):
         return DecisionTree(nodes, params)
     level = [root]
-    # per group: the (nodes x classes x bins) histograms of the level, or None;
-    # a root over more than half the table counts only the rows left out
-    out = np.flatnonzero(left_out) if 2 * len(rows) > n_rows else None
-    hists = [None if g.max_nodes < 1
-             else _histograms(g, [rows], n_classes) if out is None
-             else g.total - _histograms(g, [out], n_classes)
-             for g in layout]
+    # per group: the (nodes x classes x bins) histograms of the level, or None
+    hists = [_histograms(g, [rows], n_classes) if g.max_nodes >= 1 else None for g in layout]
     while True:
         # per kept group: each node's best candidate in it, scored for the
         # whole level at once

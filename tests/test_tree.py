@@ -251,15 +251,6 @@ class TestTrainProperty:
                 layout = histogram_layout(ds)
                 tree = train(ds, params, rows=rows, layout=layout)
                 seen.update("narrow" if g.max_nodes >= 1 else "wide" for g in layout)
-                if is_open(tree.root, params) and any(g.max_nodes >= 1 for g in layout):
-                    # a narrow group's root: its total, its total minus the
-                    # rows left out, or counted from the rows themselves
-                    if tree.root.samples == ds.row_count:
-                        seen.add("root over all rows")
-                    elif 2 * tree.root.samples > ds.row_count:
-                        seen.add("root from total")
-                    else:
-                        seen.add("root counted directly")
                 open_at = np.bincount([n.depth for n in tree.nodes if is_open(n, params)],
                                       minlength=params.max_depth)
                 for g in layout:
@@ -284,8 +275,7 @@ class TestTrainProperty:
                             and oracle_best_split(node.rows, ds, params) is not None:
                         seen.add("min_gain rejects a split")
         assert seen == {"narrow", "wide", "narrow below root", "level outgrows narrow group",
-                        "only smaller open", "only larger open", "min_gain rejects a split",
-                        "root over all rows", "root from total", "root counted directly"}
+                        "only smaller open", "only larger open", "min_gain rejects a split"}
 
 
 def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
@@ -312,7 +302,7 @@ def test_narrow_histograms_never_outgrow_the_table(monkeypatch):
 
 
 class TestHistogramLayout:
-    """The per-dataset keys and totals against plain per-row counting."""
+    """The per-dataset keys against plain per-row counting."""
 
     @staticmethod
     def reference_histograms(ds, group, row_sets):
@@ -325,7 +315,7 @@ class TestHistogramLayout:
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
-    def test_keys_totals_and_widest_level(self, seed, wide):
+    def test_keys_and_widest_level(self, seed, wide):
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, max_rows=400, max_cols=5, wide_column=wide)
         everything = np.arange(ds.row_count)
@@ -334,9 +324,7 @@ class TestHistogramLayout:
             whole = tree_module._histograms(group, [everything], ds.n_classes)
             assert whole.tolist() == self.reference_histograms(ds, group, [everything]).tolist()
             if group.max_nodes < 1:
-                assert group.total is None
                 continue
-            assert group.total.tolist() == whole[0].tolist()
             # a level of max_nodes sets: the last one's keys carry the largest
             # slot offset a kept group ever adds
             cuts = np.sort(rng.choice(np.arange(1, ds.row_count), size=group.max_nodes - 1,
@@ -354,6 +342,21 @@ class TestHistogramLayout:
                 seen.add("wide" if group.max_nodes == 0 else
                          "one node" if group.max_nodes == 1 else "several nodes")
         assert seen == {"wide", "one node", "several nodes"}
+
+    def test_keys_past_int32_are_intp(self):
+        # 2**16 classes x (2**15 + 2) bins is past 2**31, so the group's keys
+        # are intp, and a row of the last class keeps its key, which int32
+        # would wrap; the group is wide, so no histogram is ever counted
+        n_classes, width = 2**16, 2**15 + 1
+        codes = np.array([width, 1, 0], dtype=np.int32)
+        col = Column("c", ColumnKind.SYMBOLIC_NOMINAL, codes, tuple(f"v{i}" for i in range(width)))
+        labels = np.array([n_classes - 1, 0, 1], dtype=np.int32)
+        ds = Dataset((col,), labels, tuple(f"k{i}" for i in range(n_classes)))
+        group, = histogram_layout(ds)
+        assert group.keys.dtype == np.intp and group.max_nodes == 0
+        assert group.n_bins * n_classes >= 2**31
+        expected = labels.astype(np.int64) * group.n_bins + codes
+        assert group.keys[:, 0].tolist() == expected.tolist()
 
 
 def kernel_case(seed, n_classes):
