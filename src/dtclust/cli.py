@@ -97,9 +97,6 @@ class RunReport:
             "transform_log": self.result.log.to_dict() if self.result else None,
         }
 
-    def to_json(self) -> str:
-        return json_text(self.to_dict()) + "\n"
-
     def to_text(self) -> str:
         lines = ["cluster extraction report", "=" * 60]
         ds = self.dataset
@@ -179,11 +176,6 @@ def json_chunks(obj, newline: str = "\n") -> Iterator[str]:
             yield from json_chunks(v, inner)
             sep = "," + inner
         yield newline + "]"
-
-
-def json_text(obj) -> str:
-    """Exactly json.dumps(obj, sort_keys=True, indent=2, allow_nan=False): json_chunks joined."""
-    return "".join(json_chunks(obj))
 
 
 def _scalar_text(obj) -> str:
@@ -321,7 +313,7 @@ def _write_out(out: Path, write: Callable[[], object]) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    """Write json_text(obj) and a newline to path as json_chunks yields it, so
+    """Write json_chunks(obj) and a newline to path as the chunks come, so
     no text of the whole document is held; the file is opened as write_text
     opens it. The chunks go to path.partial, which replaces path only after
     the last one; on any error it is removed and path is left as it was."""

@@ -17,28 +17,28 @@ per-dataset key matrix and every gather of it move half the bytes of intp.
 Trees grow level by level. A group keeps the histograms of a level's nodes
 while they hold no more counts than the table has rows. For such a kept
 group, one bincount per level counts the smaller child of every split made on
-the level above, each larger child's histogram is its parent's minus its
-sibling's, and _best_in_level scores all of the level's nodes in one pass over
-the stacked (nodes x classes x bins) histograms. It scores every bin, present
-in a node or not; a code absent from a node either fails the leaf-size test
-there or repeats, to the bit, the gain of the present code before it in its
-column, so the first maximum still picks a present code. A wide group, whose
-histogram for even one node would outsize the table, keeps none, nor does a
-group on a level with more nodes than it keeps histograms for: there the
-node's own histogram is counted and _best_in_group scores only the codes
-present in it. best_split still runs once per open node: it takes the level's
-results for the kept groups, searches the others, and merges them.
+the level above, and each larger child's histogram is its parent's minus its
+sibling's. A wide group, whose histogram for even one node would outsize the
+table, keeps none, nor does a group on a level with more nodes than it keeps
+histograms for: there each node's own histogram is counted.
 
-Scoring runs class by class. Each step (gathering the candidates, the
-cumulative sums, left and right counts, each side's impurity, the gain) works
-on one contiguous row of candidates per class, never on a (candidates x
-classes) matrix, whose strided gathers, cumsums and row sums cost several
-times more. The summation-order contract: _class_sum adds the class terms of
-an impurity in the order numpy sums a (candidates x classes) row, in sequence
-below 8 classes and pairwise from 8 on, so the gains keep the bits of that
-matrix form and reports stay byte-identical. The level and the node scorer
-give a candidate the same bits. Node impurities go through impurity() as
-before.
+One scorer, _best_in_level, scores every group: all of a level's nodes in
+one pass over their stacked (nodes x classes x bins) histograms, and a group
+counted per node as a level of one. A kept group's candidates are all its
+bins, a wide group's the bins present in some node of the level. A code absent
+from a node either fails the leaf-size test there or repeats, to the bit, the
+gain of the present code before it in its column, so the first maximum still
+picks a present code. best_split runs once per open node: it takes the
+level's results for the kept groups, scores the others, and merges them.
+
+Scoring runs class by class. Each step (the cumulative sums, left and right
+counts, each side's impurity, the gain) works on one contiguous (nodes x
+candidates) row per class, never on a (candidates x classes) matrix, whose
+strided gathers, cumsums and row sums cost several times more. The
+summation-order contract: _class_sum adds the class terms of an impurity in
+the order numpy sums a (candidates x classes) row, in sequence below 8 classes
+and pairwise from 8 on, so the gains keep the bits of that matrix form and
+reports stay byte-identical. Node impurities go through impurity().
 
 Row ids are stored once per tree. train copies the rows it is given into one
 array, the tree's row order, and the root's rows is that array. Splitting a
@@ -202,15 +202,17 @@ def impurity(class_counts, metric: str = "gini") -> float:
 
 
 def _class_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Candidate-wise sum of per-class rows, bit for bit as numpy sums a
+    """Candidate-wise sum of per-class arrays, bit for bit as numpy sums a
     (candidates x classes) matrix along its classes: in sequence below 8
-    classes, by numpy's own pairwise reduction from 8 on."""
+    classes, by numpy's own pairwise reduction from 8 on. That reduction runs
+    along a contiguous axis only, so the classes are stacked last and each
+    candidate's terms summed as one row."""
     if len(terms) < 8:
         total = terms[0]
         for term in terms[1:]:
             total = total + term
         return total
-    return np.stack(terms, axis=1).sum(axis=1)
+    return np.stack(terms, axis=-1).reshape(-1, len(terms)).sum(axis=1).reshape(terms[0].shape)
 
 
 def _side_impurity(counts: list[np.ndarray], totals: np.ndarray, metric: str) -> np.ndarray:
@@ -325,13 +327,12 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     lowest pivot. layout is histogram_layout(ds), built here when not given.
     class_counts and node_impurity are the rows' class counts and impurity,
     counted here when not given. found maps the index in layout of a group
-    already scored for these rows (train's level scorer, _best_in_level) to its
-    (gain, column, pivot), or None when it has no valid candidate; every other
-    group is counted and scored here by _best_in_group, class by class, with
-    gains bit-identical to a (candidates x classes) matrix kernel. The groups'
-    results merge in layout order, which is column order: a higher gain wins,
-    and an equal one stays with the lower column. The result is the test
-    alone; Split.goes_left partitions rows by it.
+    already scored for these rows (train scores a kept group's whole level at
+    once) to its (gain, column, pivot), or None when it has no valid candidate;
+    every other group's histogram is counted here and scored by _best_in_level
+    as a level of one node. The groups' results merge in layout order, which is
+    column order: a higher gain wins, and an equal one stays with the lower
+    column. The result is the test alone; Split.goes_left partitions rows by it.
     """
     if layout is None:
         layout = histogram_layout(ds)
@@ -340,15 +341,16 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     if class_counts is None:
         class_counts = np.bincount(ds.labels[rows], minlength=ds.n_classes)
     parent_counts = class_counts.astype(np.float64)
-    parent_imp = impurity(parent_counts, params.impurity_metric) if node_impurity is None else node_impurity
+    if node_impurity is None:
+        node_impurity = impurity(parent_counts, params.impurity_metric)
 
     best: tuple[float, int, int] | None = None  # gain, column index, pivot
     for g, group in enumerate(layout):
         if g in found:
             cand = found[g]
         else:
-            hist = _histograms(group, [rows], ds.n_classes)[0]
-            cand = _best_in_group(group, hist, parent_counts, parent_imp, params)
+            cand, = _best_in_level(group, _histograms(group, [rows], ds.n_classes),
+                                   parent_counts[None], np.array([node_impurity]), params)
         if cand is not None and cand[0] > params.min_gain and (best is None or cand[0] > best[0]):
             best = cand
 
@@ -359,109 +361,73 @@ def best_split(rows: np.ndarray, ds: Dataset, params: TrainParams,
     return Split(gain, pivot, col.name, ci, col.kind.is_ordered)
 
 
-def _best_in_group(group, cnt, parent_counts, parent_imp, params):
-    """(gain, column, pivot) of the group's first best valid candidate, or None,
-    from the node's (classes x bins) histogram cnt.
-
-    Each step runs on one contiguous row per class, never on a (candidates x
-    classes) matrix; _class_sum adds the class terms in the order such a
-    matrix's row sum would, so the gains keep their bits
-    (tests/helpers.py::reference_best_in_group is that matrix form).
-    """
-    n = int(parent_counts.sum())
-
-    # the pivots are the codes present in the node, in (column, code) order;
-    # each member's pivots are the run of them from bounds[member] on
-    present = np.flatnonzero(cnt.any(axis=0))
-    bounds = np.searchsorted(present, group.starts)
-    runs = np.diff(bounds, append=len(present))
-    ordered = np.repeat(group.ordered, runs)
-
-    def left_of(row):
-        # left of a pivot: its own code (nominal), or every present code of
-        # its column up to it (ordered), a cumulative sum restarted at each column
-        counts = row[present]
-        cum = np.zeros(len(present) + 1, dtype=counts.dtype)
-        np.cumsum(counts, out=cum[1:])
-        return np.where(ordered, cum[1:] - np.repeat(cum[bounds], runs), counts)
-
-    left = [left_of(row) for row in cnt]
-    n_left = sum(left)
-    msl = params.min_samples_leaf
-    valid = np.flatnonzero((n_left >= msl) & (n - n_left >= msl))
-    if valid.size == 0:
-        return None
-
-    left_counts = [row[valid].astype(np.float64) for row in left]
-    right_counts = [parent - side for parent, side in zip(parent_counts, left_counts)]
-    n_left = n_left[valid].astype(np.float64)
-    n_right = n - n_left
-    imp_left = _side_impurity(left_counts, n_left, params.impurity_metric)
-    imp_right = _side_impurity(right_counts, n_right, params.impurity_metric)
-    gains = parent_imp - (n_left * imp_left + n_right * imp_right) / n
-
-    best = int(np.argmax(gains))  # first maximum -> earliest column, lowest pivot
-    code = present[valid[best]]
-    j = group.member[code]
-    return float(gains[best]), int(group.columns[j]), int(code - group.starts[j])
-
-
 def _best_in_level(group, hists, class_counts, impurities, params):
     """Per node of a level, the (gain, column, pivot) of the group's first best
     valid candidate, or None, from the level's (nodes x classes x bins)
-    histograms hists; class_counts is (nodes x classes), impurities the
-    nodes' impurities.
+    histograms hists; class_counts is the nodes' (nodes x classes) float64
+    class counts, impurities the array of their impurities. best_split scores
+    a node alone as a level of one.
 
-    One pass scores every node. Each step runs on one contiguous (nodes x
-    bins) row per class, with the arithmetic of _best_in_group, so each
-    candidate's gain has the bits _best_in_group gives it on the node alone.
-    Every bin is a candidate, yet a code absent from a node cannot win there:
-    its left side is that of the code before it in its column. Either that
-    leaves a side empty (a nominal code, or an ordered code below every
-    present one) and fails the leaf-size test, or it repeats, to the bit, the
-    gain of the present code before it, which the first maximum keeps.
+    The candidates follow from the group's shape. A kept group's are all its
+    bins. A wide group's are the bins present in some node of the level,
+    taken out of hists in one take, so a small node is scored on its few codes.
+    A candidate absent from a node cannot win there: its left side is that of
+    the candidate before it in its column. Either that leaves a side empty (a
+    nominal code, or an ordered code below every present one) and fails the
+    leaf-size test, or it repeats, to the bit, the gain of the present code
+    before it, which the first maximum keeps.
+
+    Each step runs on one contiguous (nodes x candidates) row per class;
+    _class_sum adds the class terms in the order a (candidates x classes)
+    matrix's row sum would, so the gains keep that matrix form's bits
+    (tests/helpers.py::reference_best_in_group). A side without rows gives a
+    NaN gain, masked out with the other invalid candidates.
     """
-    n_nodes, _, n_bins = hists.shape
-    ordered = group.ordered[group.member]
-    first = group.starts[group.member]
+    n_nodes = len(hists)
+    if group.max_nodes:
+        bins = np.arange(group.n_bins)
+        by_class = np.ascontiguousarray(hists.transpose(1, 0, 2))
+    else:
+        bins = np.flatnonzero(hists.any(axis=(0, 1)))
+        by_class = hists.transpose(1, 0, 2).take(bins, axis=2)
+    # member m's candidates are bounds[m]:bounds[m + 1]
+    bounds = np.searchsorted(bins, np.append(group.starts, group.n_bins))
+    runs = bounds[1:] - bounds[:-1]
+    ordered = np.repeat(group.ordered, runs)
 
     def left_of(row):
-        # as in _best_in_group, on a (nodes x bins) row: the cumulative sum
-        # restarts at each member's first bin
-        cum = np.zeros((n_nodes, n_bins + 1), dtype=row.dtype)
+        # left of a pivot: its own code (nominal), or every candidate of its
+        # column up to it (ordered), a cumulative sum restarted at each
+        # column's first candidate
+        cum = np.zeros((n_nodes, len(bins) + 1), dtype=row.dtype)
         np.cumsum(row, axis=1, out=cum[:, 1:])
-        return np.where(ordered, cum[:, 1:] - cum[:, first], row)
+        return np.where(ordered, cum[:, 1:] - cum.take(bounds[:-1], axis=1).repeat(runs, axis=1), row)
 
-    left = [left_of(row) for row in np.ascontiguousarray(hists.transpose(1, 0, 2))]
+    left = [left_of(row) for row in by_class]
     n_left = sum(left)
-    n = class_counts.sum(axis=1)
+    n = class_counts.sum(axis=1, keepdims=True)
     msl = params.min_samples_leaf
-    valid = np.flatnonzero((n_left >= msl) & (n[:, None] - n_left >= msl))
-    if valid.size == 0:
-        return [None] * n_nodes
+    valid = (n_left >= msl) & (n - n_left >= msl)
 
-    node = valid // n_bins
-    left_counts = [side.ravel()[valid].astype(np.float64) for side in left]
-    right_counts = [parent[node] - side
-                    for parent, side in zip(class_counts.T.astype(np.float64), left_counts)]
-    n_left = n_left.ravel()[valid].astype(np.float64)
-    n = n[node]
-    n_right = n - n_left
-    imp_left = _side_impurity(left_counts, n_left, params.impurity_metric)
-    imp_right = _side_impurity(right_counts, n_right, params.impurity_metric)
-    gains = impurities[node] - (n_left * imp_left + n_right * imp_right) / n
+    with np.errstate(invalid="ignore"):
+        left_counts = [side.astype(np.float64) for side in left]
+        right_counts = [parent - side for parent, side in zip(class_counts.T[:, :, None], left_counts)]
+        n_left = n_left.astype(np.float64)
+        n_right = n - n_left
+        imp_left = _side_impurity(left_counts, n_left, params.impurity_metric)
+        imp_right = _side_impurity(right_counts, n_right, params.impurity_metric)
+        gains = impurities[:, None] - (n_left * imp_left + n_right * imp_right) / n
 
     # first maximum per node -> earliest column, lowest pivot; -inf marks a
     # node with no valid candidate
-    scores = np.full(n_nodes * n_bins, -np.inf)
-    scores[valid] = gains
-    scores = scores.reshape(n_nodes, n_bins)
-    best = scores.argmax(axis=1)
-    j = group.member[best]
+    gains[~valid] = -np.inf
+    best = gains.argmax(axis=1)
+    code = bins[best]
+    j = group.member[code]
     return [None if gain == -np.inf else (gain, column, pivot)
-            for gain, column, pivot in zip(scores[np.arange(n_nodes), best].tolist(),
+            for gain, column, pivot in zip(gains[np.arange(n_nodes), best].tolist(),
                                            group.columns[j].tolist(),
-                                           (best - group.starts[j]).tolist())]
+                                           (code - group.starts[j]).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +444,7 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     smaller child of each split, the larger child's histogram is its parent's
     minus the smaller one's, and _best_in_level scores the whole level in the
     group before its nodes are searched. best_split gets each node's results
-    for the kept groups and counts and scores only the other groups itself.
+    for the kept groups and scores the other groups on the node alone.
     A split node's slice is partitioned with np.compress, branch-free, stably,
     left side first.
     rows restricts training to a subset of the dataset (used by iterative
@@ -537,7 +503,7 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     while True:
         # per kept group: each node's best candidate in it, scored for the
         # whole level at once
-        counts = np.stack([node.class_counts for node in level])
+        counts = np.stack([node.class_counts for node in level]).astype(np.float64)
         impurities = np.array([node.impurity for node in level])
         scored = {g: _best_in_level(group, hists[g], counts, impurities, params)
                   for g, group in enumerate(layout) if hists[g] is not None}

@@ -96,7 +96,7 @@ def assert_tree_matches_oracle(tree, ds, params, tol=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Reference group scorer: the (candidates x classes) matrix kernel
+# Reference split scorer: the (candidates x classes) matrix kernel
 # ---------------------------------------------------------------------------
 
 def _impurity_matrix(counts: np.ndarray, totals: np.ndarray, metric: str) -> np.ndarray:
@@ -113,8 +113,10 @@ def reference_best_in_group(group, cnt, parent_counts, parent_imp, params):
     """(gain, column, pivot) of the group's first best valid candidate, or None,
     from the node's (classes x bins) histogram cnt.
 
-    The matrix form of tree._best_in_group, kept to pin the bits of its gains:
-    the oracle's tolerance cannot see a last-bit change, report.json can.
+    The reference for tree._best_in_level, node by node: the same arithmetic
+    as a (candidates x classes) matrix over the codes present in the node.
+    It pins the bits of the scorer's gains, which the oracle's tolerance
+    cannot see and report.json prints.
     """
     n_classes = len(parent_counts)
     n = int(parent_counts.sum())

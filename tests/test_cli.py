@@ -882,8 +882,8 @@ def _joined_chunks(obj):
 
 
 class TestJsonText:
-    """json_chunks, joined as json_text joins them, returns what
-    json.dumps(sort_keys=True, indent=2, allow_nan=False) does."""
+    """json_chunks, joined, returns what json.dumps(sort_keys=True, indent=2,
+    allow_nan=False) does."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(obj=_json_trees(_LEAF))

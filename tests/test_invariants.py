@@ -97,9 +97,17 @@ def check_iterative_disjoint(n_datasets=10, seed=105):
             seen |= rows
 
 
+def _report_bytes(config, path):
+    """The report.json bytes one run of config writes, through the CLI's own writer."""
+    from dtclust.cli import _write_json, run
+
+    _write_json(path, run(config).to_dict())
+    return path.read_bytes()
+
+
 def check_report_reproducibility(tmp_dir):
     """Identical config and seeds produce byte-identical machine-readable reports."""
-    from dtclust.cli import RunConfig, StabilityParams, run
+    from dtclust.cli import RunConfig, StabilityParams
     from dtclust.pipeline import PipelineConfig
     from dtclust.synth import titanic_like, write_csv
 
@@ -112,8 +120,8 @@ def check_report_reproducibility(tmp_dir):
                                 params=TrainParams(max_depth=3)),
         stability=StabilityParams(n_samples=3, fraction=0.8, seed=4),
     )
-    first = run(config).to_json()
-    second = run(config).to_json()
+    first = _report_bytes(config, tmp_dir / "first.json")
+    second = _report_bytes(config, tmp_dir / "second.json")
     assert first == second
     json.loads(first)  # well-formed
     return first
@@ -152,13 +160,14 @@ def _reject_constant(name):
 def test_report_reproducibility_property(tmp_path_factory, seed):
     # any table, plan, class and stability seed: two runs write the same
     # bytes, and the report is strict JSON (no NaN or Infinity)
-    from dtclust.cli import RunConfig, StabilityParams, run
+    from dtclust.cli import RunConfig, StabilityParams
     from dtclust.dataset import load_csv
     from dtclust.pipeline import PipelineConfig
     from dtclust.synth import write_csv
 
     rng = np.random.default_rng(seed)
-    csv_path = tmp_path_factory.mktemp("table") / "data.csv"
+    tmp_dir = tmp_path_factory.mktemp("table")
+    csv_path = tmp_dir / "data.csv"
     write_csv(random_dataset(rng, max_rows=120, max_cols=5), str(csv_path))
     ds = load_csv(str(csv_path), label="label")
     config = RunConfig(
@@ -170,8 +179,8 @@ def test_report_reproducibility_property(tmp_path_factory, seed):
                                 plan=random_plan(rng, ds)),
         stability=StabilityParams(n_samples=2, fraction=0.7, seed=int(rng.integers(0, 100))),
     )
-    first = run(config).to_json()
-    assert run(config).to_json() == first
+    first = _report_bytes(config, tmp_dir / "first.json")
+    assert _report_bytes(config, tmp_dir / "second.json") == first
     json.loads(first, parse_constant=_reject_constant)
 
 

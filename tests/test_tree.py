@@ -360,9 +360,9 @@ class TestHistogramLayout:
 
 
 def kernel_case(seed, n_classes):
-    """A random table and node rows for one group scorer call per group: narrow
-    groups that mix ordered and nominal members, wide groups, codes absent from
-    the node and classes with no rows in it."""
+    """A random table and node rows: narrow groups that mix ordered and
+    nominal members, wide groups, codes absent from the node and classes with
+    no rows in it."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 150))
     columns = []
@@ -387,10 +387,34 @@ def gain_bits(found):
     return None if found is None else (found[0].hex(), found[1], found[2])
 
 
-class TestGroupScorerBits:
-    """The class-by-class group scorer against the (candidates x classes)
-    matrix kernel it replaced, bit for bit. The oracle's tolerance cannot see
-    a last-bit change in a gain, and report.json prints every gain."""
+def level_case(seed, n_classes):
+    """kernel_case's table and a level over it: 1-6 disjoint nodes drawn from
+    its node rows."""
+    ds, rows = kernel_case(seed, n_classes)
+    rng = np.random.default_rng([seed, n_classes])
+    n_nodes = int(rng.integers(1, min(6, len(rows)) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, len(rows)), size=n_nodes - 1, replace=False))
+    return ds, np.split(rng.permutation(rows), cuts)
+
+
+def score_level(ds, level, params):
+    """Per group of ds's layout: the group, the level's histograms and
+    _best_in_level's result for each node."""
+    counts = np.stack([np.bincount(ds.labels[rows], minlength=ds.n_classes)
+                       for rows in level]).astype(np.float64)
+    impurities = np.array([impurity(c, params.impurity_metric) for c in counts])
+    for group in histogram_layout(ds):
+        hists = tree_module._histograms(group, level, ds.n_classes)
+        yield group, hists, tree_module._best_in_level(group, hists, counts, impurities, params)
+
+
+class TestScorerBits:
+    """The split scorer on a level against the (candidates x classes) matrix
+    kernel on each node's own histogram, bit for bit. The oracle's tolerance
+    cannot see a last-bit change in a gain, and report.json prints every
+    gain. A kept group scores every bin of the level and a wide group the
+    bins present in some node; the kernel scores the codes present in the
+    node alone."""
 
     @pytest.mark.parametrize("n_classes", range(2, 13))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -400,102 +424,56 @@ class TestGroupScorerBits:
         metric=st.sampled_from(["gini", "entropy"]),
     )
     def test_equals_matrix_kernel(self, n_classes, seed, min_samples_leaf, metric):
-        ds, rows = kernel_case(seed, n_classes)
-        params = TrainParams(metric, min_samples_leaf=min_samples_leaf)
-        parent_counts = np.bincount(ds.labels[rows], minlength=n_classes).astype(np.float64)
-        parent_imp = impurity(parent_counts, metric)
-        for group in histogram_layout(ds):
-            cnt = tree_module._histograms(group, [rows], n_classes)[0]
-            got = tree_module._best_in_group(group, cnt, parent_counts, parent_imp, params)
-            want = reference_best_in_group(group, cnt, parent_counts, parent_imp, params)
-            assert gain_bits(got) == gain_bits(want), f"group of columns {group.columns.tolist()}"
-
-    def test_cases_reach_every_layout(self):
-        seen = set()
-        for seed in range(60):
-            ds, rows = kernel_case(seed, n_classes=8)
-            if len(np.unique(ds.labels[rows])) < ds.n_classes:
-                seen.add("class absent")
-            for group in histogram_layout(ds):
-                cnt = tree_module._histograms(group, [rows], ds.n_classes)[0]
-                if not cnt.any(axis=0).all():
-                    seen.add("code absent")
-                seen.add("wide" if group.max_nodes == 0 else "narrow")
-                if len(set(group.ordered.tolist())) == 2:
-                    seen.add("mixed members")
-        assert seen == {"class absent", "code absent", "wide", "narrow", "mixed members"}
-
-    @pytest.mark.parametrize("n_classes", range(2, 13))
-    def test_class_sum_is_numpy_row_sum(self, n_classes):
-        # numpy sums a short row in sequence and a longer one pairwise; a
-        # numpy that reorders either reduction fails here
-        rng = np.random.default_rng(n_classes)
-        terms = [rng.random(4000) * 10.0 ** rng.integers(-8, 8, 4000) for _ in range(n_classes)]
-        want = np.stack(terms, axis=1).sum(axis=1)
-        assert tree_module._class_sum(terms).tobytes() == want.tobytes()
-
-
-def level_case(seed, n_classes):
-    """kernel_case's table and a level over it: 1-6 disjoint nodes drawn from
-    its node rows, each scored alone and as part of the level."""
-    ds, rows = kernel_case(seed, n_classes)
-    rng = np.random.default_rng([seed, n_classes])
-    n_nodes = int(rng.integers(1, min(6, len(rows)) + 1))
-    cuts = np.sort(rng.choice(np.arange(1, len(rows)), size=n_nodes - 1, replace=False))
-    return ds, np.split(rng.permutation(rows), cuts)
-
-
-class TestLevelScorerBits:
-    """The level scorer against the node scorer on each node's own histogram,
-    bit for bit: every bin of every node is a candidate in the level, and only
-    the codes present in the node are in the node scorer."""
-
-    @pytest.mark.parametrize("n_classes", range(2, 13))
-    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        min_samples_leaf=st.sampled_from([1, 3]),
-        metric=st.sampled_from(["gini", "entropy"]),
-    )
-    def test_equals_node_scorer(self, n_classes, seed, min_samples_leaf, metric):
         ds, level = level_case(seed, n_classes)
         params = TrainParams(metric, min_samples_leaf=min_samples_leaf)
-        counts = np.stack([np.bincount(ds.labels[rows], minlength=n_classes) for rows in level])
-        impurities = np.array([impurity(c, metric) for c in counts])
-        for group in histogram_layout(ds):
-            got = tree_module._best_in_level(group, tree_module._histograms(group, level, n_classes),
-                                             counts, impurities, params)
+        for group, hists, got in score_level(ds, level, params):
             assert len(got) == len(level)
             for i, rows in enumerate(level):
                 cnt = tree_module._histograms(group, [rows], n_classes)[0]
-                want = tree_module._best_in_group(group, cnt, counts[i].astype(np.float64),
-                                                  impurities[i], params)
+                parent_counts = np.bincount(ds.labels[rows], minlength=n_classes).astype(np.float64)
+                want = reference_best_in_group(group, cnt, parent_counts,
+                                               impurity(parent_counts, metric), params)
                 assert gain_bits(got[i]) == gain_bits(want), (
                     f"node {i} of {len(level)}, group of columns {group.columns.tolist()}")
 
     def test_cases_reach_every_layout(self):
-        # codes absent from some nodes, classes absent from some nodes, groups
-        # of ordered and nominal members, and levels where some nodes have a
-        # valid candidate in a group and others none
         seen = set()
         params = TrainParams(min_samples_leaf=3)
         for seed in range(60):
             ds, level = level_case(seed, n_classes=8)
-            counts = np.stack([np.bincount(ds.labels[rows], minlength=ds.n_classes) for rows in level])
-            impurities = np.array([impurity(c) for c in counts])
-            if not counts.all():
-                seen.add("class absent")
-            for group in histogram_layout(ds):
-                hists = tree_module._histograms(group, level, ds.n_classes)
-                if not hists.any(axis=1).all():
-                    seen.add("code absent")
+            if len(level) == 1:
+                seen.add("one node")
+            for group, hists, found in score_level(ds, level, params):
+                present = hists.any(axis=1)
+                if not present.all():
+                    seen.add("code absent from a node")
+                if not present.any(axis=0).all():
+                    seen.add("code absent from the level")
+                if not hists.any(axis=2).all():
+                    seen.add("class absent from a node")
+                if group.max_nodes:
+                    seen.add("kept group")
+                elif len(level) >= 2:
+                    seen.add("wide group on several nodes")
                 if len(set(group.ordered.tolist())) == 2:
                     seen.add("mixed members")
-                found = tree_module._best_in_level(group, hists, counts, impurities, params)
                 if None in found and any(f is not None for f in found):
                     seen.add("some nodes without a candidate")
-        assert seen == {"class absent", "code absent", "mixed members",
-                        "some nodes without a candidate"}
+        assert seen == {"one node", "code absent from a node", "code absent from the level",
+                        "class absent from a node", "kept group", "wide group on several nodes",
+                        "mixed members", "some nodes without a candidate"}
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    def test_class_sum_is_numpy_row_sum(self, n_classes):
+        # numpy sums a short row in sequence and a longer one pairwise; a
+        # numpy that reorders either reduction fails here, and (nodes x
+        # candidates) terms sum as their flattened rows do
+        rng = np.random.default_rng(n_classes)
+        terms = [rng.random(4000) * 10.0 ** rng.integers(-8, 8, 4000) for _ in range(n_classes)]
+        want = np.stack(terms, axis=1).sum(axis=1)
+        assert tree_module._class_sum(terms).tobytes() == want.tobytes()
+        level = tree_module._class_sum([t.reshape(8, 500) for t in terms])
+        assert level.shape == (8, 500) and level.tobytes() == want.tobytes()
 
 
 class TestTrain:
