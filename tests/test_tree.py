@@ -463,6 +463,81 @@ class TestScorerBits:
                         "class absent from a node", "kept group", "wide group on several nodes",
                         "mixed members", "some nodes without a candidate"}
 
+    @staticmethod
+    def merged_reference(ds, rows, layout, params):
+        """Per group of layout, in order, the reference's result on the rows'
+        own histogram, and the best of them as best_split keeps it: a gain above
+        min_gain that beats every earlier group's, or None."""
+        counts = np.bincount(ds.labels[rows], minlength=ds.n_classes).astype(np.float64)
+        node_impurity = impurity(counts, params.impurity_metric)
+        per_group = [reference_best_in_group(group, tree_module._histograms(group, [rows], ds.n_classes)[0],
+                                             counts, node_impurity, params)
+                     for group in layout]
+        best = None
+        for cand in per_group:
+            if cand is not None and cand[0] > params.min_gain and (best is None or cand[0] > best[0]):
+                best = cand
+        return per_group, best
+
+    @staticmethod
+    def train_found(ds, level, params, layout):
+        """Per node of the level, the found map train passes best_split: the
+        level's results in each kept group whose max_nodes holds the level."""
+        scored = [found for _, _, found in score_level(ds, level, params)]
+        kept = [g for g, group in enumerate(layout) if len(level) <= group.max_nodes]
+        return [{g: scored[g][i] for g in kept} for i in range(len(level))]
+
+    @pytest.mark.parametrize("n_classes", range(2, 13))
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        min_samples_leaf=st.sampled_from([1, 3]),
+        metric=st.sampled_from(["gini", "entropy"]),
+        min_gain=st.sampled_from([0.0, 0.05]),
+    )
+    def test_best_split_merges_groups(self, n_classes, seed, min_samples_leaf, metric, min_gain):
+        # best_split on each node of a level, with every group scored on the
+        # node alone and with the kept groups' results taken from the level as
+        # train takes them, equals the reference's best over the groups in
+        # layout order, bit for bit
+        ds, level = level_case(seed, n_classes)
+        params = TrainParams(metric, min_gain=min_gain, min_samples_leaf=min_samples_leaf)
+        layout = histogram_layout(ds)
+        for rows, kept in zip(level, self.train_found(ds, level, params, layout)):
+            _, want = self.merged_reference(ds, rows, layout, params)
+            for found in (None, kept):
+                split = best_split(rows, ds, params, layout, found=found)
+                got = None if split is None else (split.gain, split.column_index, split.pivot)
+                assert gain_bits(got) == gain_bits(want), f"found for groups {found and sorted(found)}"
+                if split is not None:
+                    col = ds.columns[split.column_index]
+                    assert (split.attribute, split.ordinal) == (col.name, col.kind.is_ordered)
+
+    def test_best_split_cases_reach_every_path(self):
+        seen = set()
+        for seed in range(60):
+            for min_gain in (0.0, 0.05):
+                params = TrainParams(min_gain=min_gain, min_samples_leaf=3)
+                ds, level = level_case(seed, n_classes=8)
+                layout = histogram_layout(ds)
+                for rows, kept in zip(level, self.train_found(ds, level, params, layout)):
+                    if kept:
+                        seen.add("kept group taken from the level")
+                    if len(kept) < len(layout):
+                        seen.add("group scored on the node alone")
+                    per_group, best = self.merged_reference(ds, rows, layout, params)
+                    gains = [cand[0] for cand in per_group if cand is not None]
+                    if best is None:
+                        seen.add("gain held back by min_gain" if gains else "no candidate")
+                        continue
+                    if best is not per_group[0]:
+                        seen.add("won by a later group")
+                    if gains.count(best[0]) > 1:
+                        seen.add("equal gains in two groups")
+        assert seen == {"kept group taken from the level", "group scored on the node alone",
+                        "gain held back by min_gain", "no candidate", "won by a later group",
+                        "equal gains in two groups"}
+
     @pytest.mark.parametrize("n_classes", range(2, 13))
     def test_class_sum_is_numpy_row_sum(self, n_classes):
         # numpy sums a short row in sequence and a longer one pairwise; a
