@@ -24,12 +24,13 @@ histograms for: there each node's own histogram is counted.
 
 One scorer, _best_in_level, scores every group: all of a level's nodes in
 one pass over their stacked (nodes x classes x bins) histograms, and a group
-counted per node as a level of one. A kept group's candidates are all its
-bins, a wide group's the bins present in some node of the level. A code absent
-from a node either fails the leaf-size test there or repeats, to the bit, the
-gain of the present code before it in its column, so the first maximum still
-picks a present code. best_split runs once per open node: it takes the
-level's results for the kept groups, scores the others, and merges them.
+counted per node as a level of one. A group's candidates are the bins present
+in some node of the level, so a small node is scored on its few codes. A code
+absent from a node either fails the leaf-size test there or repeats, to the
+bit, the gain of the present code before it in its column, so the first
+maximum still picks a present code. best_split runs once per open node: it
+takes the level's results for the kept groups, scores the others, and merges
+them.
 
 Scoring runs class by class. Each step (the cumulative sums, left and right
 counts, each side's impurity, the gain) works on one contiguous (nodes x
@@ -368,9 +369,8 @@ def _best_in_level(group, hists, class_counts, impurities, params):
     class counts, impurities the array of their impurities. best_split scores
     a node alone as a level of one.
 
-    The candidates follow from the group's shape. A kept group's are all its
-    bins. A wide group's are the bins present in some node of the level,
-    taken out of hists in one take, so a small node is scored on its few codes.
+    The candidates are the bins present in some node of the level, taken out
+    of hists in one take, so a small node is scored on its few codes.
     A candidate absent from a node cannot win there: its left side is that of
     the candidate before it in its column. Either that leaves a side empty (a
     nominal code, or an ordered code below every present one) and fails the
@@ -384,12 +384,8 @@ def _best_in_level(group, hists, class_counts, impurities, params):
     NaN gain, masked out with the other invalid candidates.
     """
     n_nodes = len(hists)
-    if group.max_nodes:
-        bins = np.arange(group.n_bins)
-        by_class = np.ascontiguousarray(hists.transpose(1, 0, 2))
-    else:
-        bins = np.flatnonzero(hists.any(axis=(0, 1)))
-        by_class = hists.transpose(1, 0, 2).take(bins, axis=2)
+    bins = np.flatnonzero(hists.any(axis=(0, 1)))
+    by_class = hists.transpose(1, 0, 2).take(bins, axis=2)
     # member m's candidates are bounds[m]:bounds[m + 1]
     bounds = np.searchsorted(bins, np.append(group.starts, group.n_bins))
     runs = bounds[1:] - bounds[:-1]

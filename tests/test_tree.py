@@ -412,9 +412,8 @@ class TestScorerBits:
     """The split scorer on a level against the (candidates x classes) matrix
     kernel on each node's own histogram, bit for bit. The oracle's tolerance
     cannot see a last-bit change in a gain, and report.json prints every
-    gain. A kept group scores every bin of the level and a wide group the
-    bins present in some node; the kernel scores the codes present in the
-    node alone."""
+    gain. The scorer scores the bins present in some node of the level; the
+    kernel scores the codes present in the node alone."""
 
     @pytest.mark.parametrize("n_classes", range(2, 13))
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -449,6 +448,8 @@ class TestScorerBits:
                     seen.add("code absent from a node")
                 if not present.any(axis=0).all():
                     seen.add("code absent from the level")
+                    if group.max_nodes:
+                        seen.add("kept group with a code absent from the level")
                 if not hists.any(axis=2).all():
                     seen.add("class absent from a node")
                 if group.max_nodes:
@@ -460,6 +461,7 @@ class TestScorerBits:
                 if None in found and any(f is not None for f in found):
                     seen.add("some nodes without a candidate")
         assert seen == {"one node", "code absent from a node", "code absent from the level",
+                        "kept group with a code absent from the level",
                         "class absent from a node", "kept group", "wide group on several nodes",
                         "mixed members", "some nodes without a candidate"}
 
