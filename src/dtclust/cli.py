@@ -11,6 +11,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -328,25 +329,39 @@ def _write_json(path: Path, obj) -> None:
         raise
 
 
+# The per-tree and per-cluster files of a run. One of these in --out that the
+# run did not write is left from an earlier run, and the run removes it.
+_NUMBERED_ARTIFACT = re.compile(r"tree_\d{2,}\.dot|cluster_\d{2,}\.(rule|rows)\.txt")
+
+
 def _write_artifacts(report: RunReport, out: Path) -> None:
     """Every artifact of one run into out: report.json streamed by _write_json,
     then report.txt, and with an extraction each tree's DOT graph and each
-    cluster's rule and sorted row list."""
+    cluster's rule and sorted row list. Once all are written, the tree and
+    cluster files an earlier run left in out are removed; other files stay."""
     _write_json(out / "report.json", report.to_dict())
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    if report.result is None:
-        return
-    for k in range(len(report.result.trees)):
-        (out / f"tree_{k + 1:02d}.dot").write_text(_tree_dot(report.result, k), encoding="utf-8")
-    for i, (rec, cand) in enumerate(zip(report.clusters, report.result.clusters)):
-        body = [rec["sentence"], ""]
-        for key in ("tree_index", "node_id", "size", "tp", "fp", "fn", "precision",
-                    "recall", "f1", "f05", "f_beta", "gini_impurity", "population_share"):
-            body.append(f"{key}: {rec[key]}")
-        (out / f"cluster_{i + 1:02d}.rule.txt").write_text("\n".join(body) + "\n", encoding="utf-8")
-        # a cluster from an internal node holds its rows in the tree's partition order
-        rows = "\n".join(map(str, sorted(cand.row_ids.tolist())))
-        (out / f"cluster_{i + 1:02d}.rows.txt").write_text(rows + "\n", encoding="utf-8")
+    written = set()
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8")
+        written.add(name)
+
+    write("report.txt", report.to_text())
+    if report.result is not None:
+        for k in range(len(report.result.trees)):
+            write(f"tree_{k + 1:02d}.dot", _tree_dot(report.result, k))
+        for i, (rec, cand) in enumerate(zip(report.clusters, report.result.clusters)):
+            body = [rec["sentence"], ""]
+            for key in ("tree_index", "node_id", "size", "tp", "fp", "fn", "precision",
+                        "recall", "f1", "f05", "f_beta", "gini_impurity", "population_share"):
+                body.append(f"{key}: {rec[key]}")
+            write(f"cluster_{i + 1:02d}.rule.txt", "\n".join(body) + "\n")
+            # a cluster from an internal node holds its rows in the tree's partition order
+            write(f"cluster_{i + 1:02d}.rows.txt",
+                  "\n".join(map(str, sorted(cand.row_ids.tolist()))) + "\n")
+    for path in out.iterdir():
+        if path.name not in written and _NUMBERED_ARTIFACT.fullmatch(path.name) and path.is_file():
+            path.unlink()
 
 
 # ---------------------------------------------------------------------------

@@ -118,7 +118,9 @@ class Column:
     """One encoded column.
 
     codes:      per-row code, int32; 0 means missing.
-    dictionary: original display value for code c at dictionary[c-1].
+    dictionary: original display value for code c at dictionary[c-1]; a
+                tuple as loaded, a sequence whose texts are built on first
+                read in a transformed column.
     values:     natural (sortable) value per dictionary entry for numeric and
                 datetime columns; None for symbolic/boolean.
     pattern:    strptime pattern used to parse a datetime column.
@@ -127,7 +129,7 @@ class Column:
     name: str
     kind: ColumnKind
     codes: np.ndarray
-    dictionary: tuple[str, ...]
+    dictionary: Sequence[str]
     values: np.ndarray | None = None
     pattern: str | None = None
 
@@ -228,15 +230,6 @@ class Dataset:
         if not 0 <= int(cls) < self.n_classes:
             raise ConfigError(f"class code {cls} out of range; {self.n_classes} classes")
         return int(cls)
-
-    def subset(self, row_ids: np.ndarray) -> "Dataset":
-        """Row-sliced copy (used for bagged samples)."""
-        cols = tuple(
-            Column(c.name, c.kind, c.codes[row_ids], c.dictionary, c.values, c.pattern)
-            for c in self.columns
-        )
-        labels = self.labels[row_ids] if self.labels is not None else None
-        return Dataset(cols, labels, self.class_names)
 
 
 def format_value(value: float, kind: ColumnKind, pattern: str | None = None) -> str:

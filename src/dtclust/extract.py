@@ -14,6 +14,7 @@ reading original codes off each column's ColumnLog.code_map().
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -80,13 +81,42 @@ def _candidate(node: TreeNode, tree_index: int, target_class: int, beta: float,
 
 def rank_nodes(tree: DecisionTree, target_class: int, beta: float,
                tree_index: int = 0) -> list[ClusterCandidate]:
-    """All nodes of the tree as candidates, best F-beta first (ties: smaller id)."""
+    """All nodes of the tree as candidates, best F-beta first (ties: smaller id).
+
+    The order is that of the exact F-beta, ties included. The floats sort the
+    candidates; a float is within a few ulps of its exact value, so only a run
+    of positive floats within 1e-9 of each other can hide an exact tie or a
+    swapped pair, and each such run is re-sorted on exact integers.
+    """
     total = int(tree.root.class_counts[target_class])
     if total <= 0:
         raise DataError("tree's training data holds no rows of the target class")
     candidates = [_candidate(n, tree_index, target_class, beta, total) for n in tree.nodes]
     candidates.sort(key=lambda c: (-c.f_beta, c.node_id))
+    start = 0
+    for end in range(1, len(candidates) + 1):
+        if end < len(candidates) and candidates[end].f_beta >= candidates[start].f_beta * (1 - 1e-9):
+            continue
+        if end - start > 1 and candidates[start].f_beta > 0:
+            candidates[start:end] = sorted(candidates[start:end], key=_exact_order(total, beta))
+        start = end
     return candidates
+
+
+def _exact_order(total: int, beta: float):
+    """Sort key of candidates by exact F-beta, descending, then node id.
+
+    With beta = a / c, F-beta = (1 + beta^2) tp / (beta^2 total + size), which
+    orders as the integer ratio tp c^2 / (a^2 total + c^2 size).
+    """
+    a, c = float(beta).as_integer_ratio()
+
+    def compare(x: ClusterCandidate, y: ClusterCandidate) -> int:
+        nx, dx = x.tp * c * c, a * a * total + c * c * x.size
+        ny, dy = y.tp * c * c, a * a * total + c * c * y.size
+        return (ny * dx - nx * dy) or (x.node_id - y.node_id)
+
+    return functools.cmp_to_key(compare)
 
 
 def select_from_single_tree(tree: DecisionTree, target_class: int, beta: float,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from . import extract
 from .dataset import Dataset
 from .errors import ConfigError
@@ -49,6 +51,17 @@ class PipelineConfig:
 
 @dataclass(eq=False)
 class ExtractionResult:
+    """One fit of the pipeline.
+
+    source is the table passed to run_extraction, whole; the log's source
+    columns are its columns, so rules render over its values. prepared holds
+    the rows the fit ran on, transformed: every row of source, or with rows=
+    only those rows, in that order. Trees and cluster row ids index prepared.
+    Without rows they are row ids of source; with rows, row id r of prepared
+    is row rows[r] of source, so a cluster's rows in source are
+    rows[cluster.row_ids].
+    """
+
     source: Dataset
     prepared: Dataset
     log: TransformLog
@@ -58,10 +71,15 @@ class ExtractionResult:
     trees: list[DecisionTree]
 
 
-def run_extraction(ds: Dataset, config: PipelineConfig) -> ExtractionResult:
-    """Apply the preprocessing plan, then extract clusters by node removal."""
+def run_extraction(ds: Dataset, config: PipelineConfig,
+                   rows: np.ndarray | None = None) -> ExtractionResult:
+    """Apply the preprocessing plan, then extract clusters by node removal.
+
+    rows, when given, fit everything on those row ids of ds alone (a bagged
+    sample); see ExtractionResult for what the result's row ids then mean.
+    """
     target = ds.class_code(config.target_class)
-    prepared, log = apply_plan(ds, config.plan, target)
+    prepared, log = apply_plan(ds, config.plan, target, rows=rows)
     outcome = extract_iterative(
         prepared,
         config.params,
@@ -74,7 +92,7 @@ def run_extraction(ds: Dataset, config: PipelineConfig) -> ExtractionResult:
 
 def cluster_record(cand: ClusterCandidate, result: ExtractionResult) -> dict:
     """One cluster as a flat report row (metric columns plus the decoded rule)."""
-    population = result.source.row_count
+    population = result.prepared.row_count
     # looked up on the module at call time, so a wrapper installed there sees every rule
     rule = extract.linearize_rule(result.trees[cand.tree_index], cand.node_id, result.log,
                                   result.target_class)

@@ -5,16 +5,23 @@ encoding reorders a symbolic column so that values correlated with the target
 class become separable by a single threshold split.
 
 Each step is a code map, one integer array with map[old code] = new code:
-missing (0) maps to 0, and a code that no kept bin holds maps to -1. A step
-rewrites its column with one gather, map[codes]. Every step is recorded in a
-TransformLog, and ColumnLog.code_map() composes a column's steps, so extracted
-rules can always be rendered over original values.
+missing (0) maps to 0, and a code that no kept bin holds maps to -1. Every step
+is fit from per-code row counts alone, so apply_plan counts each column once,
+(code x in-target-class), over the rows it fits; with rows= those are a
+sample's rows of the one encoded table, and no row-sliced copy is made. A
+column's steps are composed into one map (ColumnLog.code_map()) and the column
+is rewritten with one gather through it. Every step is recorded in a
+TransformLog, so extracted rules can always be rendered over original values.
+Display text (Bin objects, representatives, reordered dictionaries) is built
+only when something reads it: a report, a rule or a DOT graph.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,12 +50,20 @@ class Bin:
 
 @dataclass(frozen=True, eq=False)
 class BinningSpec:
-    """A binning step; code_map[old code] = bin id, 0 for missing, -1 outside every kept bin."""
+    """A binning step; code_map[old code] = bin id, 0 for missing, -1 outside every kept bin.
+
+    describe() builds the kept bins; bins calls it once, on first use, so a fit
+    whose bins nothing shows never formats them.
+    """
 
     method: str
     k: int
-    bins: tuple[Bin, ...]
     code_map: np.ndarray
+    describe: Callable[[], tuple[Bin, ...]] = field(repr=False)
+
+    @cached_property
+    def bins(self) -> tuple[Bin, ...]:
+        return self.describe()
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +74,39 @@ class OrdinalEncoding:
 
 
 Transform = BinningSpec | OrdinalEncoding
+
+
+class _Texts(Sequence):
+    """A transformed column's dictionary: its length is known up front, its
+    texts are built by build() on first read and kept."""
+
+    def __init__(self, n: int, build: Callable[[], Iterable[str]]) -> None:
+        self._n = n
+        self._build = build
+        self._texts: tuple[str, ...] | None = None
+
+    def _all(self) -> tuple[str, ...]:
+        if self._texts is None:
+            self._texts = tuple(self._build())
+            self._build = None
+        return self._texts
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        return self._all()[i]
+
+    def __iter__(self):
+        return iter(self._all())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (tuple, _Texts)):
+            return self._all() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._all())
 
 
 _SYMBOLIC = (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL)
@@ -103,56 +151,77 @@ def bin_column(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
     Duplicate edges collapse. Symbolic columns are grouped by _bin_symbolic.
     """
     check_binning(col, method, k)
+    spec, kind, values, texts = _fit_binning(
+        col, np.bincount(col.codes, minlength=col.n_values + 1), method, k, logging.WARNING)
+    return spec, Column(col.name, kind, spec.code_map[col.codes], texts, values=values,
+                        pattern=col.pattern)
+
+
+def _fit_binning(col: Column, counts: np.ndarray, method: str, k: int, level: int
+                 ) -> tuple[BinningSpec, ColumnKind, np.ndarray | None, _Texts]:
+    """The binning of col fit from counts[c], the rows of code c (0 included) it is fit
+    on, and the rewritten column's kind, natural values and dictionary."""
     if col.kind in _SYMBOLIC:
-        return _bin_symbolic(col, method, k)
-    inner = "equal-width" if method == "equal-width" else "percentile"
-    return _bin_ordered(col, inner, k, f"{col.kind.value}-{method}")
+        spec, n_bins = _bin_symbolic(col, counts, method, k, level)
+        kind, values = ColumnKind.SYMBOLIC_NOMINAL, None
+    else:
+        inner = "equal-width" if method == "equal-width" else "percentile"
+        spec, values = _bin_ordered(col, counts, inner, k, f"{col.kind.value}-{method}")
+        kind, n_bins = col.kind, values.size
+    return spec, kind, values, _Texts(n_bins, lambda: (b.representative for b in spec.bins))
 
 
-def _bin_ordered(col: Column, method: str, k: int, label: str) -> tuple[BinningSpec, Column]:
-    # rows per value (code - 1); values ascend with the code, so the counts
-    # are the sorted column's run lengths
-    counts = np.bincount(col.codes, minlength=col.n_values + 1)[1:]
-    kept = np.flatnonzero(counts)
-    if kept.size == 0:
+def _bin_ordered(col: Column, counts: np.ndarray, method: str, k: int, label: str
+                 ) -> tuple[BinningSpec, np.ndarray]:
+    """The interval binning and each kept bin's natural value."""
+    # values ascend with the code, so ends[i] counts the rows up to value i and
+    # a bin's values are one run of codes: the run starts where an edge is
+    # searched into the values, with no search per value
+    ends = np.cumsum(counts[1:])
+    n = int(ends[-1]) if ends.size else 0
+    if n == 0:
         raise DataError(f"column {col.name!r} has no non-missing values to bin")
     values = col.values
-
-    vmin, vmax = float(values[kept[0]]), float(values[kept[-1]])
+    # the first and last values that hold rows
+    vmin = float(values[np.searchsorted(ends, 0, side="right")])
+    vmax = float(values[np.searchsorted(ends, n, side="left")])
     if method == "equal-width":
         all_edges = np.linspace(vmin, vmax, k + 1)
         # value v lands in bin j iff edges[j] <= v < edges[j+1]; max joins the last bin
-        dict_bins = np.searchsorted(all_edges[1:-1], values, side="right")
+        bounds = np.searchsorted(values, all_edges[1:-1], side="left")
         reps = (all_edges[:-1] + all_edges[1:]) / 2
     else:  # percentile
-        ends = np.cumsum(counts)
-        n = int(ends[-1])
-        ranks = [int(np.ceil(i * n / k)) for i in range(1, k)]
+        ranks = np.ceil(np.arange(1, k) * n / k)
         # the r-th smallest row value is the first value whose run ends at or after r
-        edges = sorted({float(values[np.searchsorted(ends, r)]) for r in ranks if r >= 1} - {vmax})
+        edges = np.unique(values[np.searchsorted(ends, ranks[ranks >= 1])])
+        edges = edges[edges != vmax]
         # value v lands in bin j iff edges[j-1] < v <= edges[j]
-        dict_bins = np.searchsorted(np.array(edges), values, side="left")
-        reps = edges + [vmax]
+        bounds = np.searchsorted(values, edges, side="right")
+        reps = np.append(edges, vmax)
 
+    # bin j holds the values starts[j] .. starts[j+1] - 1 (code = value index + 1)
+    starts = np.concatenate(([0], bounds, [values.size]))
+    rows_before = np.concatenate(([0], ends))
     # keep only bins with observed values, renumbered 1..m in value order
-    observed = np.flatnonzero(np.bincount(dict_bins[kept], minlength=len(reps)))
+    observed = np.flatnonzero(rows_before[starts[1:]] - rows_before[starts[:-1]])
     renumber = np.full(len(reps), -1, dtype=np.int32)
     renumber[observed] = np.arange(1, observed.size + 1)
     code_map = np.zeros(col.n_values + 1, dtype=np.int32)
-    code_map[1:] = renumber[dict_bins]
-    # values ascend with the code, so a bin's codes are one run: [start, stop)
-    start = np.searchsorted(dict_bins, observed, side="left") + 1
-    stop = np.searchsorted(dict_bins, observed, side="right") + 1
+    code_map[1:] = np.repeat(renumber, np.diff(starts))
     rep_values = np.asarray(reps, dtype=np.float64)[observed]
-    bins = tuple(
-        Bin(i + 1, range(a, b), format_value(v, col.kind, col.pattern))
-        for i, (a, b, v) in enumerate(zip(start.tolist(), stop.tolist(), rep_values.tolist()))
-    )
-    return _binned(col, label, k, bins, code_map, col.kind, rep_values)
+
+    def describe() -> tuple[Bin, ...]:
+        spans = zip((starts[observed] + 1).tolist(), (starts[observed + 1] + 1).tolist(),
+                    rep_values.tolist())
+        return tuple(Bin(i + 1, range(a, b), format_value(v, col.kind, col.pattern))
+                     for i, (a, b, v) in enumerate(spans))
+
+    return BinningSpec(label, k, code_map, describe), rep_values
 
 
-def _bin_symbolic(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
-    """Group a symbolic column's values into at most k bins.
+def _bin_symbolic(col: Column, counts: np.ndarray, method: str, k: int, level: int
+                  ) -> tuple[BinningSpec, int]:
+    """Group a symbolic column's values into at most k bins; also returns the bin count.
 
     equal-width chops the current dictionary order into near-equal groups;
     frequency sorts values by occurrence count and greedily packs them so each
@@ -164,12 +233,11 @@ def _bin_symbolic(col: Column, method: str, k: int) -> tuple[BinningSpec, Column
         raise DataError(f"column {col.name!r} needs >= 2 unique values to bin")
 
     if k >= m:
-        log.warning("column %r: k=%d >= %d unique values, identity binning", col.name, k, m)
+        log.log(level, "column %r: k=%d >= %d unique values, identity binning", col.name, k, m)
         groups = [[c] for c in range(1, m + 1)]
     elif method == "equal-width":
-        groups = [list(part) for part in np.array_split(np.arange(1, m + 1), k)]
+        groups = [part.tolist() for part in np.array_split(np.arange(1, m + 1), k)]
     elif method == "frequency":
-        counts = np.bincount(col.codes, minlength=m + 1)
         total = int(counts[1:].sum())
         order = sorted(range(1, m + 1), key=lambda c: (-counts[c], c))
         target = total / k
@@ -195,22 +263,18 @@ def _bin_symbolic(col: Column, method: str, k: int) -> tuple[BinningSpec, Column
 
     code_map = np.full(m + 1, -1, dtype=np.int32)
     code_map[MISSING_CODE] = MISSING_CODE
-    bins = []
     for i, g in enumerate(groups):
-        members = tuple(int(c) for c in g)
-        code_map[list(members)] = i + 1
-        names = [col.dictionary[c - 1] for c in members]
-        bins.append(Bin(i + 1, members, names[0] if len(names) == 1 else "{" + ",".join(names) + "}"))
-    return _binned(col, f"symbolic-{method}", k, tuple(bins), code_map,
-                   ColumnKind.SYMBOLIC_NOMINAL, None)
+        code_map[g] = i + 1
 
+    def describe() -> tuple[Bin, ...]:
+        bins = []
+        for i, g in enumerate(groups):
+            names = [col.dictionary[c - 1] for c in g]
+            text = names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
+            bins.append(Bin(i + 1, tuple(g), text))
+        return tuple(bins)
 
-def _binned(col: Column, method: str, k: int, bins: tuple[Bin, ...], code_map: np.ndarray,
-            kind: ColumnKind, values: np.ndarray | None) -> tuple[BinningSpec, Column]:
-    """The binning step and the column it rewrites with one gather through its code map."""
-    spec = BinningSpec(method, k, bins, code_map)
-    return spec, Column(col.name, kind, code_map[col.codes],
-                        tuple(b.representative for b in bins), values=values, pattern=col.pattern)
+    return BinningSpec(f"symbolic-{method}", k, code_map, describe), len(groups)
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +346,34 @@ def build_contingency(col: Column, labels: np.ndarray, target_class: int) -> Con
     """Per unique value: how often its rows belong to the target class."""
     if col.kind not in (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL, ColumnKind.BOOLEAN):
         raise ConfigError(f"contingency table expects a symbolic column, got {col.kind.value}")
-    m = col.n_values
-    totals = np.bincount(col.codes, minlength=m + 1)
-    in_class = np.bincount(col.codes[labels == target_class], minlength=m + 1)
+    counts = _class_counts(col.codes, labels == target_class, col.n_values)
     entries = tuple(
-        ValueClassCount(c, col.dictionary[c - 1], int(in_class[c]), int(totals[c]))
-        for c in range(1, m + 1)
-        if totals[c] > 0
+        ValueClassCount(c, col.dictionary[c - 1], int(hits), int(hits + misses))
+        for c, (misses, hits) in enumerate(counts.tolist())
+        if c and hits + misses
     )
     return ContingencyTable(col.name, target_class, entries)
+
+
+def _class_counts(codes: np.ndarray, hits: np.ndarray, m: int) -> np.ndarray:
+    """(m + 1) x 2 rows per code, split by hits: [:, 0] outside, [:, 1] in the target class."""
+    return np.bincount(codes * 2 + hits, minlength=2 * (m + 1)).reshape(m + 1, 2)
+
+
+def _frequency_order(counts: np.ndarray) -> np.ndarray:
+    """The old codes, best target-class rate first, from _class_counts; ties keep code order."""
+    totals = counts.sum(axis=1)[1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        freqs = np.where(totals > 0, counts[1:, 1] / totals, 0.0)
+    return np.argsort(-freqs, kind="stable") + 1
+
+
+def _reorder(order: np.ndarray, texts: Sequence[str]) -> tuple[OrdinalEncoding, _Texts]:
+    """The reordering step that gives old code order[i] the new code i + 1, and its dictionary."""
+    m = order.size
+    perm = np.zeros(m + 1, dtype=np.int32)
+    perm[order] = np.arange(1, m + 1)
+    return OrdinalEncoding(perm), _Texts(m, lambda: (texts[old - 1] for old in order.tolist()))
 
 
 def encode_by_class_frequency(
@@ -304,22 +387,9 @@ def encode_by_class_frequency(
     """
     if col.kind not in _SYMBOLIC:
         raise ConfigError(f"cannot frequency-encode a {col.kind.value} column")
-    m = col.n_values
-    totals = np.bincount(col.codes, minlength=m + 1).astype(np.float64)
-    in_class = np.bincount(col.codes[labels == target_class], minlength=m + 1).astype(np.float64)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        freqs = np.where(totals[1:] > 0, in_class[1:] / totals[1:], 0.0)
-
-    order = np.argsort(-freqs, kind="stable") + 1  # old codes, best class rate first
-    perm = np.zeros(m + 1, dtype=np.int32)
-    perm[order] = np.arange(1, m + 1)
-    new_col = Column(
-        col.name,
-        ColumnKind.SYMBOLIC_ORDINAL,
-        perm[col.codes],
-        tuple(col.dictionary[old - 1] for old in order.tolist()),
-    )
-    return OrdinalEncoding(perm), new_col
+    counts = _class_counts(col.codes, labels == target_class, col.n_values)
+    enc, texts = _reorder(_frequency_order(counts), col.dictionary)
+    return enc, Column(col.name, ColumnKind.SYMBOLIC_ORDINAL, enc.code_map[col.codes], texts)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +484,10 @@ class ColumnLog:
 
         Missing (0) maps to 0; an original code that no kept bin holds maps to -1.
         """
-        final = np.arange(self.source.n_values + 1)
-        for step in self.steps:
+        if not self.steps:
+            return np.arange(self.source.n_values + 1)
+        final = self.steps[0].code_map
+        for step in self.steps[1:]:
             final = np.where(final < 0, -1, step.code_map[final])
         return final
 
@@ -458,9 +530,19 @@ class TransformLog:
 
 
 def apply_plan(
-    ds: Dataset, plan: PreprocessPlan, target_class: int | None = None
+    ds: Dataset, plan: PreprocessPlan, target_class: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[Dataset, TransformLog]:
     """Run the plan over every column, returning the transformed dataset and its log.
+
+    rows, when given, are row ids of ds: the plan is fit on those rows alone
+    and the returned dataset holds them, in that order, as if the plan ran on a
+    copy of ds cut to those rows. No such copy is made: each column's codes are
+    gathered once, counted once per (code, in target class or not), and mapped
+    with one gather through the composed map of its steps. The log's source
+    columns are ds's own, so rules render over the whole table. A fit on rows
+    repeats what a fit on the whole table already said, so its warnings are
+    logged at DEBUG.
 
     The log gets one entry per surviving column (identity entries included), so
     rule rendering never lacks a record.
@@ -469,37 +551,59 @@ def apply_plan(
         raise ConfigError("reorder_symbolic requires a target class")
     plan.check(ds)
 
+    labels = ds.labels if rows is None or ds.labels is None else ds.labels.take(rows)
+    hits = labels == target_class if plan.reorder_symbolic else None
+    level = logging.WARNING if rows is None else logging.DEBUG
     out_columns: list[Column] = []
     logbook = TransformLog()
     for col in ds.columns:
-        entry = ColumnLog(col, [], col.kind)
-        current = col
-
+        codes = col.codes if rows is None else col.codes.take(rows)
+        kind, n, values, texts = col.kind, col.n_values, col.values, col.dictionary
+        steps: list[Transform] = []
+        # one count per column: by code and class where a reordering may follow, else by code
+        counts = None
+        if plan.reorder_symbolic and kind in _SYMBOLIC:
+            counts = _class_counts(codes, hits, n)
         directive = plan.directive(col)
         if directive is not None:
+            totals = np.bincount(codes, minlength=n + 1) if counts is None else counts.sum(axis=1)
             try:
-                spec, current = bin_column(current, directive.method, directive.k)
-                entry.steps.append(spec)
+                spec, kind, values, texts = _fit_binning(col, totals, directive.method, directive.k,
+                                                         level)
             except DataError as exc:
-                log.warning("skipped binning for %r: %s", col.name, exc)
+                log.log(level, "skipped binning for %r: %s", col.name, exc)
+            else:
+                steps.append(spec)
+                n = len(texts)
 
-        if current.kind in _SYMBOLIC and current.n_values > plan.high_cardinality_threshold:
-            log.warning(
+        if kind in _SYMBOLIC and n > plan.high_cardinality_threshold:
+            log.log(
+                level,
                 "dropping column %r: %d unique values exceed threshold %d and no binning applied",
-                col.name, current.n_values, plan.high_cardinality_threshold,
+                col.name, n, plan.high_cardinality_threshold,
             )
             logbook.dropped[col.name] = (
-                f"{current.n_values} unique values exceed threshold {plan.high_cardinality_threshold}"
+                f"{n} unique values exceed threshold {plan.high_cardinality_threshold}"
             )
             continue
 
-        if plan.reorder_symbolic and current.kind is ColumnKind.SYMBOLIC_NOMINAL and current.n_values > 1:
-            enc, current = encode_by_class_frequency(current, ds.labels, target_class)
-            entry.steps.append(enc)
+        if plan.reorder_symbolic and kind is ColumnKind.SYMBOLIC_NOMINAL and n > 1:
+            if steps:
+                # only a symbolic binning comes first, and it maps every code to a bin
+                keys = (steps[0].code_map[:, None] * 2 + [0, 1]).ravel()
+                counts = np.bincount(keys, weights=counts.ravel(),
+                                     minlength=2 * (n + 1)).reshape(n + 1, 2)
+            enc, texts = _reorder(_frequency_order(counts), texts)
+            steps.append(enc)
+            kind, values = ColumnKind.SYMBOLIC_ORDINAL, None
 
-        entry.final_kind = current.kind
-        out_columns.append(current)
+        entry = ColumnLog(col, steps, kind)
         logbook.entries[col.name] = entry
+        if steps:
+            codes = entry.code_map().take(codes)
+        elif rows is None:
+            out_columns.append(col)
+            continue
+        out_columns.append(Column(col.name, kind, codes, texts, values=values, pattern=col.pattern))
 
-    return Dataset(tuple(out_columns), ds.labels, ds.class_names), logbook
-
+    return Dataset(tuple(out_columns), labels, ds.class_names), logbook

@@ -1,10 +1,15 @@
 """Cluster stability estimation by bagging.
 
-Rerun the whole pipeline (preprocessing refit included) on N random subsets of
-the rows; a cluster is stable when some cluster found on each subset covers
+Rerun the whole pipeline (preprocessing refit included) on N random samples of
+the rows; a cluster is stable when some cluster found on each sample covers
 nearly the same rows. Agreement is the Jaccard index of the two row sets
 restricted to the sample, maximized over the sample's clusters and averaged
-over samples.
+over samples (the cluster-wise bootstrap of Hennig, 2007).
+
+A sample is its sorted row ids. The table is never copied: each sample is fit
+with pipeline.run_extraction(ds, config, rows=ids), which prepares the sample
+from the one encoded table and logs its preparation warnings at DEBUG, since
+the fit on the whole table has already given them.
 """
 
 from __future__ import annotations
@@ -41,19 +46,18 @@ class StabilityParams:
             raise ConfigError(f"--seed must be >= 0, got {self.seed}")
 
 
-def draw_sample(ds: Dataset, fraction: float, seed: int, k: int) -> tuple[Dataset, np.ndarray]:
-    """Uniform sample without replacement of ceil(fraction * rows) rows.
+def draw_sample(ds: Dataset, fraction: float, seed: int, k: int) -> np.ndarray:
+    """Row ids of a uniform sample without replacement of ceil(fraction * rows) rows, ascending.
 
-    Deterministic per (seed, k). Returns the row-sliced dataset and the original
-    row ids, ascending.
+    Deterministic per (seed, k). No rows are copied: the sample is fit from
+    these ids with pipeline.run_extraction(ds, config, rows=ids).
     """
     if not 0 < fraction <= 1:
         raise ConfigError(f"sample fraction must be in (0, 1], got {fraction}")
     n = ds.row_count
     m = math.ceil(fraction * n)
     rng = np.random.default_rng([seed, k])
-    ids = np.sort(rng.choice(n, size=m, replace=False))
-    return ds.subset(ids), ids
+    return np.sort(rng.choice(n, size=m, replace=False))
 
 
 def pairwise_score(c_rows: np.ndarray, c_prime_rows: np.ndarray, sample_rows: np.ndarray) -> float:
@@ -127,8 +131,9 @@ def stability_report(ds: Dataset, clusters: Sequence[ClusterCandidate], config,
     """Bagged stability of already-extracted clusters.
 
     config is the PipelineConfig the clusters came from; each sample refits the
-    preprocessing (bin edges, frequency orders) and extracts the same number of
-    clusters. A sample yielding no clusters contributes a score of 0.
+    preprocessing (bin edges, frequency orders) on its rows of ds and extracts
+    the same number of clusters. A sample yielding no clusters contributes a
+    score of 0.
     """
     if not clusters:
         raise ConfigError("stability_report needs at least one extracted cluster")
@@ -136,9 +141,9 @@ def stability_report(ds: Dataset, clusters: Sequence[ClusterCandidate], config,
     sample_config = replace(config, n_clusters=len(clusters))
     scores = np.zeros((len(clusters), params.n_samples))
     for k in range(params.n_samples):
-        view, ids = draw_sample(ds, params.fraction, params.seed, k)
+        ids = draw_sample(ds, params.fraction, params.seed, k)
         # looked up on the module at call time, so a wrapper installed there sees every fit
-        result = pipeline.run_extraction(view, sample_config)
+        result = pipeline.run_extraction(ds, sample_config, rows=ids)
         sample_clusters = [ids[c.row_ids] for c in result.clusters]
         if not sample_clusters:
             log.warning("sample %d produced no clusters; scores set to 0", k)

@@ -2,9 +2,12 @@
 
 The split oracle re-derives the best split by brute force (explicit partition
 per pivot, scalar impurity formulas) so the trainer's vectorized search can be
-checked against an independent computation. The reference encoder and the
-reference profile do the same for ingest: one Python float()/strptime call per
-cell per step, and every category of every column. The reference CSV reader
+checked against an independent computation. The reference extraction grows
+whole trees from that oracle and runs iterative extraction on exact fractions
+and Python sets; the reference transform record rebuilds a fit's bins
+eagerly. The reference encoder and the reference profile do the same for
+ingest: one Python float()/strptime call per cell per step, and every
+category of every column. The reference CSV reader
 keeps every row as a list and transposes them, as the loader no longer does.
 """
 
@@ -12,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import math
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from dtclust.dataset import (
     Column,
     ColumnKind,
     Dataset,
+    format_value,
 )
 from dtclust.errors import DataError
 from dtclust.tree import DecisionTree, TrainParams, TreeNode
@@ -93,6 +99,92 @@ def assert_tree_matches_oracle(tree, ds, params, tol=1e-12):
             assert oracle_best_split(node.rows, ds, params) is None, (
                 f"leaf {node.id}: oracle found a split the trainer missed"
             )
+
+
+# ---------------------------------------------------------------------------
+# Independent iterative extraction
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ReferenceRound:
+    """One round of reference_extract: the winning node, its rows, its counts,
+    and every node's exact F-beta by node id, so a caller can name a tie."""
+
+    tree_index: int
+    node_id: int
+    rows: frozenset
+    tp: int
+    fp: int
+    fn: int
+    f_beta: tuple
+
+
+def exact_fbeta(tp: int, size: int, total: int, beta: float) -> Fraction:
+    """F-beta of a node holding tp of the total target rows among size rows, as a Fraction."""
+    if tp == 0:
+        return Fraction(0)
+    b2 = Fraction(beta) ** 2
+    precision, recall = Fraction(tp, size), Fraction(tp, total)
+    return (1 + b2) * precision * recall / (b2 * precision + recall)
+
+
+def reference_tree(ds, rows, params):
+    """Each node's rows as a sorted list, by breadth-first node id.
+
+    A node is searched under train's stopping rules: depth below max_depth,
+    at least 2 * min_samples_leaf rows, and more than one class. Its split is
+    oracle_best_split's; the rows are partitioned with a Python loop.
+    """
+    labels = ds.labels.tolist()
+    nodes = [(sorted(rows), 0)]
+    i = 0
+    while i < len(nodes):
+        node_rows, depth = nodes[i]
+        i += 1
+        if (depth >= params.max_depth or len(node_rows) < 2 * params.min_samples_leaf
+                or len({labels[r] for r in node_rows}) == 1):
+            continue
+        found = oracle_best_split(np.array(node_rows), ds, params)
+        if found is None:
+            continue
+        _, ci, pivot = found
+        col = ds.columns[ci]
+        codes = col.codes.tolist()
+        left, right = [], []
+        for r in node_rows:
+            passes = codes[r] <= pivot if col.kind.is_ordered else codes[r] == pivot
+            (left if passes else right).append(r)
+        nodes.extend(((left, depth + 1), (right, depth + 1)))
+    return [node_rows for node_rows, _ in nodes]
+
+
+def reference_extract(ds, params, target_class, beta, n_clusters):
+    """Iterative extraction rebuilt from the split oracle: the rounds it takes.
+
+    Each round grows reference_tree on the rows not yet claimed, ranks every
+    node by exact_fbeta against the target rows left (ties to the smaller id),
+    stops when the best scores 0, and removes the winner's rows from a Python
+    set. It stops early, as extract_iterative does, when no rows or no target
+    rows are left.
+    """
+    labels = ds.labels.tolist()
+    remaining = set(range(ds.row_count))
+    rounds = []
+    for tree_index in range(n_clusters):
+        total = sum(1 for r in remaining if labels[r] == target_class)
+        if not remaining or total == 0:
+            break
+        nodes = reference_tree(ds, remaining, params)
+        tps = [sum(1 for r in rows if labels[r] == target_class) for rows in nodes]
+        scores = tuple(exact_fbeta(tp, len(rows), total, beta) for tp, rows in zip(tps, nodes))
+        best = min(range(len(nodes)), key=lambda i: (-scores[i], i))
+        if scores[best] <= 0:
+            break
+        tp = tps[best]
+        rounds.append(ReferenceRound(tree_index, best, frozenset(nodes[best]), tp,
+                                     len(nodes[best]) - tp, total - tp, scores))
+        remaining -= set(nodes[best])
+    return rounds
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +446,13 @@ def random_dataset(rng, max_rows=200, max_cols=6, wide_column=False) -> Dataset:
     return Dataset(tuple(columns), labels, names)
 
 
+def subset(ds: Dataset, row_ids) -> Dataset:
+    """A copy of ds cut to the given rows, in their order, with every dictionary kept whole."""
+    cols = tuple(Column(c.name, c.kind, c.codes[row_ids], c.dictionary, c.values, c.pattern)
+                 for c in ds.columns)
+    return Dataset(cols, ds.labels[row_ids], ds.class_names)
+
+
 def random_plan(rng, ds: Dataset):
     """A plan over ds: each binnable column gets a valid directive with even
     odds (a random method of its kind, k in 2..6), and reordering is on or off."""
@@ -451,6 +550,20 @@ def selection_scenario_tree() -> tuple[DecisionTree, dict[str, int]]:
     return DecisionTree(nodes, TrainParams()), ids
 
 
+def exact_tie_tree() -> DecisionTree:
+    """A tree whose root (2 target rows of 12) and node 4 (1 of 5) both have
+    F1 = 2/7 exactly, while fbeta_score's floats put node 4 one ulp ahead."""
+    nodes: list[TreeNode] = []
+    root = _node(nodes, (10, 2), 0, None)  # 0
+    a = _node(nodes, (5, 1), 1, 0)         # 1
+    b = _node(nodes, (5, 1), 1, 0)         # 2
+    _link(root, a, b)
+    c = _node(nodes, (1, 0), 2, 1)         # 3
+    d = _node(nodes, (4, 1), 2, 1)         # 4
+    _link(a, c, d)
+    return DecisionTree(nodes, TrainParams())
+
+
 def single_split_tree(ds: Dataset, column: str, pivot: int) -> DecisionTree:
     """A root with one ordered split on the given column, for linearization tests."""
     from dtclust.tree import Split, impurity
@@ -503,6 +616,56 @@ def reference_original_codes(final_codes: set[int], entry) -> set[int]:
         if keep_missing:
             codes.add(0)
     return codes
+
+
+def reference_log_dict(log, fitted: Dataset, prepared: Dataset) -> dict:
+    """log.to_dict() rebuilt eagerly from each step's code map, for a plan fit
+    on the table fitted that gave the table prepared.
+
+    A bin's members are the codes its map sends to it. On a numeric or
+    datetime column they must be one run of codes, and the representative is
+    the bin's natural value in prepared, as text. On a symbolic column they
+    are listed in the order the method packs them: by code (equal-width), by
+    text (similarity), or by rows on fitted, most first, then code
+    (frequency); the representative is the one text, or all of them in braces.
+    """
+    from dtclust.preprocess import OrdinalEncoding
+
+    out = {"columns": {}, "dropped": dict(log.dropped)}
+    for name, entry in log.entries.items():
+        source = entry.source
+        counts = np.bincount(fitted.column(name).codes, minlength=source.n_values + 1)
+        order = {
+            "symbolic-equal-width": lambda c: c,
+            "symbolic-similarity": lambda c: source.dictionary[c - 1],
+            "symbolic-frequency": lambda c: (-counts[c], c),
+        }
+        steps = []
+        for step in entry.steps:
+            if isinstance(step, OrdinalEncoding):
+                steps.append({"transform": "reorder", "permutation": step.code_map.tolist()})
+                continue
+            bins = []
+            for b in range(1, int(step.code_map.max()) + 1):
+                members = np.flatnonzero(step.code_map == b).tolist()
+                if source.values is not None:
+                    assert members == list(range(members[0], members[-1] + 1)), (name, b)
+                    text = format_value(float(prepared.column(name).values[b - 1]),
+                                        source.kind, source.pattern)
+                else:
+                    members.sort(key=order[step.method])
+                    names = [source.dictionary[c - 1] for c in members]
+                    text = names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
+                bins.append({"id": b, "members": members, "representative": text})
+            steps.append({"transform": "binning", "method": step.method, "k": step.k,
+                          "bins": bins})
+        out["columns"][name] = {
+            "kind": source.kind.value,
+            "final_kind": entry.final_kind.value,
+            "dictionary": list(source.dictionary),
+            "steps": steps,
+        }
+    return out
 
 
 def identity_log(ds: Dataset):

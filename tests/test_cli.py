@@ -749,6 +749,36 @@ class TestOutPath:
         assert sorted(tmp_path.iterdir()) == [taken]
 
 
+class TestRerun:
+    """A run into an --out that holds an earlier run's artifacts leaves only its own."""
+
+    @staticmethod
+    def _extract(liner_csv, out, clusters):
+        return main(["extract", "--input", liner_csv, "--label", "survived", "--clusters",
+                     str(clusters), "--depth", "2", "--out", str(out)])
+
+    def test_fewer_clusters_leave_no_stale_files(self, liner_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert self._extract(liner_csv, out, 3) == 0
+        assert {"cluster_03.rows.txt", "tree_03.dot"} <= {p.name for p in out.iterdir()}
+        assert self._extract(liner_csv, out, 1) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "cluster_01.rows.txt", "cluster_01.rule.txt", "report.json", "report.txt", "tree_01.dot"]
+        assert len(json.loads((out / "report.json").read_text())["clusters"]) == 1
+
+    def test_other_files_survive(self, liner_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        out.mkdir()
+        kept = ["notes.txt", "tree_2.dot", "cluster_02.rows.txt.bak", "tree_02.dot.orig"]
+        for name in kept:
+            (out / name).write_text("mine\n")
+        (out / "tree_07.dot").mkdir()
+        assert self._extract(liner_csv, out, 1) == 0
+        for name in kept:
+            assert (out / name).read_text() == "mine\n"
+        assert (out / "tree_07.dot").is_dir()
+
+
 class TestPartialReport:
     """A report that fails to encode partway through leaves no partial report.json."""
 
@@ -965,6 +995,24 @@ class TestLogLevel:
         done = _dtclust(["profile", "--input", liner_csv, "--label", "survived"], tmp_path, env)
         assert done.returncode == 0, done.stderr
         assert ("INFO dtclust.dataset: loaded" in done.stderr) is logs
+
+
+def test_stability_warns_once_per_plan_warning(tmp_path):
+    # every sample refits the plan and meets the column the whole table
+    # dropped; its repeat is a DEBUG line, so a warning shows once
+    rows = ["name,grade,passed"] + [f"n{i},{'abc'[i % 3]},{'yes' if i % 3 else 'no'}"
+                                     for i in range(300)]
+    (tmp_path / "named.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    args = ["stability", "--input", "named.csv", "--label", "passed", "--class", "yes",
+            "--samples", "5", "--out", "stab"]
+    dropping = "WARNING dtclust.preprocess: dropping column 'name': 300 unique values"
+    done = _dtclust(args, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count(dropping) == 1, done.stderr
+    done = _dtclust(args, tmp_path, dict(os.environ, DTCLUST_LOG="DEBUG"))
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.count(dropping) == 1
+    assert done.stderr.count("DEBUG dtclust.preprocess: dropping column 'name'") == 5
 
 
 def test_every_file_opened_names_its_encoding(tmp_path):

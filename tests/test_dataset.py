@@ -524,12 +524,6 @@ class TestReaderMemory:
 
 
 class TestDataset:
-    def test_subset(self, tmp_path):
-        ds = load_csv(write(tmp_path, "a,y\n1,0\n2,1\n3,0\n"))
-        sub = ds.subset(np.array([0, 2]))
-        assert sub.row_count == 2
-        assert list(sub.labels) == [0, 0]
-
     def test_class_code(self, tmp_path):
         ds = load_csv(write(tmp_path, "a,y\n1,no\n2,yes\n"))
         assert ds.class_code("yes") == 1

@@ -1,6 +1,7 @@
 """F-beta scoring, node ranking and selection, iterative extraction, rule decoding."""
 
 import json
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -25,13 +26,17 @@ from dtclust.tree import TrainParams, train
 
 from helpers import (
     city_dataset,
+    exact_tie_tree,
     identity_log,
     ordinal_symbolic_dataset,
     random_dataset,
+    random_plan,
+    reference_extract,
     reference_metric_tree,
     reference_original_codes,
     selection_scenario_tree,
     single_split_tree,
+    subset,
 )
 
 # the published metric table: precision, recall, F1, F-0.5 per cluster
@@ -118,6 +123,12 @@ class TestRankNodes:
         tree, _ = reference_metric_tree()
         ranked = rank_nodes(tree, 1, 0.33)
         assert sorted(c.node_id for c in ranked) == [n.id for n in tree.nodes]
+
+    def test_exact_tie_goes_to_smaller_id(self):
+        tree = exact_tie_tree()
+        ranked = rank_nodes(tree, target_class=1, beta=1.0)
+        assert [c.node_id for c in ranked[:2]] == [0, 4]
+        assert ranked[1].f_beta > ranked[0].f_beta  # the floats alone would rank node 4 first
 
     def test_root_of_pure_tree_scores_one(self):
         ds = city_dataset()
@@ -426,9 +437,9 @@ class TestRoundTrip:
             got = apply_rule(rule, ds)
             assert sorted(got.tolist()) == sorted(node.rows.tolist())
 
-    def test_subset_view_roundtrip_with_equal_width_bins(self):
-        # stability-style scenario: refit binning on a row subset whose
-        # dictionary keeps values the subset never observes
+    def test_sample_roundtrip_with_equal_width_bins(self):
+        # stability-style scenario: refit binning on a sample of the rows,
+        # whose dictionary keeps values the sample never observes
         rng = np.random.default_rng(55)
         from dtclust.dataset import encode_column
 
@@ -438,15 +449,14 @@ class TestRoundTrip:
         full = Dataset((col,), labels, ("0", "1"))
         for k in range(5):
             ids = np.sort(rng.choice(200, size=120, replace=False))
-            view = full.subset(ids)
             plan = PreprocessPlan(per_column={"v": BinDirective("equal-width", 6)},
                                   reorder_symbolic=False)
-            prepared, log = apply_plan(view, plan, target_class=1)
+            prepared, log = apply_plan(full, plan, target_class=1, rows=ids)
             tree = train(prepared, TrainParams(max_depth=3))
             for node in tree.nodes:
                 rule = linearize_rule(tree, node.id, log)
-                got = apply_rule(rule, view)
-                assert sorted(got.tolist()) == sorted(node.rows.tolist())
+                got = apply_rule(rule, full, rows=ids)
+                assert sorted(got.tolist()) == sorted(ids[node.rows].tolist())
 
     def test_binned_datetime_roundtrip(self):
         # a binned timestamp column must decode to time ranges that reselect
@@ -489,14 +499,16 @@ class TestRoundTrip:
             removed |= set(cand.row_ids.tolist())
 
 
-def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
+def assert_extraction_round_trips(ds, plan, target_class, beta, depth, rows=None):
     """Every node of every tree decodes to a rule that survives a JSON round trip
     and reselects exactly its rows among the rows left at that iteration; the
     clusters are pairwise disjoint. Every logged column's code map sends to each
-    final code the original codes that the set-based reference inversion finds."""
+    final code the original codes that the set-based reference inversion finds.
+    With rows, the fit runs on those rows of ds, and the rules are applied to ds."""
     config = PipelineConfig(target_class=target_class, beta=beta, n_clusters=3,
                             params=TrainParams(max_depth=depth), plan=plan)
-    result = run_extraction(ds, config)
+    result = run_extraction(ds, config, rows=rows)
+    ids = np.arange(ds.row_count) if rows is None else rows
     for name, entry in result.log.entries.items():
         final = entry.code_map()
         for code in range(result.prepared.column(name).n_values + 1):
@@ -507,8 +519,8 @@ def assert_extraction_round_trips(ds, plan, target_class, beta, depth):
             rule = linearize_rule(tree, node.id, result.log)
             parsed = rule_from_dict(json.loads(json.dumps(rule_to_dict(rule))))
             assert parsed == rule, rule.text()
-            got = apply_rule(parsed, result.source, rows=tree.root.rows)
-            assert np.array_equal(got, node.rows), (tree.root.rows.size, node.id, rule.text())
+            got = apply_rule(parsed, result.source, rows=ids[tree.root.rows])
+            assert np.array_equal(got, ids[node.rows]), (tree.root.rows.size, node.id, rule.text())
     claimed = np.concatenate([c.row_ids for c in result.clusters] + [np.array([], dtype=int)])
     assert np.unique(claimed).size == claimed.size
 
@@ -532,11 +544,10 @@ class TestRoundTripProperty:
                                            fraction, wide):
         rng = np.random.default_rng(seed)
         ds = random_dataset(rng, max_rows=150, max_cols=5, wide_column=wide)
-        if fraction < 1.0:
-            # a bagged sample keeps the full dictionaries, so some codes are
-            # absent; equal-width binning drops a bin that would hold only
-            # absent codes, and the code map sends those codes to -1
-            ds, _ = draw_sample(ds, fraction, seed, 0)
+        # a bagged sample is fit on the full dictionaries, so some codes are
+        # absent; equal-width binning drops a bin that would hold only absent
+        # codes, and the code map sends those codes to -1
+        rows = draw_sample(ds, fraction, seed, 0) if fraction < 1.0 else None
         datetime_method = {"percentile": "frequency"}.get(numeric, numeric)
         per_column = {}
         for col in ds.columns:
@@ -548,4 +559,82 @@ class TestRoundTripProperty:
                 per_column[col.name] = BinDirective(symbolic, k)
         plan = PreprocessPlan(per_column=per_column, reorder_symbolic=reorder)
         target = int(rng.integers(0, ds.n_classes))
-        assert_extraction_round_trips(ds, plan, target, beta, depth)
+        assert_extraction_round_trips(ds, plan, target, beta, depth, rows)
+
+
+def extraction_case(seed, wide):
+    """A random table and pipeline config, and a bagged sample of its rows."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, max_rows=120, max_cols=5, wide_column=wide)
+    params = TrainParams(str(rng.choice(["gini", "entropy"])), max_depth=int(rng.integers(1, 5)),
+                         min_samples_leaf=int(rng.choice([1, 3])))
+    config = PipelineConfig(target_class=int(rng.integers(0, ds.n_classes)),
+                            beta=float(rng.choice([0.33, 1.0, 3.0])), n_clusters=3,
+                            params=params, plan=random_plan(rng, ds))
+    ids = draw_sample(ds, float(rng.choice([0.3, 0.6, 0.9])), seed, 0)
+    return ds, config, ids
+
+
+def assert_matches_reference(ds, config, rows):
+    """run_extraction(ds, config, rows=rows) takes the rounds reference_extract
+    takes on the plan's output for the same rows, cut from ds before the fit;
+    each cluster's rule reselects its rows of ds among the rows left."""
+    where = "full table" if rows is None else f"sample of {len(rows)} rows"
+    ids = np.arange(ds.row_count) if rows is None else rows
+    result = run_extraction(ds, config, rows=rows)
+    prepared, _ = apply_plan(subset(ds, ids), config.plan, config.target_class)
+    expected = reference_extract(prepared, config.params, config.target_class, config.beta,
+                                 config.n_clusters)
+    remaining = np.arange(len(ids))
+    for got, want in zip_longest(result.clusters, expected):
+        assert got is not None and want is not None, (
+            f"{where}: {len(result.clusters)} clusters, the reference takes {len(expected)}")
+        assert got.tree_index == want.tree_index, where
+        tree = result.trees[got.tree_index]
+        assert len(tree.nodes) == len(want.f_beta), f"{where}, round {want.tree_index}: tree size"
+        if got.node_id != want.node_id:
+            floats = {c.node_id: c.f_beta for c in rank_nodes(tree, config.target_class, config.beta)}
+            pytest.fail(
+                f"{where}, round {want.tree_index}: the float F-beta ranks node {got.node_id} "
+                f"first and the exact one node {want.node_id}; floats "
+                f"{floats[got.node_id]!r} vs {floats[want.node_id]!r}, exact "
+                f"{want.f_beta[got.node_id]} vs {want.f_beta[want.node_id]}")
+        assert set(got.row_ids.tolist()) == want.rows, f"{where}, round {want.tree_index}"
+        assert (got.tp, got.fp, got.fn) == (want.tp, want.fp, want.fn), where
+        rule = linearize_rule(tree, got.node_id, result.log, result.target_class)
+        reselected = apply_rule(rule, ds, rows=ids[remaining])
+        assert reselected.tolist() == sorted(ids[got.row_ids].tolist()), (where, rule.text())
+        remaining = np.setdiff1d(remaining, got.row_ids, assume_unique=True)
+
+
+class TestReferenceExtraction:
+    """Iterative extraction end to end, on the whole table and on a bagged
+    sample, against reference_extract: the same (tree, node) each round, the
+    same rows and counts, and rules that reselect them. The winner is the
+    first node in (F-beta descending, node id) order, and the property holds
+    that order to exact F-beta: a float tie that exact arithmetic breaks the
+    other way fails it and is named."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_equals_reference(self, seed, wide):
+        ds, config, ids = extraction_case(seed, wide)
+        assert_matches_reference(ds, config, None)
+        assert_matches_reference(ds, config, ids)
+
+    def test_cases_reach_every_path(self):
+        # the property's cases take one, two and three rounds, stop early with
+        # no node above 0, and rank nodes whose exact F-beta ties at the top
+        seen = set()
+        for seed in range(60):
+            for wide in (False, True):
+                ds, config, ids = extraction_case(seed, wide)
+                for rows in (np.arange(ds.row_count), ids):
+                    prepared, _ = apply_plan(subset(ds, rows), config.plan, config.target_class)
+                    rounds = reference_extract(prepared, config.params, config.target_class,
+                                               config.beta, config.n_clusters)
+                    seen.add(f"{len(rounds)} rounds")
+                    for r in rounds:
+                        if r.f_beta.count(r.f_beta[r.node_id]) > 1:
+                            seen.add("exact tie at the top")
+        assert seen == {"0 rounds", "1 rounds", "2 rounds", "3 rounds", "exact tie at the top"}

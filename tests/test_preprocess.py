@@ -4,6 +4,8 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtclust.dataset import Column, ColumnKind, Dataset, encode_column
 from dtclust.errors import ConfigError, DataError
@@ -21,7 +23,7 @@ from dtclust.preprocess import (
     jaro_winkler,
 )
 
-from helpers import city_dataset
+from helpers import city_dataset, random_dataset, random_plan, reference_log_dict, subset
 
 
 def numeric_column(values, name="v"):
@@ -252,9 +254,8 @@ class TestCodeMap:
     def test_dropped_code_stays_dropped_through_later_steps(self):
         # code 2 falls in no kept bin; the reordering after the binning must
         # not read -1 as an index into its permutation
-        binning = BinningSpec("numeric-equal-width", 3,
-                              (Bin(1, range(1, 2), "a"), Bin(2, range(3, 4), "c")),
-                              np.array([0, 1, -1, 2], dtype=np.int32))
+        binning = BinningSpec("numeric-equal-width", 3, np.array([0, 1, -1, 2], dtype=np.int32),
+                              lambda: (Bin(1, range(1, 2), "a"), Bin(2, range(3, 4), "c")))
         source = Column("v", ColumnKind.NUMERIC, np.array([1, 2, 3], dtype=np.int32),
                         ("a", "b", "c"), np.arange(3.0))
         entry = ColumnLog(source, [binning, OrdinalEncoding(np.array([0, 2, 1]))],
@@ -356,3 +357,114 @@ class TestApplyPlan:
                               high_cardinality_threshold=42)
         again = PreprocessPlan.from_dict(plan.to_dict())
         assert again == plan
+
+
+def sample_case(seed, wide):
+    """A random table, plan and target class, and row ids to fit on: a sample
+    of any size, now and then shuffled, and now and then with one column
+    missing on every sampled row (so an ordered column's binning is skipped)."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, max_rows=150, max_cols=5, wide_column=wide)
+    plan = random_plan(rng, ds)
+    target = int(rng.integers(0, ds.n_classes))
+    ids = np.sort(rng.choice(ds.row_count, size=int(rng.integers(1, ds.row_count + 1)),
+                             replace=False))
+    if rng.random() < 0.2:
+        rng.shuffle(ids)
+    if rng.random() < 0.3:
+        j = int(rng.integers(0, len(ds.columns)))
+        col = ds.columns[j]
+        codes = col.codes.copy()
+        codes[ids] = 0
+        blanked = Column(col.name, col.kind, codes, col.dictionary, col.values, col.pattern)
+        ds = Dataset(ds.columns[:j] + (blanked,) + ds.columns[j + 1:], ds.labels, ds.class_names)
+    return ds, plan, target, ids
+
+
+def compact(ds):
+    """ds with each numeric and datetime column's dictionary cut to the values its rows hold."""
+    cols = []
+    for col in ds.columns:
+        if col.values is None:
+            cols.append(col)
+            continue
+        present = np.flatnonzero(np.bincount(col.codes, minlength=col.n_values + 1)[1:]) + 1
+        recode = np.zeros(col.n_values + 1, dtype=np.int32)
+        recode[present] = np.arange(1, present.size + 1)
+        cols.append(Column(col.name, col.kind, recode[col.codes],
+                           tuple(col.dictionary[c - 1] for c in present), col.values[present - 1],
+                           col.pattern))
+    return Dataset(tuple(cols), ds.labels, ds.class_names)
+
+
+def step_kinds(log):
+    return {name: [type(step).__name__ for step in entry.steps] for name, entry in log.entries.items()}
+
+
+class TestSamplePath:
+    """apply_plan(ds, plan, t, rows=ids) against apply_plan on a copy of ds cut
+    to those rows: the same columns, the same steps and the same record."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_equals_gathered_table(self, seed, wide):
+        ds, plan, target, ids = sample_case(seed, wide)
+        got, got_log = apply_plan(ds, plan, target, rows=ids)
+        gathered = subset(ds, ids)
+        want, want_log = apply_plan(gathered, plan, target)
+        assert got.labels.tolist() == want.labels.tolist()
+        assert got.class_names == want.class_names
+        assert got.column_names == want.column_names
+        for a, b in zip(got.columns, want.columns):
+            assert a.kind is b.kind, a.name
+            assert a.codes.dtype == b.codes.dtype, a.name
+            assert a.codes.tolist() == b.codes.tolist(), a.name
+            assert a.n_values == b.n_values, a.name
+            assert a.dictionary == b.dictionary, a.name
+            if b.values is None:
+                assert a.values is None, a.name
+            else:
+                assert a.values.tobytes() == b.values.tobytes(), a.name
+        assert step_kinds(got_log) == step_kinds(want_log)
+        assert got_log.dropped == want_log.dropped
+        # the record built on first read equals one rebuilt eagerly from the code maps
+        assert got_log.to_dict() == reference_log_dict(got_log, gathered, got)
+        assert got_log.to_dict() == want_log.to_dict()
+        # the values a sample lacks move no edge: a binned numeric or datetime
+        # column gets the bins of the same rows with those values cut away
+        cut, _ = apply_plan(compact(gathered), plan, target)
+        for a, b in zip(got.columns, cut.columns):
+            if a.values is not None and got_log.entries[a.name].steps:
+                assert a.codes.tolist() == b.codes.tolist(), a.name
+                assert a.values.tobytes() == b.values.tobytes(), a.name
+
+    def test_cases_reach_every_path(self):
+        seen = set()
+        for seed in range(80):
+            for wide in (False, True):
+                ds, plan, target, ids = sample_case(seed, wide)
+                _, log = apply_plan(ds, plan, target, rows=ids)
+                sample = subset(ds, ids)
+                for col, part in zip(ds.columns, sample.columns):
+                    if set(col.codes.tolist()) - set(part.codes.tolist()) - {0}:
+                        seen.add("code absent from the sample")
+                    if col.name == "wide":
+                        seen.add("wide column")
+                    entry = log.entries.get(col.name)
+                    if entry is None:
+                        seen.add("dropped")
+                        continue
+                    binnings = [s for s in entry.steps if isinstance(s, BinningSpec)]
+                    seen.update(s.method for s in binnings)
+                    if plan.directive(col) is not None and not binnings:
+                        assert not part.codes.any()
+                        seen.add("skipped binning")
+                    if any((s.code_map < 0).any() for s in binnings):
+                        seen.add("empty bin dropped")
+                    if binnings and isinstance(entry.steps[-1], OrdinalEncoding):
+                        seen.add("reordered after binning")
+        assert seen == {"code absent from the sample", "wide column", "dropped", "skipped binning",
+                        "empty bin dropped", "reordered after binning",
+                        "numeric-percentile", "numeric-equal-width", "datetime-frequency",
+                        "datetime-equal-width", "symbolic-frequency", "symbolic-equal-width",
+                        "symbolic-similarity"}

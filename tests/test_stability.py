@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust import pipeline
+from dtclust import pipeline, stability
 from dtclust.errors import ConfigError, DataError
 from dtclust.pipeline import PipelineConfig, run_extraction
+from dtclust.preprocess import BinningSpec, OrdinalEncoding, PreprocessPlan, apply_plan
 from dtclust.stability import StabilityParams, draw_sample, pairwise_score, stability_report
 from dtclust.synth import titanic_like
 from dtclust.tree import TrainParams
@@ -24,20 +25,23 @@ def liner():
 
 
 class TestDrawSample:
-    def test_full_fraction_is_identity(self, liner):
-        view, ids = draw_sample(liner, 1.0, seed=0, k=0)
-        assert view.row_count == liner.row_count
+    def test_full_fraction_is_every_row(self, liner):
+        ids = draw_sample(liner, 1.0, seed=0, k=0)
         assert list(ids) == list(range(liner.row_count))
 
     def test_half_fraction_cardinality(self, liner):
-        view, ids = draw_sample(liner, 0.5, seed=0, k=0)
-        assert view.row_count == 150
+        ids = draw_sample(liner, 0.5, seed=0, k=0)
         assert len(set(ids.tolist())) == 150
 
+    def test_ids_ascend_within_the_table(self, liner):
+        ids = draw_sample(liner, 0.4, seed=9, k=1)
+        assert np.all(np.diff(ids) > 0)
+        assert 0 <= ids[0] and ids[-1] < liner.row_count
+
     def test_deterministic_per_seed_and_index(self, liner):
-        _, a = draw_sample(liner, 0.6, seed=4, k=2)
-        _, b = draw_sample(liner, 0.6, seed=4, k=2)
-        _, c = draw_sample(liner, 0.6, seed=4, k=3)
+        a = draw_sample(liner, 0.6, seed=4, k=2)
+        b = draw_sample(liner, 0.6, seed=4, k=2)
+        c = draw_sample(liner, 0.6, seed=4, k=3)
         assert list(a) == list(b)
         assert list(a) != list(c)
 
@@ -48,8 +52,10 @@ class TestDrawSample:
             draw_sample(liner, 1.5, 0, 0)
 
     def test_labels_follow_rows(self, liner):
-        view, ids = draw_sample(liner, 0.4, seed=9, k=1)
-        assert list(view.labels) == list(liner.labels[ids])
+        ids = draw_sample(liner, 0.4, seed=9, k=1)
+        prepared, _ = apply_plan(liner, PreprocessPlan(), liner.class_code("survived"), rows=ids)
+        assert prepared.row_count == ids.size
+        assert list(prepared.labels) == list(liner.labels[ids])
 
 
 def set_pairwise_score(c_rows, c_prime_rows, sample_rows):
@@ -111,6 +117,13 @@ class TestPairwiseScore:
             assert pairwise_score(c, c_prime, sample) == set_pairwise_score(c, c_prime, sample)
 
 
+def step_counts(log):
+    """Columns binned and columns reordered in a transform log."""
+    entries = log.entries.values()
+    return (sum(any(isinstance(s, BinningSpec) for s in e.steps) for e in entries),
+            sum(any(isinstance(s, OrdinalEncoding) for s in e.steps) for e in entries))
+
+
 class TestStabilityReport:
     def make_config(self):
         return PipelineConfig(target_class="survived", beta=0.5, n_clusters=2,
@@ -145,20 +158,38 @@ class TestStabilityReport:
             assert cluster.per_sample == (1.0, 1.0)
 
     def test_samples_fit_through_pipeline_module(self, liner, monkeypatch):
-        # stability_report must look run_extraction up on dtclust.pipeline at
-        # call time: a wrapper installed there has to see every sample's fit
-        config = self.make_config()
+        # draw_sample, run_extraction and apply_plan are each looked up on the
+        # module that calls them, at call time, once per sample: a wrapper
+        # installed there (as a traced benchmark run installs one) sees every
+        # sample, and the log apply_plan returns records every sample's steps
+        config = replace(self.make_config(), plan=PreprocessPlan(numeric_bins=4))
         result = run_extraction(liner, config)
-        calls = []
+        calls = {"draw_sample": [], "run_extraction": [], "apply_plan": []}
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return run_extraction(*args, **kwargs)
+        def spy(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(pipeline, "run_extraction", counting)
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                calls[name].append((args, kwargs, out))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(stability, "draw_sample")
+        spy(pipeline, "run_extraction")
+        spy(pipeline, "apply_plan")
         stability_report(liner, result.clusters, config,
                          StabilityParams(n_samples=3, fraction=0.8, seed=0))
-        assert len(calls) == 3
+        assert [len(c) for c in calls.values()] == [3, 3, 3]
+        steps = step_counts(result.log)
+        assert all(steps)
+        for (_, _, ids), (fit_args, fit_kwargs, _), (plan_args, plan_kwargs, (prepared, log)) in zip(
+                *calls.values()):
+            assert fit_args[0] is liner and fit_kwargs["rows"] is ids
+            assert plan_args[0] is liner and plan_kwargs["rows"] is ids
+            assert prepared.row_count == ids.size
+            assert step_counts(log) == steps
 
     def test_reproducible(self, liner):
         config = self.make_config()
@@ -177,8 +208,9 @@ class TestStabilityReport:
             assert all(0.0 <= s <= 1.0 for s in cluster.per_sample)
             assert cluster.min <= cluster.mean <= cluster.max
         # max property: recompute one sample by hand and compare
-        view, ids = draw_sample(liner, 0.7, seed=1, k=0)
-        sample_result = run_extraction(view, replace(config, n_clusters=len(result.clusters)))
+        ids = draw_sample(liner, 0.7, seed=1, k=0)
+        sample_result = run_extraction(liner, replace(config, n_clusters=len(result.clusters)),
+                                       rows=ids)
         sample_clusters = [ids[c.row_ids] for c in sample_result.clusters]
         for i, original in enumerate(result.clusters):
             scores = [pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters]
