@@ -7,6 +7,11 @@ modes exist: taking several unrelated nodes from a single tree, and the
 stronger iterative mode that removes the best node's rows and retrains so the
 next tree can dedicate its full depth to what remains.
 
+Iterative extraction can grow partial trees (clusters_only) for a caller that
+reads only the clusters, as stability samples do: a node is split only while a
+node below it could still beat the round's best, which keeps every round's
+cluster.
+
 A cluster is a (tree_index, node_id) pair. Its rule is not part of extraction:
 linearize_rule decodes the node's root path when a report needs the rule,
 reading original codes off each column's ColumnLog.code_map().
@@ -42,7 +47,9 @@ class ClusterCandidate:
     """A tree node scored as a cluster of the target class.
 
     row_ids is the node's rows, a view of its tree's one row order: ascending
-    for a leaf, in partition order for an internal node.
+    for a leaf, in partition order for an internal node. A leaf of a partial
+    tree (extract_iterative's clusters_only) may be internal in the whole tree,
+    so only the set of rows is the same in both.
     """
 
     node_id: int
@@ -147,8 +154,40 @@ def select_from_single_tree(tree: DecisionTree, target_class: int, beta: float,
     return chosen
 
 
+def _can_win(target_class: int, beta: float, total: int):
+    """train's opens hook for one round: a node opens only when some node below
+    it could still have a greater exact F-beta than every node made so far.
+
+    A descendant holds at most the node's tp target rows among at least as
+    many rows, so with beta = a / c its F-beta, (a^2 + c^2) tp / (a^2 total +
+    c^2 size), is at most (a^2 + c^2) tp / (a^2 total + c^2 tp). Both sides are
+    compared as integer ratios, without the common factor, as _exact_order
+    does. The round's winner keeps its rows and its place: each of its
+    ancestors has a bound of at least its F-beta and every earlier node a
+    smaller one, and a node whose bound only ties the best has no descendant
+    that could win the tie, which goes to the earlier node.
+    """
+    a, c = float(beta).as_integer_ratio()
+    base, c2 = a * a * total, c * c
+    best_tp, best_denom = 0, 1  # the best ratio so far
+
+    def opens(node: TreeNode) -> bool:
+        nonlocal best_tp, best_denom
+        tp = int(node.class_counts[target_class])
+        denom = base + c2 * node.samples
+        if tp * best_denom > best_tp * denom:
+            best_tp, best_denom = tp, denom
+        return tp * best_denom > best_tp * (base + c2 * tp)
+
+    return opens
+
+
 @dataclass(eq=False)
 class ExtractionOutcome:
+    """The rounds' clusters, and the tree each round trained. With
+    clusters_only, a tree is the whole tree cut below every node under which
+    no node could win its round."""
+
     clusters: list[ClusterCandidate]
     trees: list[DecisionTree]
 
@@ -159,6 +198,8 @@ def extract_iterative(
     target_class: int,
     beta: float,
     n_clusters: int,
+    *,
+    clusters_only: bool = False,
 ) -> ExtractionOutcome:
     """Extract up to n_clusters clusters by best-node removal and retraining.
 
@@ -166,6 +207,11 @@ def extract_iterative(
     the highest F-beta (scored against the remaining target-class count), then
     drops that node's rows. Stops early when the data runs out or no node
     scores above zero. Row ids always refer to the full dataset.
+
+    clusters_only grows each tree only below nodes that can still beat the best
+    node made so far (_can_win): the clusters, rows and scores are those of
+    whole trees, while the trees are partial and node ids differ from a whole
+    tree's. A caller that reads only the clusters' rows sets it.
     """
     if n_clusters < 1:
         raise ConfigError("n_clusters must be >= 1")
@@ -184,7 +230,8 @@ def extract_iterative(
         total = int((ds.labels[remaining] == target_class).sum())
         if total == 0:
             break
-        tree = train(ds, params, rows=remaining, layout=layout)
+        opens = _can_win(target_class, beta, total) if clusters_only else None
+        tree = train(ds, params, rows=remaining, layout=layout, opens=opens)
         trees.append(tree)
 
         cand = rank_nodes(tree, target_class, beta, tree_index)[0]
@@ -230,39 +277,44 @@ def linearize_rule(tree: DecisionTree, node_id: int, transform_log: TransformLog
     for attr, (entry, final, passes) in decoded.items():
         reachable = final >= 0
         reachable[0] = entry.source.has_missing
-        pred = _predicate_from_codes(attr, set(np.flatnonzero(passes & reachable).tolist()),
-                                     set(np.flatnonzero(reachable).tolist()), entry)
+        pred = _predicate_from_codes(attr, passes & reachable, reachable, entry)
         if pred is not None:
             predicates.append(pred)
     return Rule(tuple(predicates), target_class)
 
 
-def _predicate_from_codes(attr: str, allowed: set[int], reachable: set[int],
+def _predicate_from_codes(attr: str, allowed: np.ndarray, reachable: np.ndarray,
                           entry: ColumnLog) -> Predicate | None:
-    # missing (0) is reachable exactly when the source column has missing cells
-    universe = set(range(1, entry.source.n_values + 1)) | (reachable & {0})
-    if allowed >= universe:
+    """The test on one attribute that passes the allowed original codes, or None
+    when it passes every code. allowed and reachable are masks over the original
+    codes 0..n_values: the codes that pass the path's tests, and those the
+    column's transforms can reach (missing, 0, exactly when the source column
+    has missing cells); allowed is within reachable."""
+    # the universe is every value, and missing when it is reachable
+    outside = ~allowed
+    outside[0] &= reachable[0]
+    if not outside.any():
         return None
     if entry.source.kind in (ColumnKind.NUMERIC, ColumnKind.DATETIME):
         return _ordered_predicate(attr, allowed, reachable, entry)
-    return _set_predicate(attr, allowed, universe, entry)
+    return _set_predicate(attr, allowed, outside, entry)
 
 
-def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
+def _ordered_predicate(attr: str, allowed: np.ndarray, reachable: np.ndarray,
                        entry: ColumnLog) -> Predicate:
     source = entry.source
-    codes = sorted(allowed - {0})
-    if not codes:
+    codes = np.flatnonzero(allowed[1:]) + 1
+    if not codes.size:
         return SetTest(attr, (MISSING,))
+    lo_code, hi_code = int(codes[0]), int(codes[-1])
     # codes unrepresentable by the transform chain (dropped empty bins) carry no
     # rows, so the interval hull absorbs them; reachable gaps would be a bug
-    gaps = set(range(codes[0], codes[-1] + 1)) - allowed
-    if gaps & reachable:
+    gaps = np.flatnonzero(reachable[lo_code:hi_code + 1] & ~allowed[lo_code:hi_code + 1])
+    if gaps.size:
         raise InternalError(
             f"non-contiguous code range for ordered column {attr!r}: "
-            f"reachable gap codes {sorted(gaps & reachable)}"
+            f"reachable gap codes {(gaps + lo_code).tolist()}"
         )
-    lo_code, hi_code = codes[0], codes[-1]
 
     def bound(code: int) -> Bound:
         return Bound(float(source.values[code - 1]), source.dictionary[code - 1])
@@ -272,12 +324,13 @@ def _ordered_predicate(attr: str, allowed: set[int], reachable: set[int],
     if lo is None and hi is None:
         # every value passes: only the missing sentinel is excluded
         return SetTest(attr, (MISSING,), negated=True)
-    return RangeTest(attr, lo, hi, include_missing=0 in allowed)
+    return RangeTest(attr, lo, hi, include_missing=bool(allowed[0]))
 
 
-def _set_predicate(attr: str, allowed: set[int], universe: set[int], entry: ColumnLog) -> SetTest:
-    complement = universe - allowed
-    negated = len(complement) < len(allowed)
-    codes = sorted(complement if negated else allowed)
+def _set_predicate(attr: str, allowed: np.ndarray, complement: np.ndarray,
+                   entry: ColumnLog) -> SetTest:
+    allowed_codes, complement_codes = np.flatnonzero(allowed), np.flatnonzero(complement)
+    negated = complement_codes.size < allowed_codes.size
+    codes = (complement_codes if negated else allowed_codes).tolist()
     return SetTest(attr, tuple(MISSING if c == 0 else entry.source.dictionary[c - 1] for c in codes),
                    negated)

@@ -59,7 +59,8 @@ class ExtractionResult:
     only those rows, in that order. Trees and cluster row ids index prepared.
     Without rows they are row ids of source; with rows, row id r of prepared
     is row rows[r] of source, so a cluster's rows in source are
-    rows[cluster.row_ids].
+    rows[cluster.row_ids]. With clusters_only the trees are partial (see
+    extract_iterative): they hold every cluster, but are not the whole trees.
     """
 
     source: Dataset
@@ -71,12 +72,14 @@ class ExtractionResult:
     trees: list[DecisionTree]
 
 
-def run_extraction(ds: Dataset, config: PipelineConfig,
-                   rows: np.ndarray | None = None) -> ExtractionResult:
+def run_extraction(ds: Dataset, config: PipelineConfig, rows: np.ndarray | None = None, *,
+                   clusters_only: bool = False) -> ExtractionResult:
     """Apply the preprocessing plan, then extract clusters by node removal.
 
     rows, when given, fit everything on those row ids of ds alone (a bagged
     sample); see ExtractionResult for what the result's row ids then mean.
+    clusters_only is extract_iterative's: the same clusters from partial trees,
+    for a caller that reads no tree.
     """
     target = ds.class_code(config.target_class)
     prepared, log = apply_plan(ds, config.plan, target, rows=rows)
@@ -86,6 +89,7 @@ def run_extraction(ds: Dataset, config: PipelineConfig,
         target,
         beta=config.beta,
         n_clusters=config.n_clusters,
+        clusters_only=clusters_only,
     )
     return ExtractionResult(ds, prepared, log, target, config.beta, outcome.clusters, outcome.trees)
 

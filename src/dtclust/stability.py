@@ -9,7 +9,10 @@ over samples (the cluster-wise bootstrap of Hennig, 2007).
 A sample is its sorted row ids. The table is never copied: each sample is fit
 with pipeline.run_extraction(ds, config, rows=ids), which prepares the sample
 from the one encoded table and logs its preparation warnings at DEBUG, since
-the fit on the whole table has already given them.
+the fit on the whole table has already given them. A sample reads only its
+clusters' rows, so it is fit with clusters_only: each tree grows only below
+nodes that can still beat the best node of its round, which gives the same
+clusters as whole trees.
 """
 
 from __future__ import annotations
@@ -143,7 +146,7 @@ def stability_report(ds: Dataset, clusters: Sequence[ClusterCandidate], config,
     for k in range(params.n_samples):
         ids = draw_sample(ds, params.fraction, params.seed, k)
         # looked up on the module at call time, so a wrapper installed there sees every fit
-        result = pipeline.run_extraction(ds, sample_config, rows=ids)
+        result = pipeline.run_extraction(ds, sample_config, rows=ids, clusters_only=True)
         sample_clusters = [ids[c.row_ids] for c in result.clusters]
         if not sample_clusters:
             log.warning("sample %d produced no clusters; scores set to 0", k)

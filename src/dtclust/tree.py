@@ -57,6 +57,7 @@ lowest class code. Node ids are breadth-first.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -431,7 +432,8 @@ def _best_in_level(group, hists, class_counts, impurities, params):
 # ---------------------------------------------------------------------------
 
 def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | None = None,
-          layout: tuple[_HistogramGroup, ...] | None = None) -> DecisionTree:
+          layout: tuple[_HistogramGroup, ...] | None = None, *,
+          opens: Callable[[TreeNode], bool] | None = None) -> DecisionTree:
     """Grow a tree level by level, breadth-first node ids.
 
     Each open node is searched with one best_split call. A group keeps the
@@ -448,6 +450,10 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
     DataError is raised when rows repeats an id or holds one outside
     0..row_count-1. rows is copied, never changed: the copy is the tree's row
     order. layout is histogram_layout(ds), built here when not given.
+    opens is an extra stopping rule: it is called once on each node as the node
+    is made, in node id order, and a node it refuses stays a leaf, so the tree
+    is the whole tree cut below the refused nodes (iterative extraction passes
+    one that refuses nodes under which no node can win the round).
     """
     if ds.labels is None:
         raise DataError("training requires a labelled dataset")
@@ -485,8 +491,9 @@ def train(ds: Dataset, params: TrainParams = TrainParams(), rows: np.ndarray | N
         return node
 
     def is_open(node: TreeNode) -> bool:
-        return (node.depth < params.max_depth and node.samples >= 2 * params.min_samples_leaf
-                and node.impurity != 0.0)
+        # opens sees every node, closed by the other rules or not
+        return ((opens is None or opens(node)) and node.depth < params.max_depth
+                and node.samples >= 2 * params.min_samples_leaf and node.impurity != 0.0)
 
     if layout is None:
         layout = histogram_layout(ds)

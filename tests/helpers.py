@@ -5,7 +5,8 @@ per pivot, scalar impurity formulas) so the trainer's vectorized search can be
 checked against an independent computation. The reference extraction grows
 whole trees from that oracle and runs iterative extraction on exact fractions
 and Python sets; the reference transform record rebuilds a fit's bins
-eagerly. The reference encoder and the reference profile do the same for
+eagerly, and the reference rule decodes a node's path on Python sets of
+codes. The reference encoder and the reference profile do the same for
 ingest: one Python float()/strptime call per cell per step, and every
 category of every column. The reference CSV reader
 keeps every row as a list and transposes them, as the loader no longer does.
@@ -616,6 +617,69 @@ def reference_original_codes(final_codes: set[int], entry) -> set[int]:
         if keep_missing:
             codes.add(0)
     return codes
+
+
+def reference_predicate(attr: str, allowed: set[int], reachable: set[int], entry):
+    """The test extract._predicate_from_codes builds, from Python sets of
+    original codes: those that pass the path's tests (allowed) and those the
+    column's transforms can reach (reachable, 0 when the source has missing
+    cells). None when every code of the universe passes; a reachable code
+    inside an ordered column's hull that does not pass is an InternalError."""
+    from dtclust.errors import InternalError
+    from dtclust.rules import MISSING, Bound, RangeTest, SetTest
+
+    source = entry.source
+    universe = set(range(1, source.n_values + 1)) | (reachable & {0})
+    if allowed >= universe:
+        return None
+    if source.kind not in (ColumnKind.NUMERIC, ColumnKind.DATETIME):
+        complement = universe - allowed
+        negated = len(complement) < len(allowed)
+        codes = sorted(complement if negated else allowed)
+        return SetTest(attr, tuple(MISSING if c == 0 else source.dictionary[c - 1] for c in codes),
+                       negated)
+    codes = sorted(allowed - {0})
+    if not codes:
+        return SetTest(attr, (MISSING,))
+    gaps = set(range(codes[0], codes[-1] + 1)) - allowed
+    if gaps & reachable:
+        raise InternalError(
+            f"non-contiguous code range for ordered column {attr!r}: "
+            f"reachable gap codes {sorted(gaps & reachable)}"
+        )
+    lo_code, hi_code = codes[0], codes[-1]
+
+    def bound(code: int) -> Bound:
+        return Bound(float(source.values[code - 1]), source.dictionary[code - 1])
+
+    lo = bound(lo_code - 1) if lo_code > 1 else None
+    hi = bound(hi_code) if hi_code < source.n_values else None
+    if lo is None and hi is None:
+        return SetTest(attr, (MISSING,), negated=True)
+    return RangeTest(attr, lo, hi, include_missing=0 in allowed)
+
+
+def reference_rule(tree: DecisionTree, node_id: int, log, target_class: int):
+    """extract.linearize_rule on Python sets: per attribute on the node's root
+    path, in path order, the original codes whose final code passes every test
+    and that the transforms reach, made into a test by reference_predicate."""
+    from dtclust.rules import Rule
+
+    allowed: dict[str, set[int]] = {}
+    for split, went_left in tree.path(node_id):
+        final = log.for_column(split.attribute).code_map()
+        passing = set(np.flatnonzero(split.goes_left(final) == went_left).tolist())
+        allowed[split.attribute] = allowed.get(split.attribute, passing) & passing
+    predicates = []
+    for attr, codes in allowed.items():
+        entry = log.for_column(attr)
+        reachable = set(np.flatnonzero(entry.code_map() >= 0).tolist()) - {0}
+        if entry.source.has_missing:
+            reachable.add(0)
+        pred = reference_predicate(attr, codes & reachable, reachable, entry)
+        if pred is not None:
+            predicates.append(pred)
+    return Rule(tuple(predicates), target_class)
 
 
 def reference_log_dict(log, fitted: Dataset, prepared: Dataset) -> dict:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from dtclust.dataset import ColumnKind, Dataset
 from dtclust.errors import ConfigError, DataError, InternalError
 from dtclust.extract import (
+    _can_win,
     _ordered_predicate,
     extract_iterative,
     fbeta_score,
@@ -22,10 +23,11 @@ from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import BinDirective, PreprocessPlan, apply_plan
 from dtclust.rules import MISSING, RangeTest, SetTest, apply_rule, rule_from_dict, rule_to_dict
 from dtclust.stability import draw_sample
-from dtclust.tree import TrainParams, train
+from dtclust.tree import DecisionTree, TrainParams, train
 
 from helpers import (
     city_dataset,
+    exact_fbeta,
     exact_tie_tree,
     identity_log,
     ordinal_symbolic_dataset,
@@ -34,6 +36,7 @@ from helpers import (
     reference_extract,
     reference_metric_tree,
     reference_original_codes,
+    reference_rule,
     selection_scenario_tree,
     single_split_tree,
     subset,
@@ -348,8 +351,61 @@ class TestLinearize:
         # codes {1, 3} with code 2 reachable cannot be one interval
         ds = ordinal_symbolic_dataset("grade", ("a", "b", "c"))
         entry = identity_log(ds).entries["grade"]
+        allowed = np.array([False, True, False, True])
+        reachable = np.array([False, True, True, True])
         with pytest.raises(InternalError, match=r"'grade'.*\[2\]"):
-            _ordered_predicate("grade", {1, 3}, {1, 2, 3}, entry)
+            _ordered_predicate("grade", allowed, reachable, entry)
+
+
+def linearize_case(seed, wide):
+    """A tree grown on a random plan's output for a bagged sample (most
+    fractions leave codes absent, so equal-width binning drops empty bins),
+    with the sample's log and a target class."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, max_rows=150, max_cols=5, wide_column=wide)
+    plan = random_plan(rng, ds)
+    target = int(rng.integers(0, ds.n_classes))
+    rows = draw_sample(ds, float(rng.choice([1.0, 0.3, 0.1])), seed, 0)
+    prepared, log = apply_plan(ds, plan, target, rows=rows)
+    return train(prepared, TrainParams(max_depth=int(rng.integers(1, 5)))), log, target
+
+
+class TestLinearizeOnArrays:
+    """linearize_rule decodes on masks of original codes; reference_rule
+    keeps the same logic on Python sets. Every node's rule is the same."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_equals_set_reference(self, seed, wide):
+        tree, log, target = linearize_case(seed, wide)
+        for node in tree.nodes:
+            assert linearize_rule(tree, node.id, log, target) == reference_rule(
+                tree, node.id, log, target), f"node {node.id}"
+
+    def test_cases_reach_every_path(self):
+        # the property's paths test columns with dropped empty bins and with
+        # missing cells, and give every kind of test
+        seen = set()
+        for seed in range(60):
+            for wide in (False, True):
+                tree, log, target = linearize_case(seed, wide)
+                for node in tree.nodes:
+                    attrs = {split.attribute for split, _ in tree.path(node.id)}
+                    for attr in attrs:
+                        entry = log.for_column(attr)
+                        if (entry.code_map() < 0).any():
+                            seen.add("dropped empty bin")
+                        if entry.source.has_missing:
+                            seen.add("missing cells")
+                    for pred in linearize_rule(tree, node.id, log, target).predicates:
+                        if isinstance(pred, RangeTest):
+                            seen.add("range with missing" if pred.include_missing else "range")
+                        elif MISSING in pred.values:
+                            seen.add("not missing" if pred.negated else "missing")
+                        else:
+                            seen.add("negated set" if pred.negated else "set")
+        assert seen == {"dropped empty bin", "missing cells", "range", "range with missing",
+                        "not missing", "missing", "negated set", "set"}
 
 
 class TestApplyRule:
@@ -638,3 +694,126 @@ class TestReferenceExtraction:
                         if r.f_beta.count(r.f_beta[r.node_id]) > 1:
                             seen.add("exact tie at the top")
         assert seen == {"0 rounds", "1 rounds", "2 rounds", "3 rounds", "exact tie at the top"}
+
+
+def clusters_only_case(seed, wide):
+    """A random table and pipeline config over the whole range of training
+    settings, and a bagged sample of its rows."""
+    rng = np.random.default_rng(seed)
+    ds = random_dataset(rng, max_rows=120, max_cols=5, wide_column=wide)
+    params = TrainParams(str(rng.choice(["gini", "entropy"])), max_depth=int(rng.integers(1, 7)),
+                         min_gain=float(rng.choice([0.0, 0.01])),
+                         min_samples_leaf=int(rng.integers(1, 4)))
+    config = PipelineConfig(target_class=int(rng.integers(0, ds.n_classes)),
+                            beta=float(rng.choice([0.1, 0.33, 1.0, 3.0, 10.0])), n_clusters=3,
+                            params=params, plan=random_plan(rng, ds))
+    ids = draw_sample(ds, float(rng.choice([0.3, 0.6, 0.9])), seed, 0)
+    return ds, config, ids
+
+
+def tree_map(part, whole):
+    """The whole tree's id of each node of the partial tree, by partial id.
+
+    The partial tree must be the whole tree cut below some nodes: the root
+    and every child of a split node of it are nodes of the whole tree with the
+    same rows and counts, a split node splits as in the whole tree, and the
+    nodes keep their breadth-first order."""
+    ids = [0]
+    for node in part.nodes:
+        assert node.id < len(ids), f"partial node {node.id} is no child of a kept split"
+        twin = whole.node(ids[node.id])
+        assert (node.depth, node.class_counts.tolist()) == (twin.depth, twin.class_counts.tolist())
+        assert np.sort(node.rows).tolist() == np.sort(twin.rows).tolist(), f"node {node.id}"
+        if node.split is not None:
+            assert (node.split.gain.hex(), node.split.column_index, node.split.pivot) == (
+                twin.split.gain.hex(), twin.split.column_index, twin.split.pivot), f"node {node.id}"
+            assert node.children == (len(ids), len(ids) + 1)
+            ids.extend(twin.children)
+    assert len(ids) == len(part.nodes)
+    assert ids == sorted(ids), "the partial tree's nodes are out of breadth-first order"
+    return ids
+
+
+def assert_clusters_only_exact(ds, config, rows):
+    """clusters_only takes the clusters whole trees give, and each of its
+    trees is a whole tree cut below some nodes; the clusters' rows are
+    reference_extract's too."""
+    where = "full table" if rows is None else f"sample of {len(rows)} rows"
+    whole = run_extraction(ds, config, rows=rows)
+    part = run_extraction(ds, config, rows=rows, clusters_only=True)
+    ids = np.arange(ds.row_count) if rows is None else rows
+    prepared, _ = apply_plan(subset(ds, ids), config.plan, config.target_class)
+    expected = reference_extract(prepared, config.params, config.target_class, config.beta,
+                                 config.n_clusters)
+    assert len(part.clusters) == len(whole.clusters) == len(expected), where
+    for got, want, ref in zip(part.clusters, whole.clusters, expected):
+        assert (got.tree_index, got.tp, got.fp, got.fn, got.size, got.f_beta.hex()) == (
+            want.tree_index, want.tp, want.fp, want.fn, want.size, want.f_beta.hex()), where
+        assert np.sort(got.row_ids).tolist() == np.sort(want.row_ids).tolist(), where
+        assert set(got.row_ids.tolist()) == ref.rows, where
+    assert len(part.trees) == len(whole.trees), where
+    for p, w in zip(part.trees, whole.trees):
+        tree_map(p, w)
+
+
+class TestClustersOnly:
+    """Iterative extraction with clusters_only grows each tree only below the
+    nodes that can still beat the best node made so far; its rounds must be
+    those of whole trees, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+    def test_equals_whole_trees(self, seed, wide):
+        ds, config, ids = clusters_only_case(seed, wide)
+        assert_clusters_only_exact(ds, config, None)
+        assert_clusters_only_exact(ds, config, ids)
+
+    def test_cases_reach_every_path(self):
+        # the property's cases include rounds where the bound cuts nodes and
+        # where it cuts none, with beta above 1 among them, rounds whose top
+        # ties exactly, extractions that end before n_clusters, and a node
+        # refused because its bound only ties the best node made before it
+        seen = set()
+        for seed in range(40):
+            for wide in (False, True):
+                ds, config, ids = clusters_only_case(seed, wide)
+                for rows in (None, ids):
+                    whole = run_extraction(ds, config, rows=rows)
+                    part = run_extraction(ds, config, rows=rows, clusters_only=True)
+                    if len(part.clusters) < config.n_clusters:
+                        seen.add("ends early")
+                    for p, w, cluster in zip(part.trees, whole.trees, part.clusters):
+                        cut = len(p.nodes) < len(w.nodes)
+                        seen.add("cuts nodes" if cut else "cuts none")
+                        if cut and config.beta > 1:
+                            seen.add("cuts nodes, beta > 1")
+                        total = int(p.root.class_counts[config.target_class])
+                        scores = [exact_fbeta(int(n.class_counts[config.target_class]), n.samples,
+                                              total, config.beta) for n in w.nodes]
+                        if scores.count(max(scores)) > 1:
+                            seen.add("exact tie at the top")
+                        best, twins = 0, tree_map(p, w)
+                        for n in p.nodes:
+                            tp = int(n.class_counts[config.target_class])
+                            best = max(best, exact_fbeta(tp, n.samples, total, config.beta))
+                            if tp and exact_fbeta(tp, tp, total, config.beta) == best and n.is_leaf \
+                                    and w.node(twins[n.id]).split is not None:
+                                seen.add("bound ties the best")
+        assert seen == {"cuts nodes", "cuts none", "cuts nodes, beta > 1", "exact tie at the top",
+                        "ends early", "bound ties the best"}
+
+    def test_exact_tie_keeps_the_smaller_id(self):
+        # the root and node 4 both score F1 = 2/7; node 4 does not displace the
+        # root as the best so far, and the nodes a partial tree would make
+        # (those below opened nodes) rank the root first, as the whole tree does
+        tree = exact_tie_tree()
+        opens = _can_win(1, 1.0, 2)
+        made, opened = [], set()
+        for node in tree.nodes:
+            if node.parent is None or node.parent in opened:
+                made.append(node)
+                if opens(node):
+                    opened.add(node.id)
+        assert opened == {0, 1, 2, 4}
+        assert rank_nodes(DecisionTree(made, tree.params), 1, 1.0)[0].node_id == 0
+        assert rank_nodes(tree, 1, 1.0)[0].node_id == 0

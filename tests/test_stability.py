@@ -1,5 +1,6 @@
 """Bagged sampling and cluster stability scoring."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust import pipeline, stability
+from dtclust import cli, pipeline, stability
 from dtclust.errors import ConfigError, DataError
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import BinningSpec, OrdinalEncoding, PreprocessPlan, apply_plan
 from dtclust.stability import StabilityParams, draw_sample, pairwise_score, stability_report
-from dtclust.synth import titanic_like
-from dtclust.tree import TrainParams
+from dtclust.synth import titanic_like, write_csv
+from dtclust.tree import TrainParams, train
 
 from helpers import random_dataset, random_plan
 
@@ -157,28 +158,30 @@ class TestStabilityReport:
         for cluster in report.clusters:
             assert cluster.per_sample == (1.0, 1.0)
 
-    def test_samples_fit_through_pipeline_module(self, liner, monkeypatch):
+    def test_samples_fit_through_pipeline_module(self, liner, monkeypatch, tmp_path):
         # draw_sample, run_extraction and apply_plan are each looked up on the
         # module that calls them, at call time, once per sample: a wrapper
         # installed there (as a traced benchmark run installs one) sees every
-        # sample, and the log apply_plan returns records every sample's steps
+        # sample, and the log apply_plan returns records every sample's steps.
+        # A sample reads only its clusters, so it grows partial trees
+        # (clusters_only); the main fit's trees in report.json stay whole
         config = replace(self.make_config(), plan=PreprocessPlan(numeric_bins=4))
         result = run_extraction(liner, config)
         calls = {"draw_sample": [], "run_extraction": [], "apply_plan": []}
 
-        def spy(module, name):
+        def spy(module, name, record):
             real = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 out = real(*args, **kwargs)
-                calls[name].append((args, kwargs, out))
+                record.append((args, kwargs, out))
                 return out
 
             monkeypatch.setattr(module, name, wrapper)
 
-        spy(stability, "draw_sample")
-        spy(pipeline, "run_extraction")
-        spy(pipeline, "apply_plan")
+        for module, name in ((stability, "draw_sample"), (pipeline, "run_extraction"),
+                             (pipeline, "apply_plan")):
+            spy(module, name, calls[name])
         stability_report(liner, result.clusters, config,
                          StabilityParams(n_samples=3, fraction=0.8, seed=0))
         assert [len(c) for c in calls.values()] == [3, 3, 3]
@@ -187,9 +190,36 @@ class TestStabilityReport:
         for (_, _, ids), (fit_args, fit_kwargs, _), (plan_args, plan_kwargs, (prepared, log)) in zip(
                 *calls.values()):
             assert fit_args[0] is liner and fit_kwargs["rows"] is ids
+            assert fit_kwargs["clusters_only"] is True
             assert plan_args[0] is liner and plan_kwargs["rows"] is ids
             assert prepared.row_count == ids.size
             assert step_counts(log) == steps
+
+        # the same through the stability command: the main fit (cli's own
+        # run_extraction) grows whole trees, which report.json holds
+        csv = tmp_path / "liner.csv"
+        write_csv(liner, str(csv), label_column="survived")
+        main_fits = []
+        spy(cli, "run_extraction", main_fits)
+        for record in calls.values():
+            record.clear()
+        out = tmp_path / "out"
+        assert cli.main(["stability", "--input", str(csv), "--label", "survived",
+                         "--class", "survived", "--beta", "0.5", "--clusters", "2",
+                         "--depth", "3", "--bins", "4", "--samples", "3", "--out", str(out)]) == 0
+        # apply_plan prepares the main fit too
+        assert [len(c) for c in calls.values()] == [3, 3, 4]
+        assert all(kwargs["clusters_only"] is True for _, kwargs, _ in calls["run_extraction"])
+        (_, kwargs, fit), = main_fits
+        assert not kwargs.get("clusters_only", False)
+        trees = json.loads((out / "report.json").read_text())["trees"]
+        assert len(trees) == len(fit.trees) >= 2
+        remaining = np.arange(fit.prepared.row_count)
+        for k, tree_dict in enumerate(trees):
+            whole = train(fit.prepared, fit.trees[k].params, rows=remaining)
+            assert json.loads(json.dumps(whole.to_dict())) == tree_dict, f"tree {k}"
+            if k < len(fit.clusters):
+                remaining = np.setdiff1d(remaining, whole.node(fit.clusters[k].node_id).rows)
 
     def test_reproducible(self, liner):
         config = self.make_config()

@@ -661,6 +661,48 @@ class TestTrain:
             TrainParams(min_gain=-0.1)
 
 
+def node_record(node):
+    return (node.id, node.depth, node.parent, node.children, node.rows.tolist(),
+            node.class_counts.tolist(), node.impurity.hex(), node.decision, split_bits(node.split))
+
+
+class TestOpensHook:
+    """train's opens hook: an extra stopping rule, called on every node made."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_called_once_per_node_made(self, seed):
+        ds, rows = tree_case(seed, wide=seed % 3 == 0, subset=seed % 2 == 0)
+        rng = np.random.default_rng(seed)
+        seen, refused = [], set()
+
+        def opens(node):
+            seen.append(node)
+            if rng.random() < 0.3:
+                refused.add(node.id)
+                return False
+            return True
+
+        tree = train(ds, TrainParams(max_depth=4), rows=rows, opens=opens)
+        assert len(seen) == len(tree.nodes)
+        assert all(got is node for got, node in zip(seen, tree.nodes))
+        assert all(tree.node(i).is_leaf for i in refused)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_always_open_is_no_hook(self, seed):
+        ds, rows = tree_case(seed, wide=seed % 3 == 0, subset=seed % 2 == 0)
+        params = TrainParams(max_depth=4, min_samples_leaf=1 + seed % 3)
+        whole = train(ds, params, rows=rows)
+        hooked = train(ds, params, rows=rows, opens=lambda node: True)
+        assert [node_record(n) for n in hooked.nodes] == [node_record(n) for n in whole.nodes]
+
+    def test_never_open_is_root_only(self):
+        ds, rows = tree_case(3, wide=False, subset=True)
+        tree = train(ds, TrainParams(max_depth=4), rows=rows, opens=lambda node: False)
+        assert len(tree.nodes) == 1 and tree.root.is_leaf
+        assert tree.root.rows.tolist() == rows.tolist()
+        assert len(train(ds, TrainParams(max_depth=4), rows=rows).nodes) > 1
+
+
 class TestToDot:
     def test_single_leaf(self):
         ds = ordinal_dataset([1, 2], [0, 0], n_classes=1)
