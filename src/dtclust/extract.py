@@ -19,9 +19,9 @@ reading original codes off each column's ColumnLog.code_map().
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,10 +32,15 @@ from .rules import MISSING, Bound, Predicate, RangeTest, Rule, SetTest
 from .tree import DecisionTree, TrainParams, TreeNode, histogram_layout, train
 
 
+def check_beta(beta: float) -> None:
+    """Raise ConfigError unless beta > 0 and beta * beta is finite, so F-beta is never NaN."""
+    if not (beta > 0 and math.isfinite(beta * beta)):
+        raise ConfigError(f"beta must be finite and > 0, with beta*beta finite, got {beta}")
+
+
 def fbeta_score(precision: float, recall: float, beta: float) -> float:
     """Harmonic F-measure; recall weighted beta times as heavily as precision."""
-    if not 0 < beta < math.inf:
-        raise ConfigError(f"beta must be finite and > 0, got {beta}")
+    check_beta(beta)
     denom = beta * beta * precision + recall
     if denom == 0:
         return 0.0
@@ -86,44 +91,54 @@ def _candidate(node: TreeNode, tree_index: int, target_class: int, beta: float,
     )
 
 
+class _RoundBest:
+    """F-beta's exact order on one round's nodes, and the round's best node.
+
+    With beta = a / c, a node holding tp of the round's total target rows among
+    size rows has F-beta (a^2 + c^2) tp / (a^2 total + c^2 size), so nodes
+    order as the integer ratio tp / denominator(size).
+
+    offer(node) keeps the best node offered so far, ties to the earlier one,
+    and is train's opens hook: a node opens only when some node below it could
+    still beat that best. A descendant holds at most the node's tp target rows
+    among at least as many rows, so its ratio is at most tp / denominator(tp).
+    The round's winner keeps its rows and its place: each of its ancestors has
+    a bound of at least its F-beta and every earlier node a smaller one, and a
+    node whose bound only ties the best has no descendant that could win the
+    tie, which goes to the earlier node.
+    """
+
+    def __init__(self, target_class: int, beta: float, total: int) -> None:
+        a, c = float(beta).as_integer_ratio()
+        self._target, self._base, self._c2 = target_class, a * a * total, c * c
+        self.node: TreeNode | None = None
+        self._tp, self._denom = 0, 1  # the best node's ratio
+
+    def denominator(self, size: int) -> int:
+        return self._base + self._c2 * size
+
+    def offer(self, node: TreeNode) -> bool:
+        tp = int(node.class_counts[self._target])
+        denom = self.denominator(node.samples)
+        if tp * self._denom > self._tp * denom:
+            self.node, self._tp, self._denom = node, tp, denom
+        return tp * self._denom > self._tp * self.denominator(tp)
+
+
 def rank_nodes(tree: DecisionTree, target_class: int, beta: float,
                tree_index: int = 0) -> list[ClusterCandidate]:
-    """All nodes of the tree as candidates, best F-beta first (ties: smaller id).
-
-    The order is that of the exact F-beta, ties included. The floats sort the
-    candidates; a float is within a few ulps of its exact value, so only a run
-    of positive floats within 1e-9 of each other can hide an exact tie or a
-    swapped pair, and each such run is re-sorted on exact integers.
-    """
+    """All nodes of the tree as candidates, best exact F-beta first (ties: smaller id)."""
     total = int(tree.root.class_counts[target_class])
     if total <= 0:
         raise DataError("tree's training data holds no rows of the target class")
-    candidates = [_candidate(n, tree_index, target_class, beta, total) for n in tree.nodes]
-    candidates.sort(key=lambda c: (-c.f_beta, c.node_id))
-    start = 0
-    for end in range(1, len(candidates) + 1):
-        if end < len(candidates) and candidates[end].f_beta >= candidates[start].f_beta * (1 - 1e-9):
-            continue
-        if end - start > 1 and candidates[start].f_beta > 0:
-            candidates[start:end] = sorted(candidates[start:end], key=_exact_order(total, beta))
-        start = end
-    return candidates
+    order = _RoundBest(target_class, beta, total)
 
+    def key(node: TreeNode) -> tuple[Fraction, int]:
+        tp = int(node.class_counts[target_class])
+        return -Fraction(tp, order.denominator(node.samples)), node.id
 
-def _exact_order(total: int, beta: float):
-    """Sort key of candidates by exact F-beta, descending, then node id.
-
-    With beta = a / c, F-beta = (1 + beta^2) tp / (beta^2 total + size), which
-    orders as the integer ratio tp c^2 / (a^2 total + c^2 size).
-    """
-    a, c = float(beta).as_integer_ratio()
-
-    def compare(x: ClusterCandidate, y: ClusterCandidate) -> int:
-        nx, dx = x.tp * c * c, a * a * total + c * c * x.size
-        ny, dy = y.tp * c * c, a * a * total + c * c * y.size
-        return (ny * dx - nx * dy) or (x.node_id - y.node_id)
-
-    return functools.cmp_to_key(compare)
+    return [_candidate(n, tree_index, target_class, beta, total)
+            for n in sorted(tree.nodes, key=key)]
 
 
 def select_from_single_tree(tree: DecisionTree, target_class: int, beta: float,
@@ -154,34 +169,6 @@ def select_from_single_tree(tree: DecisionTree, target_class: int, beta: float,
     return chosen
 
 
-def _can_win(target_class: int, beta: float, total: int):
-    """train's opens hook for one round: a node opens only when some node below
-    it could still have a greater exact F-beta than every node made so far.
-
-    A descendant holds at most the node's tp target rows among at least as
-    many rows, so with beta = a / c its F-beta, (a^2 + c^2) tp / (a^2 total +
-    c^2 size), is at most (a^2 + c^2) tp / (a^2 total + c^2 tp). Both sides are
-    compared as integer ratios, without the common factor, as _exact_order
-    does. The round's winner keeps its rows and its place: each of its
-    ancestors has a bound of at least its F-beta and every earlier node a
-    smaller one, and a node whose bound only ties the best has no descendant
-    that could win the tie, which goes to the earlier node.
-    """
-    a, c = float(beta).as_integer_ratio()
-    base, c2 = a * a * total, c * c
-    best_tp, best_denom = 0, 1  # the best ratio so far
-
-    def opens(node: TreeNode) -> bool:
-        nonlocal best_tp, best_denom
-        tp = int(node.class_counts[target_class])
-        denom = base + c2 * node.samples
-        if tp * best_denom > best_tp * denom:
-            best_tp, best_denom = tp, denom
-        return tp * best_denom > best_tp * (base + c2 * tp)
-
-    return opens
-
-
 @dataclass(eq=False)
 class ExtractionOutcome:
     """The rounds' clusters, and the tree each round trained. With
@@ -204,14 +191,14 @@ def extract_iterative(
     """Extract up to n_clusters clusters by best-node removal and retraining.
 
     Each round trains a tree on the rows not yet claimed, takes the node with
-    the highest F-beta (scored against the remaining target-class count), then
-    drops that node's rows. Stops early when the data runs out or no node
-    scores above zero. Row ids always refer to the full dataset.
+    the highest exact F-beta (scored against the remaining target-class count,
+    ties to the smaller id), then drops that node's rows. Stops early when no
+    target-class rows are left. Row ids always refer to the full dataset.
 
     clusters_only grows each tree only below nodes that can still beat the best
-    node made so far (_can_win): the clusters, rows and scores are those of
-    whole trees, while the trees are partial and node ids differ from a whole
-    tree's. A caller that reads only the clusters' rows sets it.
+    node made so far (_RoundBest.offer): the clusters, rows and scores are
+    those of whole trees, while the trees are partial and node ids differ from
+    a whole tree's. A caller that reads only the clusters' rows sets it.
     """
     if n_clusters < 1:
         raise ConfigError("n_clusters must be >= 1")
@@ -221,25 +208,26 @@ def extract_iterative(
     total_overall = int((ds.labels == target_class).sum())
 
     layout = histogram_layout(ds)
-    remaining = np.arange(ds.row_count)
+    unclaimed = np.ones(ds.row_count, dtype=bool)
     clusters: list[ClusterCandidate] = []
     trees: list[DecisionTree] = []
     for tree_index in range(n_clusters):
-        if len(remaining) == 0:
-            break
+        remaining = np.flatnonzero(unclaimed)
         total = int((ds.labels[remaining] == target_class).sum())
         if total == 0:
             break
-        opens = _can_win(target_class, beta, total) if clusters_only else None
-        tree = train(ds, params, rows=remaining, layout=layout, opens=opens)
+        best = _RoundBest(target_class, beta, total)
+        tree = train(ds, params, rows=remaining, layout=layout,
+                     opens=best.offer if clusters_only else None)
         trees.append(tree)
+        if not clusters_only:
+            for node in tree.nodes:
+                best.offer(node)
 
-        cand = rank_nodes(tree, target_class, beta, tree_index)[0]
-        if cand.f_beta <= 0:
-            break
+        cand = _candidate(best.node, tree_index, target_class, beta, total)
         cand.recall_overall = cand.tp / total_overall
         clusters.append(cand)
-        remaining = np.setdiff1d(remaining, cand.row_ids, assume_unique=True)
+        unclaimed[cand.row_ids] = False
     return ExtractionOutcome(clusters, trees)
 
 

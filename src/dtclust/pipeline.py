@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -10,7 +9,7 @@ import numpy as np
 from . import extract
 from .dataset import Dataset
 from .errors import ConfigError
-from .extract import ClusterCandidate, extract_iterative, fbeta_score
+from .extract import ClusterCandidate, check_beta, extract_iterative, fbeta_score
 from .preprocess import PreprocessPlan, TransformLog, apply_plan
 from .rules import render_rule_text, rule_to_dict
 from .tree import DecisionTree, TrainParams, impurity
@@ -34,8 +33,7 @@ class PipelineConfig:
     plan: PreprocessPlan = field(default_factory=PreprocessPlan)
 
     def __post_init__(self) -> None:
-        if not 0 < self.beta < math.inf:
-            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
+        check_beta(self.beta)
         if self.n_clusters < 0:
             raise ConfigError(f"--clusters must be >= 0, got {self.n_clusters}")
 

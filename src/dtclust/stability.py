@@ -4,7 +4,11 @@ Rerun the whole pipeline (preprocessing refit included) on N random samples of
 the rows; a cluster is stable when some cluster found on each sample covers
 nearly the same rows. Agreement is the Jaccard index of the two row sets
 restricted to the sample, maximized over the sample's clusters and averaged
-over samples (the cluster-wise bootstrap of Hennig, 2007).
+over samples (the cluster-wise bootstrap of Hennig, 2007). Each round of an
+extraction removes its rows, so both clusterings are disjoint: each row gets
+one label per clustering (the original clusters are labelled once per report),
+and one bincount over a sample's (original, sample) label pairs gives every
+intersection, so each sample is scored with one pairwise_score call.
 
 A sample is its sorted row ids. The table is never copied: each sample is fit
 with pipeline.run_extraction(ds, config, rows=ids), which prepares the sample
@@ -63,28 +67,36 @@ def draw_sample(ds: Dataset, fraction: float, seed: int, k: int) -> np.ndarray:
     return np.sort(rng.choice(n, size=m, replace=False))
 
 
-def pairwise_score(c_rows: np.ndarray, c_prime_rows: np.ndarray, sample_rows: np.ndarray) -> float:
-    """Jaccard agreement of an original cluster and a sample cluster on the sample rows.
+def cluster_labels(clusters: Sequence[np.ndarray], n_rows: int) -> np.ndarray:
+    """Each of n_rows rows' index in clusters, or len(clusters) for a row in none.
 
-    Both clusters are restricted to the sample; two empty restrictions count as
-    perfect agreement. Row sets are boolean masks over 0..max row id.
+    The clusters are disjoint, as extraction's are: each round removes its rows.
     """
-    ids = [np.asarray(r, dtype=np.intp) for r in (c_rows, c_prime_rows, sample_rows)]
-    size = max((int(r.max()) + 1 for r in ids if r.size), default=0)
+    labels = np.full(n_rows, len(clusters), dtype=np.intp)
+    for i, rows in enumerate(clusters):
+        labels[rows] = i
+    if np.count_nonzero(labels < len(clusters)) != sum(len(rows) for rows in clusters):
+        raise DataError("clusters share rows")
+    return labels
 
-    def mask(r: np.ndarray) -> np.ndarray:
-        out = np.zeros(size, dtype=bool)
-        out[r] = True
-        return out
 
-    c, c_prime, sample = (mask(r) for r in ids)
-    if (c_prime & ~sample).any():
-        raise DataError("sample cluster contains rows outside the sample")
-    c &= sample
-    union = np.count_nonzero(c | c_prime)
-    if union == 0:
-        return 1.0
-    return np.count_nonzero(c & c_prime) / union
+def pairwise_score(labels: np.ndarray, n_clusters: int, sample_rows: np.ndarray,
+                   sample_clusters: Sequence[np.ndarray]) -> np.ndarray:
+    """Jaccard agreement of every original cluster with every sample cluster, on the sample rows.
+
+    labels is cluster_labels of the n_clusters original clusters over the
+    table; sample_clusters are the sample's clusters as positions in
+    sample_rows. Both clusterings are disjoint, so one bincount over the
+    sample's (original, sample) label pairs counts every intersection. An
+    original cluster is restricted to the sample; two empty restrictions count
+    as perfect agreement. Returns the (n_clusters x len(sample_clusters)) matrix.
+    """
+    m = len(sample_clusters)
+    pairs = labels[sample_rows] * (m + 1) + cluster_labels(sample_clusters, len(sample_rows))
+    counts = np.bincount(pairs, minlength=(n_clusters + 1) * (m + 1)).reshape(n_clusters + 1, m + 1)
+    both = counts[:n_clusters, :m]
+    union = counts[:n_clusters].sum(axis=1, keepdims=True) + counts[:, :m].sum(axis=0) - both
+    return np.where(union == 0, 1.0, both / np.maximum(union, 1))
 
 
 @dataclass(frozen=True)
@@ -142,18 +154,16 @@ def stability_report(ds: Dataset, clusters: Sequence[ClusterCandidate], config,
         raise ConfigError("stability_report needs at least one extracted cluster")
 
     sample_config = replace(config, n_clusters=len(clusters))
+    labels = cluster_labels([c.row_ids for c in clusters], ds.row_count)
     scores = np.zeros((len(clusters), params.n_samples))
     for k in range(params.n_samples):
         ids = draw_sample(ds, params.fraction, params.seed, k)
         # looked up on the module at call time, so a wrapper installed there sees every fit
         result = pipeline.run_extraction(ds, sample_config, rows=ids, clusters_only=True)
-        sample_clusters = [ids[c.row_ids] for c in result.clusters]
-        if not sample_clusters:
+        if not result.clusters:
             log.warning("sample %d produced no clusters; scores set to 0", k)
             continue
-        for i, original in enumerate(clusters):
-            scores[i, k] = max(
-                pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters
-            )
+        scores[:, k] = pairwise_score(labels, len(clusters), ids,
+                                      [c.row_ids for c in result.clusters]).max(axis=1)
     per_cluster = tuple(ClusterStability(i, tuple(map(float, row))) for i, row in enumerate(scores))
     return StabilityReport(per_cluster, params)

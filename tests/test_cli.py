@@ -442,7 +442,7 @@ class TestExtractCommand:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
-        ("--beta", "nan"), ("--beta", "inf"), ("--beta", "0"), ("--beta", "-1"),
+        ("--beta", "nan"), ("--beta", "inf"), ("--beta", "0"), ("--beta", "-1"), ("--beta", "1e155"),
         ("--min-gain", "nan"), ("--min-gain", "inf"), ("--min-gain", "-1"),
     ])
     def test_non_finite_or_out_of_range_model_flag(self, tmp_path, capsys, flag, value):

@@ -1,5 +1,5 @@
 """Every demo script, and the README's library snippet and group-spec example, runs against the
-package in this checkout."""
+package in this checkout; the scripts run with pyproject.toml's warnings as errors."""
 
 import json
 import os
@@ -14,6 +14,14 @@ from dtclust.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# the builtin warning classes that pyproject.toml's filterwarnings makes errors,
+# made errors in each script's interpreter too
+WARNINGS_AS_ERRORS = [f"-Werror::{name}" for name in re.findall(
+    r'"error::(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8"))]
+
+
+def test_warnings_as_errors_read():
+    assert {"-Werror::DeprecationWarning", "-Werror::ResourceWarning"} <= set(WARNINGS_AS_ERRORS)
 
 
 def test_demos_exist():
@@ -23,7 +31,7 @@ def test_demos_exist():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    done = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
@@ -36,7 +44,7 @@ def test_readme_library_snippet(tmp_path):
     assert main(["synth", "--generate", "liner", "--out", str(tmp_path)]) == 0
     (tmp_path / "data.csv").rename(tmp_path / "passengers.csv")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, "-c", snippet], cwd=tmp_path, env=env,
+    done = subprocess.run([sys.executable, *WARNINGS_AS_ERRORS, "-c", snippet], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     rules = done.stdout.splitlines()

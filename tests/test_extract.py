@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from dtclust.dataset import ColumnKind, Dataset
 from dtclust.errors import ConfigError, DataError, InternalError
 from dtclust.extract import (
-    _can_win,
+    _RoundBest,
     _ordered_predicate,
     extract_iterative,
     fbeta_score,
@@ -88,9 +88,11 @@ class TestFbetaScore:
             f = fbeta_score(rng.random(), rng.random(), rng.uniform(0.05, 5))
             assert 0.0 <= f <= 1.0
 
-    def test_invalid_beta(self):
-        with pytest.raises(ConfigError):
-            fbeta_score(0.5, 0.5, 0.0)
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf"), 1e155])
+    def test_invalid_beta(self, beta):
+        # beta 1e155 is finite, but beta * beta is not, and F-beta would be NaN
+        with pytest.raises(ConfigError, match="beta must be finite"):
+            fbeta_score(0.5, 0.5, beta)
 
 
 class TestNodeFbeta:
@@ -132,6 +134,22 @@ class TestRankNodes:
         ranked = rank_nodes(tree, target_class=1, beta=1.0)
         assert [c.node_id for c in ranked[:2]] == [0, 4]
         assert ranked[1].f_beta > ranked[0].f_beta  # the floats alone would rank node 4 first
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), beta=st.sampled_from([1e-200, 0.33, 1e150]))
+    def test_order_is_exact(self, seed, beta):
+        # the order of exact_fbeta's Fractions, ties to the smaller id; at
+        # beta 1e-200 the float beta**2 is 0, so float F-beta is the precision
+        # alone, and at 1e150 it is 1e300
+        rng = np.random.default_rng(seed)
+        ds = random_dataset(rng, max_rows=120, max_cols=4)
+        tree = train(ds, TrainParams(max_depth=int(rng.integers(1, 5)),
+                                     min_samples_leaf=int(rng.choice([1, 3]))))
+        target = int(rng.choice(np.flatnonzero(tree.root.class_counts)))
+        total = int(tree.root.class_counts[target])
+        want = sorted(tree.nodes, key=lambda n: (
+            -exact_fbeta(int(n.class_counts[target]), n.samples, total, beta), n.id))
+        assert [c.node_id for c in rank_nodes(tree, target, beta)] == [n.id for n in want]
 
     def test_root_of_pure_tree_scores_one(self):
         ds = city_dataset()
@@ -807,13 +825,19 @@ class TestClustersOnly:
         # root as the best so far, and the nodes a partial tree would make
         # (those below opened nodes) rank the root first, as the whole tree does
         tree = exact_tie_tree()
-        opens = _can_win(1, 1.0, 2)
+        best = _RoundBest(1, 1.0, 2)
         made, opened = [], set()
         for node in tree.nodes:
             if node.parent is None or node.parent in opened:
                 made.append(node)
-                if opens(node):
+                if best.offer(node):
                     opened.add(node.id)
         assert opened == {0, 1, 2, 4}
+        assert best.node.id == 0
         assert rank_nodes(DecisionTree(made, tree.params), 1, 1.0)[0].node_id == 0
+        # a whole tree, offered in id order after training, keeps the root too
+        whole = _RoundBest(1, 1.0, 2)
+        for node in tree.nodes:
+            whole.offer(node)
+        assert whole.node.id == 0
         assert rank_nodes(tree, 1, 1.0)[0].node_id == 0

@@ -13,7 +13,13 @@ from dtclust import cli, pipeline, stability
 from dtclust.errors import ConfigError, DataError
 from dtclust.pipeline import PipelineConfig, run_extraction
 from dtclust.preprocess import BinningSpec, OrdinalEncoding, PreprocessPlan, apply_plan
-from dtclust.stability import StabilityParams, draw_sample, pairwise_score, stability_report
+from dtclust.stability import (
+    StabilityParams,
+    cluster_labels,
+    draw_sample,
+    pairwise_score,
+    stability_report,
+)
 from dtclust.synth import titanic_like, write_csv
 from dtclust.tree import TrainParams, train
 
@@ -61,8 +67,6 @@ class TestDrawSample:
 
 def set_pairwise_score(c_rows, c_prime_rows, sample_rows):
     """Reference formula: the same score from sorted-set operations."""
-    if np.setdiff1d(c_prime_rows, sample_rows).size:
-        raise DataError("sample cluster contains rows outside the sample")
     restricted = np.intersect1d(c_rows, sample_rows)
     union = np.union1d(restricted, c_prime_rows)
     if union.size == 0:
@@ -70,42 +74,76 @@ def set_pairwise_score(c_rows, c_prime_rows, sample_rows):
     return np.intersect1d(restricted, c_prime_rows).size / union.size
 
 
+def jaccard(originals, sample, sample_clusters, n_rows=None):
+    """pairwise_score of original clusters (row ids) against sample clusters
+    (positions in sample), the originals labelled over n_rows rows."""
+    if n_rows is None:
+        n_rows = max([sample.max(initial=-1)] + [c.max(initial=-1) for c in originals]) + 1
+    labels = cluster_labels(originals, n_rows)
+    return pairwise_score(labels, len(originals), sample, sample_clusters)
+
+
+def random_partition(rng, rows, n_parts):
+    """Disjoint clusters drawn from rows, some rows left in none."""
+    shuffled = rng.permutation(rows)[:int(rng.integers(0, len(rows) + 1))]
+    cuts = np.sort(rng.integers(0, len(shuffled) + 1, size=n_parts - 1))
+    return np.split(shuffled, cuts)
+
+
 class TestPairwiseScore:
     def test_identical_restricted_sets(self):
         sample = np.arange(10)
-        assert pairwise_score(np.array([1, 2, 3]), np.array([1, 2, 3]), sample) == 1.0
+        assert jaccard([np.array([1, 2, 3])], sample, [np.array([1, 2, 3])]).tolist() == [[1.0]]
 
     def test_disjoint_sets(self):
         sample = np.arange(10)
-        assert pairwise_score(np.array([1, 2]), np.array([3, 4]), sample) == 0.0
+        assert jaccard([np.array([1, 2])], sample, [np.array([3, 4])]).tolist() == [[0.0]]
 
     def test_direct_set_arithmetic(self):
         sample = np.arange(10)
-        score = pairwise_score(np.array([1, 2, 3]), np.array([2, 3, 4]), sample)
-        assert score == pytest.approx(0.5)
+        score = jaccard([np.array([1, 2, 3])], sample, [np.array([2, 3, 4])])
+        assert score.tolist() == [[pytest.approx(0.5)]]
 
     def test_restriction_to_sample(self):
-        # original cluster rows outside the sample do not count
+        # original cluster rows outside the sample do not count; the sample
+        # cluster's positions 1 and 2 are rows 1 and 2
         sample = np.array([0, 1, 2, 3])
-        score = pairwise_score(np.array([1, 2, 50, 60]), np.array([1, 2]), sample)
-        assert score == 1.0
+        assert jaccard([np.array([1, 2, 50, 60])], sample, [np.array([1, 2])]).tolist() == [[1.0]]
+
+    def test_sample_clusters_are_positions(self):
+        # positions 0 and 1 of the sample are rows 10 and 20
+        sample = np.array([10, 20, 30])
+        assert jaccard([np.array([10, 20])], sample, [np.array([0, 1])]).tolist() == [[1.0]]
+        assert jaccard([np.array([0, 1])], sample, [np.array([0, 1])], n_rows=31).tolist() == [[0.0]]
 
     def test_both_empty_is_one(self):
         sample = np.array([0, 1])
-        assert pairwise_score(np.array([5, 6]), np.array([], dtype=int), sample) == 1.0
+        assert jaccard([np.array([5, 6])], sample, [np.array([], dtype=int)]).tolist() == [[1.0]]
 
-    def test_sample_cluster_must_be_inside(self):
-        with pytest.raises(DataError):
-            pairwise_score(np.array([0]), np.array([99]), np.arange(10))
+    def test_matrix_shape(self):
+        # every original cluster against every sample cluster, none of them a
+        # sample cluster when the sample has none
+        sample = np.arange(12)
+        originals = [np.array([0, 1, 2]), np.array([6, 7]), np.array([11])]
+        score = jaccard(originals, sample, [np.array([0, 1]), np.array([6, 7, 8])])
+        assert score.tolist() == [[pytest.approx(2 / 3), 0.0], [0.0, pytest.approx(2 / 3)],
+                                  [0.0, 0.0]]
+        assert jaccard(originals, sample, []).shape == (3, 0)
+
+    def test_clusters_sharing_rows_are_refused(self):
+        with pytest.raises(DataError, match="clusters share rows"):
+            jaccard([np.array([1, 2]), np.array([2, 3])], np.arange(5), [np.array([0])])
+        with pytest.raises(DataError, match="clusters share rows"):
+            jaccard([np.array([1])], np.arange(5), [np.array([0, 1]), np.array([1])])
 
     def test_symmetric_after_restriction(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             sample = np.sort(rng.choice(100, size=60, replace=False))
-            a = np.intersect1d(rng.choice(100, size=30), sample)
-            b = np.intersect1d(rng.choice(100, size=30), sample)
-            assert pairwise_score(a, b, sample) == pytest.approx(
-                pairwise_score(b, a, sample), abs=1e-12)
+            a = np.unique(rng.integers(0, 60, size=30))
+            b = np.unique(rng.integers(0, 60, size=30))
+            assert jaccard([sample[a]], sample, [b], n_rows=100) == pytest.approx(
+                jaccard([sample[b]], sample, [a], n_rows=100), abs=1e-12)
 
     def test_equals_set_formula_randomized(self):
         rng = np.random.default_rng(17)
@@ -113,9 +151,13 @@ class TestPairwiseScore:
             n = int(rng.integers(1, 400))
             sample = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             # original clusters may reach past the sample and the largest sample id
-            c = rng.choice(n + 50, size=int(rng.integers(0, n + 1)))
-            c_prime = rng.choice(sample, size=int(rng.integers(0, len(sample) + 1)))
-            assert pairwise_score(c, c_prime, sample) == set_pairwise_score(c, c_prime, sample)
+            originals = random_partition(rng, np.arange(n + 50), int(rng.integers(1, 5)))
+            sample_clusters = random_partition(rng, np.arange(len(sample)), int(rng.integers(1, 5)))
+            score = jaccard(originals, sample, sample_clusters, n_rows=n + 50)
+            assert score.shape == (len(originals), len(sample_clusters))
+            for i, c in enumerate(originals):
+                for j, positions in enumerate(sample_clusters):
+                    assert score[i, j] == set_pairwise_score(c, sample[positions], sample)
 
 
 def step_counts(log):
@@ -243,7 +285,7 @@ class TestStabilityReport:
                                        rows=ids)
         sample_clusters = [ids[c.row_ids] for c in sample_result.clusters]
         for i, original in enumerate(result.clusters):
-            scores = [pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters]
+            scores = [set_pairwise_score(original.row_ids, rows, ids) for rows in sample_clusters]
             assert report.clusters[i].per_sample[0] == pytest.approx(max(scores), abs=1e-12)
 
     def test_needs_clusters(self, liner):
