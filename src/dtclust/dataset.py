@@ -118,9 +118,9 @@ class Column:
     """One encoded column.
 
     codes:      per-row code, int32; 0 means missing.
-    dictionary: original display value for code c at dictionary[c-1]; a
-                tuple as loaded, a sequence whose texts are built on first
-                read in a transformed column.
+    dictionary: display value for code c at dictionary[c-1], always a
+                tuple: the original texts as loaded, the bin representatives
+                or reordered texts in a transformed column.
     values:     natural (sortable) value per dictionary entry for numeric and
                 datetime columns; None for symbolic/boolean.
     pattern:    strptime pattern used to parse a datetime column.
@@ -129,7 +129,7 @@ class Column:
     name: str
     kind: ColumnKind
     codes: np.ndarray
-    dictionary: Sequence[str]
+    dictionary: tuple[str, ...]
     values: np.ndarray | None = None
     pattern: str | None = None
 

@@ -12,16 +12,16 @@ sample's rows of the one encoded table, and no row-sliced copy is made. A
 column's steps are composed into one map (ColumnLog.code_map()) and the column
 is rewritten with one gather through it. Every step is recorded in a
 TransformLog, so extracted rules can always be rendered over original values.
-Display text (Bin objects, representatives, reordered dictionaries) is built
-only when something reads it: a report, a rule or a DOT graph.
+A step is plain data, fit with its display text: a binning's members and
+representatives and a reordered column's dictionary are tuples, so a prepared
+dataset and its log can be written out or pickled like a loaded one.
 """
 
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -52,18 +52,20 @@ class Bin:
 class BinningSpec:
     """A binning step; code_map[old code] = bin id, 0 for missing, -1 outside every kept bin.
 
-    describe() builds the kept bins; bins calls it once, on first use, so a fit
-    whose bins nothing shows never formats them.
+    members[i] are the previous step's codes that bin i + 1 holds, and
+    representatives[i] is that bin's display text.
     """
 
     method: str
     k: int
     code_map: np.ndarray
-    describe: Callable[[], tuple[Bin, ...]] = field(repr=False)
+    members: tuple[range | tuple[int, ...], ...]
+    representatives: tuple[str, ...]
 
-    @cached_property
+    @property
     def bins(self) -> tuple[Bin, ...]:
-        return self.describe()
+        return tuple(Bin(i + 1, members, text)
+                     for i, (members, text) in enumerate(zip(self.members, self.representatives)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,39 +76,6 @@ class OrdinalEncoding:
 
 
 Transform = BinningSpec | OrdinalEncoding
-
-
-class _Texts(Sequence):
-    """A transformed column's dictionary: its length is known up front, its
-    texts are built by build() on first read and kept."""
-
-    def __init__(self, n: int, build: Callable[[], Iterable[str]]) -> None:
-        self._n = n
-        self._build = build
-        self._texts: tuple[str, ...] | None = None
-
-    def _all(self) -> tuple[str, ...]:
-        if self._texts is None:
-            self._texts = tuple(self._build())
-            self._build = None
-        return self._texts
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, i):
-        return self._all()[i]
-
-    def __iter__(self):
-        return iter(self._all())
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (tuple, _Texts)):
-            return self._all() == tuple(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(self._all())
 
 
 _SYMBOLIC = (ColumnKind.SYMBOLIC_NOMINAL, ColumnKind.SYMBOLIC_ORDINAL)
@@ -151,24 +120,21 @@ def bin_column(col: Column, method: str, k: int) -> tuple[BinningSpec, Column]:
     Duplicate edges collapse. Symbolic columns are grouped by _bin_symbolic.
     """
     check_binning(col, method, k)
-    spec, kind, values, texts = _fit_binning(
+    spec, kind, values = _fit_binning(
         col, np.bincount(col.codes, minlength=col.n_values + 1), method, k, logging.WARNING)
-    return spec, Column(col.name, kind, spec.code_map[col.codes], texts, values=values,
-                        pattern=col.pattern)
+    return spec, Column(col.name, kind, spec.code_map[col.codes], spec.representatives,
+                        values=values, pattern=col.pattern)
 
 
 def _fit_binning(col: Column, counts: np.ndarray, method: str, k: int, level: int
-                 ) -> tuple[BinningSpec, ColumnKind, np.ndarray | None, _Texts]:
+                 ) -> tuple[BinningSpec, ColumnKind, np.ndarray | None]:
     """The binning of col fit from counts[c], the rows of code c (0 included) it is fit
-    on, and the rewritten column's kind, natural values and dictionary."""
+    on, and the rewritten column's kind and natural values."""
     if col.kind in _SYMBOLIC:
-        spec, n_bins = _bin_symbolic(col, counts, method, k, level)
-        kind, values = ColumnKind.SYMBOLIC_NOMINAL, None
-    else:
-        inner = "equal-width" if method == "equal-width" else "percentile"
-        spec, values = _bin_ordered(col, counts, inner, k, f"{col.kind.value}-{method}")
-        kind, n_bins = col.kind, values.size
-    return spec, kind, values, _Texts(n_bins, lambda: (b.representative for b in spec.bins))
+        return _bin_symbolic(col, counts, method, k, level), ColumnKind.SYMBOLIC_NOMINAL, None
+    inner = "equal-width" if method == "equal-width" else "percentile"
+    spec, values = _bin_ordered(col, counts, inner, k, f"{col.kind.value}-{method}")
+    return spec, col.kind, values
 
 
 def _bin_ordered(col: Column, counts: np.ndarray, method: str, k: int, label: str
@@ -209,19 +175,14 @@ def _bin_ordered(col: Column, counts: np.ndarray, method: str, k: int, label: st
     code_map = np.zeros(col.n_values + 1, dtype=np.int32)
     code_map[1:] = np.repeat(renumber, np.diff(starts))
     rep_values = np.asarray(reps, dtype=np.float64)[observed]
-
-    def describe() -> tuple[Bin, ...]:
-        spans = zip((starts[observed] + 1).tolist(), (starts[observed + 1] + 1).tolist(),
-                    rep_values.tolist())
-        return tuple(Bin(i + 1, range(a, b), format_value(v, col.kind, col.pattern))
-                     for i, (a, b, v) in enumerate(spans))
-
-    return BinningSpec(label, k, code_map, describe), rep_values
+    members = tuple(map(range, (starts[observed] + 1).tolist(), (starts[observed + 1] + 1).tolist()))
+    texts = tuple(format_value(v, col.kind, col.pattern) for v in rep_values.tolist())
+    return BinningSpec(label, k, code_map, members, texts), rep_values
 
 
 def _bin_symbolic(col: Column, counts: np.ndarray, method: str, k: int, level: int
-                  ) -> tuple[BinningSpec, int]:
-    """Group a symbolic column's values into at most k bins; also returns the bin count.
+                  ) -> BinningSpec:
+    """Group a symbolic column's values into at most k bins.
 
     equal-width chops the current dictionary order into near-equal groups;
     frequency sorts values by occurrence count and greedily packs them so each
@@ -263,18 +224,12 @@ def _bin_symbolic(col: Column, counts: np.ndarray, method: str, k: int, level: i
 
     code_map = np.full(m + 1, -1, dtype=np.int32)
     code_map[MISSING_CODE] = MISSING_CODE
+    texts = []
     for i, g in enumerate(groups):
         code_map[g] = i + 1
-
-    def describe() -> tuple[Bin, ...]:
-        bins = []
-        for i, g in enumerate(groups):
-            names = [col.dictionary[c - 1] for c in g]
-            text = names[0] if len(names) == 1 else "{" + ",".join(names) + "}"
-            bins.append(Bin(i + 1, tuple(g), text))
-        return tuple(bins)
-
-    return BinningSpec(f"symbolic-{method}", k, code_map, describe), len(groups)
+        names = [col.dictionary[c - 1] for c in g]
+        texts.append(names[0] if len(names) == 1 else "{" + ",".join(names) + "}")
+    return BinningSpec(f"symbolic-{method}", k, code_map, tuple(map(tuple, groups)), tuple(texts))
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +323,12 @@ def _frequency_order(counts: np.ndarray) -> np.ndarray:
     return np.argsort(-freqs, kind="stable") + 1
 
 
-def _reorder(order: np.ndarray, texts: Sequence[str]) -> tuple[OrdinalEncoding, _Texts]:
+def _reorder(order: np.ndarray, texts: Sequence[str]) -> tuple[OrdinalEncoding, tuple[str, ...]]:
     """The reordering step that gives old code order[i] the new code i + 1, and its dictionary."""
     m = order.size
     perm = np.zeros(m + 1, dtype=np.int32)
     perm[order] = np.arange(1, m + 1)
-    return OrdinalEncoding(perm), _Texts(m, lambda: (texts[old - 1] for old in order.tolist()))
+    return OrdinalEncoding(perm), tuple(texts[old - 1] for old in order.tolist())
 
 
 def encode_by_class_frequency(
@@ -542,7 +497,8 @@ def apply_plan(
     with one gather through the composed map of its steps. The log's source
     columns are ds's own, so rules render over the whole table. A fit on rows
     repeats what a fit on the whole table already said, so its warnings are
-    logged at DEBUG.
+    logged at DEBUG. A transformed column's dictionary is built as its steps
+    are fit: the bins' representatives, then the texts in reordered code order.
 
     The log gets one entry per surviving column (identity entries included), so
     rule rendering never lacks a record.
@@ -568,12 +524,12 @@ def apply_plan(
         if directive is not None:
             totals = np.bincount(codes, minlength=n + 1) if counts is None else counts.sum(axis=1)
             try:
-                spec, kind, values, texts = _fit_binning(col, totals, directive.method, directive.k,
-                                                         level)
+                spec, kind, values = _fit_binning(col, totals, directive.method, directive.k, level)
             except DataError as exc:
                 log.log(level, "skipped binning for %r: %s", col.name, exc)
             else:
                 steps.append(spec)
+                texts = spec.representatives
                 n = len(texts)
 
         if kind in _SYMBOLIC and n > plan.high_cardinality_threshold:

@@ -1,16 +1,16 @@
 """Binning methods, string similarity, and class-frequency ordinal encoding."""
 
 import logging
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtclust.dataset import Column, ColumnKind, Dataset, encode_column
+from dtclust.dataset import Column, ColumnKind, Dataset, encode_column, load_csv
 from dtclust.errors import ConfigError, DataError
 from dtclust.preprocess import (
-    Bin,
     BinDirective,
     BinningSpec,
     ColumnLog,
@@ -22,6 +22,7 @@ from dtclust.preprocess import (
     encode_by_class_frequency,
     jaro_winkler,
 )
+from dtclust.synth import titanic_like, write_csv
 
 from helpers import city_dataset, random_dataset, random_plan, reference_log_dict, subset
 
@@ -255,7 +256,7 @@ class TestCodeMap:
         # code 2 falls in no kept bin; the reordering after the binning must
         # not read -1 as an index into its permutation
         binning = BinningSpec("numeric-equal-width", 3, np.array([0, 1, -1, 2], dtype=np.int32),
-                              lambda: (Bin(1, range(1, 2), "a"), Bin(2, range(3, 4), "c")))
+                              (range(1, 2), range(3, 4)), ("a", "c"))
         source = Column("v", ColumnKind.NUMERIC, np.array([1, 2, 3], dtype=np.int32),
                         ("a", "b", "c"), np.arange(3.0))
         entry = ColumnLog(source, [binning, OrdinalEncoding(np.array([0, 2, 1]))],
@@ -357,6 +358,40 @@ class TestApplyPlan:
                               high_cardinality_threshold=42)
         again = PreprocessPlan.from_dict(plan.to_dict())
         assert again == plan
+
+
+class TestPreparedData:
+    """A prepared table is plain data: it writes to CSV and pickles like a loaded one."""
+
+    LINER = titanic_like(n_rows=400, seed=2)
+    PLAN = PreprocessPlan(numeric_bins=4,
+                          per_column={"passenger-class": BinDirective("frequency", 2)})
+
+    def test_csv_round_trip(self, tmp_path):
+        out, _ = apply_plan(self.LINER, self.PLAN, 1)
+        path = tmp_path / "prepared.csv"
+        write_csv(out, str(path))
+        again = load_csv(str(path), label="label")
+        assert again.labels.tolist() == out.labels.tolist()
+        for col, loaded in zip(out.columns, again.columns, strict=True):
+            # a loaded symbolic dictionary is sorted, so compare codes through their texts
+            assert [loaded.decode(c) for c in loaded.codes.tolist()] == \
+                [col.decode(c) for c in col.codes.tolist()], col.name
+            if col.kind is ColumnKind.NUMERIC:
+                assert loaded.codes.tolist() == col.codes.tolist(), col.name
+
+    def test_pickle_round_trip(self):
+        out, log = apply_plan(self.LINER, self.PLAN, 1)
+        out2, log2 = pickle.loads(pickle.dumps((out, log)))
+        assert log2.to_dict() == log.to_dict()
+        assert [c.dictionary for c in out2.columns] == [c.dictionary for c in out.columns]
+
+    @pytest.mark.parametrize("rows", [None, np.arange(0, 400, 3)])
+    def test_dictionaries_are_tuples(self, rows):
+        out, log = apply_plan(self.LINER, self.PLAN, 1, rows=rows)
+        assert {type(c.dictionary) for c in out.columns} == {tuple}
+        steps = [s for e in log.entries.values() for s in e.steps]
+        assert {type(s.representatives) for s in steps if isinstance(s, BinningSpec)} == {tuple}
 
 
 def sample_case(seed, wide):
